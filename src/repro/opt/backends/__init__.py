@@ -27,8 +27,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro import faults
+from repro.obs import current_registry
 from repro.obs import span as obs_span
-from repro.opt.kkt import SOLVER_REVISION, ChiSolution
+from repro.opt.kkt import CLOSED_FORM_NOTE, SOLVER_REVISION, ChiSolution
 from repro.opt.problem import ProblemIR
 from repro.util.errors import SolverError
 
@@ -40,6 +41,9 @@ class SolverBackend:
 
     #: registry key; also part of the cache namespace
     name: str = ""
+    #: solve-batch span counter -> note prefix; the span counts the solutions
+    #: carrying a note with that prefix
+    batch_notes: dict[str, str] = {"closed_form": CLOSED_FORM_NOTE}
 
     def cache_tag(self) -> str:
         """Cache-key namespace: backend identity + solver generation."""
@@ -50,6 +54,10 @@ class SolverBackend:
     ) -> ChiSolution:
         raise NotImplementedError
 
+    def batch_order(self, problems: Sequence[ProblemIR]) -> Sequence[int]:
+        """Positions of ``problems`` in the order :meth:`solve_batch` visits them."""
+        return range(len(problems))
+
     def solve_batch(
         self,
         problems: Sequence[ProblemIR],
@@ -59,29 +67,48 @@ class SolverBackend:
     ) -> list[ChiSolution | SolverError]:
         """Solve a batch; failures are returned (not raised) per position.
 
-        The base implementation is a sequential map; backends override it to
-        exploit cross-problem structure (the numeric-first backend groups
-        problems by exponent structure so scipy warm starts chain).
+        Problems are visited in :meth:`batch_order` (backends override it to
+        exploit cross-problem structure: the numeric-first backend groups
+        problems by exponent structure so scipy warm starts chain); results
+        keep the input positions.  The deadline is checked and the
+        ``solver.solve`` fault site fires before every problem.
         """
-        results: list[ChiSolution | SolverError] = []
+        results: list[ChiSolution | SolverError] = [None] * len(problems)  # type: ignore[list-item]
+        registry = current_registry()
+        rescues = registry.counter_total("solver_rescues_total")
         with obs_span(
             "solver.solve-batch", backend=self.name, problems=len(problems)
         ) as sp:
-            for problem in problems:
+            for index in self.batch_order(problems):
                 faults.check_deadline("solve")
                 try:
                     faults.inject("solver.solve")
-                    results.append(
-                        self.solve(
-                            problem, allow_pinning=allow_pinning, allow_caps=allow_caps
-                        )
+                    results[index] = self.solve(
+                        problems[index],
+                        allow_pinning=allow_pinning,
+                        allow_caps=allow_caps,
                     )
                 except SolverError as err:
-                    results.append(err)
-            failed = sum(1 for r in results if isinstance(r, SolverError))
-            sp.add("solved", len(results) - failed)
-            sp.add("failed", failed)
+                    results[index] = err
+            solutions = [r for r in results if isinstance(r, ChiSolution)]
+            sp.add("solved", len(solutions))
+            sp.add("failed", len(results) - len(solutions))
+            for counter, prefix in self.batch_notes.items():
+                sp.add(
+                    counter,
+                    sum(any(n.startswith(prefix) for n in s.notes) for s in solutions),
+                )
+            sp.add(
+                "rescues", registry.counter_total("solver_rescues_total") - rescues
+            )
         return results
+
+
+def count_closed_form(backend: str, solution: ChiSolution) -> ChiSolution:
+    """Count ``solution`` in ``solver_closed_form_total`` if it is a closed form."""
+    if CLOSED_FORM_NOTE in solution.notes:
+        current_registry().inc("solver_closed_form_total", backend=backend)
+    return solution
 
 
 _REGISTRY: dict[str, type[SolverBackend]] = {}

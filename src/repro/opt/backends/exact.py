@@ -8,7 +8,7 @@ closed form) is unchanged.
 
 from __future__ import annotations
 
-from repro.opt.backends import SolverBackend, register_backend
+from repro.opt.backends import SolverBackend, count_closed_form, register_backend
 from repro.opt.kkt import ChiSolution, solve_chi
 from repro.opt.problem import ProblemIR
 
@@ -22,10 +22,13 @@ class ExactBackend(SolverBackend):
     def solve(
         self, problem: ProblemIR, *, allow_pinning: bool, allow_caps: bool
     ) -> ChiSolution:
-        return solve_chi(
-            problem.objective_posynomial(),
-            problem.constraint_posynomial(),
-            problem.extents_dict(),
-            allow_pinning=allow_pinning,
-            allow_caps=allow_caps,
+        return count_closed_form(
+            self.name,
+            solve_chi(
+                problem.objective_posynomial(),
+                problem.constraint_posynomial(),
+                problem.extents_dict(),
+                allow_pinning=allow_pinning,
+                allow_caps=allow_caps,
+            ),
         )

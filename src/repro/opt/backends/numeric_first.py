@@ -6,6 +6,9 @@ is the symbolic reconstruction -- ``sympy.linsolve`` over symbolic unknowns,
 backend keeps the same mathematical derivation but replaces every symbolic
 step that admits an exact rational counterpart:
 
+0. the bandwidth-bound class (the objective monomial is the dominant
+   constraint term) is answered in closed form before any probe, exactly
+   as the exact backend answers it (:func:`repro.opt.kkt.bandwidth_bound_chi`);
 1. one scipy probe, **warm-started** from the nearest previously-solved
    problem class (problems sharing an exponent structure have nearby optima
    in log space, so one SLSQP call usually converges);
@@ -41,14 +44,14 @@ import sympy as sp
 
 from repro import faults
 from repro.obs import current_registry
-from repro.obs import span as obs_span
-from repro.opt.backends import SolverBackend, register_backend
+from repro.opt.backends import SolverBackend, count_closed_form, register_backend
 from repro.opt.kkt import (
     _NUMERIC_PARAM,
     _OBJ_TOLERANCE,
     _PIN_TOLERANCE,
     _PROBE_X,
     ChiSolution,
+    bandwidth_bound_chi,
     solve_chi,
 )
 from repro.opt.numeric import NumericSolution, ProbeResult, probe_arrays
@@ -64,6 +67,7 @@ from repro.util.errors import SolverError
 _VALUE_RTOL = 5e-3  #: chi(probe X) must match the numeric optimum this well
 _WEIGHT_ATOL = 5e-3  #: softmax identity tolerance |u_p/chi - w_p|
 _LOG_CONSISTENCY_ATOL = 1e-6  #: numeric tile-consistency tolerance
+_FALLBACK_NOTE = "numeric-first: fell back to exact"
 
 
 class _Fallback(Exception):
@@ -116,6 +120,7 @@ class NumericFirstBackend(SolverBackend):
     """Batched, warm-started probes with deferred exact reconstruction."""
 
     name = "numeric-first"
+    batch_notes = {**SolverBackend.batch_notes, "fallbacks": _FALLBACK_NOTE}
 
     def solve(
         self, problem: ProblemIR, *, allow_pinning: bool, allow_caps: bool
@@ -125,8 +130,11 @@ class NumericFirstBackend(SolverBackend):
             # same exact-backend fallback as a real fast-path rejection.
             if faults.active() and faults.triggered("solver.numeric"):
                 raise _Fallback("injected numeric-backend fault")
-            return _solve_fast(
-                problem, allow_pinning=allow_pinning, allow_caps=allow_caps
+            return count_closed_form(
+                self.name,
+                _solve_fast(
+                    problem, allow_pinning=allow_pinning, allow_caps=allow_caps
+                ),
             )
         except _Fallback as reason:
             current_registry().inc("solver_fallbacks_total", backend=self.name)
@@ -141,49 +149,18 @@ class NumericFirstBackend(SolverBackend):
             )
             return replace(
                 solution,
-                notes=solution.notes
-                + (f"numeric-first: fell back to exact ({reason})",),
+                notes=solution.notes + (f"{_FALLBACK_NOTE} ({reason})",),
             )
 
-    def solve_batch(
-        self,
-        problems,
-        *,
-        allow_pinning: bool,
-        allow_caps: bool,
-    ) -> list[ChiSolution | SolverError]:
-        """Solve structurally similar problems consecutively.
+    def batch_order(self, problems):
+        """Structurally similar problems consecutively.
 
         Sorting by exponent structure makes every problem after the first of
         its class hit the warm-start store while the optimum is freshest.
         """
-        order = sorted(
+        return sorted(
             range(len(problems)), key=lambda i: repr(problems[i].structure_key())
         )
-        results: list[ChiSolution | SolverError] = [None] * len(problems)  # type: ignore[list-item]
-        with obs_span(
-            "solver.solve-batch", backend=self.name, problems=len(problems)
-        ) as span:
-            for index in order:
-                try:
-                    results[index] = self.solve(
-                        problems[index],
-                        allow_pinning=allow_pinning,
-                        allow_caps=allow_caps,
-                    )
-                except SolverError as err:
-                    results[index] = err
-            failed = sum(1 for r in results if isinstance(r, SolverError))
-            fallbacks = sum(
-                1
-                for r in results
-                if isinstance(r, ChiSolution)
-                and any(n.startswith("numeric-first: fell back") for n in r.notes)
-            )
-            span.add("solved", len(results) - failed)
-            span.add("failed", failed)
-            span.add("fallbacks", fallbacks)
-        return results
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +227,15 @@ def _solve_fast(
         tuple(term.exponents[idx] for idx in keep) for term in problem.constraint
     ]
     con_coeffs = [problem.coeffs[term.coeff] for term in problem.constraint]
+    closed = bandwidth_bound_chi(
+        names,
+        list(zip(obj_coeffs, obj_rows)),
+        list(zip(con_coeffs, con_rows)),
+        capped={name: extents[name] for name in capped},
+        notes=notes,
+    )
+    if closed is not None:
+        return closed
 
     # ---- numeric probe (warm-started) --------------------------------------
     params = sorted(

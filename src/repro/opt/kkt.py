@@ -31,6 +31,10 @@ all tiles have closed forms, constraint == X at leading order).  When exact
 reconstruction fails, a rational-exponent fit of the numeric solution is
 returned with ``exact=False`` (re-verified at an independent ``X``).
 
+One class needs no probe at all: when the objective monomial is itself a
+constraint term that dominates every other one, ``chi = (c/k)*X`` in closed
+form (:func:`bandwidth_bound_chi`, shared with the numeric-first backend).
+
 Variables absent from every constraint term are unconstrained by the
 dominator budget and are capped at their full loop extents beforehand.
 """
@@ -45,6 +49,7 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from repro.opt.numeric import NumericSolution, solve_numeric
+from repro.opt.problem import ProblemIR
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import X_SYM, tile, tile_name
 from repro.util.errors import SolverError
@@ -53,11 +58,14 @@ from repro.util.errors import SolverError
 #: relaxed rejection rules, new backends, ...): persistent caches namespace
 #: every entry by backend + revision, so older-generation results are never
 #: replayed by a newer solver.
-SOLVER_REVISION = 2
+SOLVER_REVISION = 3
 
 _PIN_TOLERANCE = 1.2  #: numeric tile value below this counts as pinned to 1
 _OBJ_TOLERANCE = 1e-3  #: objective weight below this counts as negligible
 _PROBE_X = 1.0e9
+
+#: note carried by every solution :func:`bandwidth_bound_chi` produced
+CLOSED_FORM_NOTE = "closed form: objective monomial is the dominant constraint term"
 
 
 @dataclass
@@ -171,6 +179,17 @@ def solve_chi(
         tiles = {name: sp.sympify(extents[name]) for name in capped}
         return ChiSolution(chi, tiles, tuple(capped), (), True, tuple(notes))
 
+    rows = ProblemIR.from_posynomials(objective, constraint)
+    closed = bandwidth_bound_chi(
+        rows.variables,
+        [(rows.coeffs[term.coeff], term.exponents) for term in rows.objective],
+        [(rows.coeffs[term.coeff], term.exponents) for term in rows.constraint],
+        capped={name: sp.sympify(extents[name]) for name in capped},
+        notes=notes,
+    )
+    if closed is not None:
+        return closed
+
     # Program parameters may appear in coefficients (capped extents); the
     # numeric probe substitutes a large common value -- the probe only guides
     # active-set selection, the exact algebra below keeps parameters symbolic.
@@ -226,6 +245,52 @@ def solve_chi(
         part.pinned,
         part.exact,
         tuple(notes),
+    )
+
+
+def bandwidth_bound_chi(
+    variables: Sequence[str],
+    objective: Sequence[tuple[sp.Expr, tuple[Fraction, ...]]],
+    constraint: Sequence[tuple[sp.Expr, tuple[Fraction, ...]]],
+    *,
+    capped: Mapping[str, sp.Expr] | None = None,
+    notes: Sequence[str] = (),
+) -> ChiSolution | None:
+    """Closed-form ``chi`` of the bandwidth-bound class, or ``None`` outside it.
+
+    ``objective``/``constraint`` are ``(coefficient, exponent row)`` pairs
+    over ``variables``, after capping; ``capped`` maps each capped tile to
+    its extent.  The class: the objective is one monomial ``c*m``, the
+    constraint has a term ``k*m`` with the same exponent row, and every
+    other constraint term has strictly lower total degree.  Then ``c*m =
+    (c/k)*(k*m) <= (c/k)*X`` on the whole feasible set, and the all-ones ray
+    in log space (every tile ``t``, ``t -> oo``) attains it at leading
+    order, because ``k*m`` outgrows every other term.  So ``chi = (c/k)*X``:
+    alpha = 1 and X0 -> oo, the paper's bandwidth-bound case.  The ray is
+    interior (no tile sits at its bound 1), so the answer also stands under
+    ``allow_pinning=False``.  When ``m = v**p`` the saturated term fixes
+    ``v = (X/k)**(1/p)``; otherwise the split of ``m`` among its tiles is
+    free and, as in the KKT reconstruction, no tile closed form is given.
+    """
+    if len(objective) != 1:
+        return None
+    coeff, row = objective[0]
+    degree = sum(row)
+    budget = [k for k, other in constraint if other == row]
+    if degree <= 0 or len(budget) != 1:
+        return None
+    if any(sum(other) >= degree for _, other in constraint if other != row):
+        return None
+    k = budget[0]
+    tiles: dict[str, sp.Expr] = {}
+    powered = [(name, exp) for name, exp in zip(variables, row) if exp != 0]
+    if len(powered) == 1:
+        name, power = powered[0]
+        tiles[name] = (X_SYM / k) ** sp.Rational(power.denominator, power.numerator)
+    capped = dict(capped or {})
+    tiles.update(capped)
+    return ChiSolution(
+        coeff / k * X_SYM, tiles, tuple(capped), (), True, (*notes, CLOSED_FORM_NOTE)
     )
 
 
@@ -460,7 +525,8 @@ def _fit_from_numeric(
     # Estimate the coefficient at the *largest* probe: lower-order chi terms
     # (and constraint slack) contaminate c(X) = chi(X)/X^alpha by O(X^(beta
     # - alpha)), so the far probe is an order of magnitude cleaner than the
-    # near one (deriche: 3.3e-4 rel error at X=1e9, 2.1e-5 at 64e9).
+    # near one (gemver's 2*c0*c1 + c0 | c0*c1 + 4*c0 + 3*c1, chi = 2*X:
+    # 2.0e-4 rel error at X=1e9, 2.6e-5 at 64e9).
     coeff_f = s2.objective_value / x2 ** float(alpha)
     # When the coefficient is within probe noise of a small rational, the
     # rational is the answer (mpmath.identify would otherwise dress the

@@ -30,6 +30,7 @@ import numpy as np
 import sympy as sp
 from scipy import optimize
 
+from repro.obs import current_registry
 from repro.symbolic.posynomial import Posynomial
 from repro.util.errors import SolverError
 
@@ -155,7 +156,10 @@ def probe_arrays(
             break
     if best is None and rescue:
         # SLSQP can stall on nearly-degenerate geometries; trust-constr is
-        # slower but markedly more robust.
+        # slower but markedly more robust.  No corpus problem gets here (the
+        # degenerate class is solved in closed form before any probe), so
+        # every rescue is counted.
+        current_registry().inc("solver_rescues_total")
         constraint_obj = optimize.NonlinearConstraint(
             constraint_slack, 0.0, np.inf,
             jac=lambda x: constraint_slack_grad(x).reshape(1, -1),

@@ -738,6 +738,12 @@ class AnalysisService:
             registry.inc(
                 "service_solver_fallbacks_total", float(value), backend=backend
             )
+        for backend, value in (stats.get("solver_closed_form") or {}).items():
+            registry.inc(
+                "service_solver_closed_form_total", float(value), backend=backend
+            )
+        if stats.get("solver_rescues"):
+            registry.inc("service_solver_rescues_total", float(stats["solver_rescues"]))
         for stage, value in (stats.get("deadlines") or {}).items():
             self._deadline_totals[stage] = self._deadline_totals.get(
                 stage, 0
@@ -904,6 +910,17 @@ class AnalysisService:
                     backend: dict(counts)
                     for backend, counts in self._solver_totals.items()
                 },
+                "closed_form": {
+                    backend: int(count)
+                    for backend, count in sorted(
+                        self.metrics.registry.counter_by_label(
+                            "service_solver_closed_form_total", "backend"
+                        ).items()
+                    )
+                },
+                "rescues": int(
+                    self.metrics.registry.counter_total("service_solver_rescues_total")
+                ),
             },
             store=self._store_block(),
             bounds=self._bounds_block(),

@@ -293,6 +293,10 @@ def _run_job(engine, store, descriptor: dict, report_cache: bool) -> dict:
         "solver_fallbacks": registry.counter_by_label(
             "solver_fallbacks_total", "backend"
         ),
+        "solver_closed_form": registry.counter_by_label(
+            "solver_closed_form_total", "backend"
+        ),
+        "solver_rescues": registry.counter_total("solver_rescues_total"),
         "deadlines": registry.counter_by_label(
             "deadline_expirations_total", "stage"
         ),

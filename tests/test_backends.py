@@ -1,11 +1,17 @@
 """Solver backends: registry, equivalence, cross-check, engine threading."""
 
+import time
+
 import pytest
 import sympy as sp
 
+from repro import faults
 from repro.analysis import analyze_kernel
 from repro.engine import Engine, analyze_many
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs import MetricsRegistry, Tracer
 from repro.opt import ProblemIR, available_backends, get_backend
+from repro.opt.kkt import ChiSolution
 from repro.opt.backends.crosscheck import MISMATCH_PREFIX, _leading_mismatch
 from repro.symbolic.posynomial import Posynomial
 from repro.symbolic.symbols import X_SYM, tile
@@ -119,6 +125,67 @@ class TestCrossCheck:
         with pytest.raises(SolverError) as excinfo:
             get_backend("cross-check").solve(ir, allow_pinning=True, allow_caps=True)
         assert not str(excinfo.value).startswith(MISMATCH_PREFIX)
+
+
+class TestBatchLoop:
+    """Every backend's batch goes through the same deadline/fault/span loop."""
+
+    @pytest.mark.parametrize("backend", ["exact", "numeric-first"])
+    def test_expired_deadline_stops_batch_before_second_problem(
+        self, backend, monkeypatch
+    ):
+        solver = get_backend(backend)
+        deadline = faults.Deadline.after(0.2)
+        solved = []
+
+        def solve_past_deadline(problem, **_):
+            solved.append(problem)
+            time.sleep(deadline.remaining() + 0.01)
+            return ChiSolution(X_SYM)
+
+        monkeypatch.setattr(solver, "solve", solve_past_deadline)
+        problems = [_ir(2 * bi * bj, bi * bj, [bi, bj]), _ir(bi * bk, bi + bk, [bi, bk])]
+        with faults.deadline_scope(deadline):
+            with pytest.raises(faults.DeadlineExceeded) as err:
+                solver.solve_batch(problems, allow_pinning=False, allow_caps=False)
+        assert err.value.stage == "solve"
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("backend", ["exact", "numeric-first"])
+    def test_solver_solve_fault_site_fires(self, backend):
+        plan = FaultPlan(
+            seed=1,
+            specs=[FaultSpec(site="solver.solve", error="solver", at=(1,))],
+        )
+        problems = [_ir(2 * bi * bj, bi * bj, [bi, bj])] * 2
+        with faults.plan_scope(plan):
+            results = get_backend(backend).solve_batch(
+                problems, allow_pinning=False, allow_caps=False
+            )
+            fired = faults.snapshot()["sites"]["solver.solve"]["fired"]
+        assert fired == 1
+        assert sum(isinstance(r, SolverError) for r in results) == 1
+        assert sum(isinstance(r, ChiSolution) for r in results) == 1
+
+    def test_span_and_registry_count_closed_forms(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(keep_spans=True, registry=registry)
+        problems = [
+            _ir(2 * bi * bj, bi * bj + bi, [bi, bj]),  # closed form
+            _ir(bi * bj * bk, bi * bk + bk * bj + bi * bj, [bi, bj, bk]),
+        ]
+        with tracer:
+            get_backend("numeric-first").solve_batch(
+                problems, allow_pinning=False, allow_caps=False
+            )
+        (batch,) = [s for s in tracer.spans if s["name"] == "solver.solve-batch"]
+        assert batch["counters"]["solved"] == 2
+        assert batch["counters"]["closed_form"] == 1
+        assert batch["counters"]["rescues"] == 0
+        assert "fallbacks" in batch["counters"]
+        assert registry.counter_by_label("solver_closed_form_total", "backend") == {
+            "numeric-first": 1
+        }
 
 
 class TestEngineThreading:

@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import MetricsRegistry, Tracer
 from repro.opt.kkt import ChiSolution, degree_in_x, leading_in_x, solve_chi
 from repro.opt.numeric import solve_numeric
 from repro.opt.rho import compare_intensity, intensity_from_chi
@@ -34,7 +35,12 @@ class TestNumeric:
         # Low-order term b_i is inactive at the optimum.
         obj = _posy(bi * bj, [bi, bj])
         con = _posy(bi * bj + bi, [bi, bj])
-        sol = solve_numeric(obj, con, 1e8)
+        registry = MetricsRegistry()
+        with Tracer(registry=registry):
+            sol = solve_numeric(obj, con, 1e8)
+        # every SLSQP start stalls on this degenerate geometry: the
+        # trust-constr rescue runs, and is counted
+        assert registry.counter_total("solver_rescues_total") == 1
         degrees = {tuple(sorted(v.name for v in t.variables())): a for t, a in zip(con.terms, sol.active)}
         assert degrees[("b_i", "b_j")] is True
         assert degrees[("b_i",)] is False

@@ -244,6 +244,17 @@ class TestEndpoints:
         assert spans["counts"].get("engine.analyze", 0) >= 1
         assert spans["slowest"]
 
+    def test_metrics_count_closed_forms_and_rescues(self):
+        # own fleet: deriche's problems must be cold solves, not store hits
+        with ServiceThread(ServiceConfig(workers=1)) as thread:
+            with ServiceClient(port=thread.port) as own:
+                assert own.kernel("deriche").ok
+                solver = own.metrics()["solver"]
+                text = own.metrics_prometheus()
+        assert solver["closed_form"]["exact"] >= 3
+        assert solver["rescues"] == 0
+        assert 'repro_service_solver_closed_form_total{backend="exact"}' in text
+
     def test_metrics_prometheus_format(self, client):
         client.kernel("gemm")
         text = client.metrics_prometheus()
