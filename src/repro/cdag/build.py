@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping
 
 import networkx as nx
 import sympy as sp
 
+from repro.ir.access import AccessComponent
 from repro.ir.program import Program
 from repro.ir.statement import Statement
 from repro.util import unique_in_order
@@ -112,6 +114,20 @@ def _iteration_points(
         yield point
 
 
+def _element_of(comp: AccessComponent) -> Callable[[Mapping[str, int]], tuple]:
+    """Evaluator of one access component at an iteration point.
+
+    Plain-variable components (``A[i, j]``), most of the corpus's reads,
+    become one ``itemgetter``; the rest evaluate index by index.
+    """
+    if comp and all(idx.is_single_var and idx.offset == 0 for idx in comp):
+        getter = itemgetter(*(idx.single_var for idx in comp))
+        if len(comp) == 1:
+            return lambda point: (getter(point),)
+        return getter
+    return lambda point: tuple(idx.evaluate(point) for idx in comp)
+
+
 def build_cdag(
     program: Program,
     params: Mapping[str, int],
@@ -124,7 +140,11 @@ def build_cdag(
     vertex on the result, enabling generic blocked-schedule derivation; pass
     ``False`` to save memory when only the graph structure is needed.
     """
-    graph = nx.DiGraph()
+    # Vertices in creation order and edges in insertion order; the graph is
+    # built from both at the end, so its node, predecessor and successor
+    # orders are those of the execution.
+    nodes: list[Vertex] = []
+    edges: list[tuple[Vertex, Vertex]] = []
     latest: dict[tuple[str, tuple[int, ...]], Vertex] = {}
     version_counter: dict[tuple[str, tuple[int, ...]], int] = {}
     by_array: dict[str, list[Vertex]] = {}
@@ -155,36 +175,46 @@ def build_cdag(
                 shared_extents[var] = extents_per_stmt[st.name][var]
                 break
 
+    # Per statement: its reads in edge order as (array, element evaluator,
+    # array is computed), and the evaluator of the written element.
+    plans = {
+        st.name: (
+            [
+                (access.array, _element_of(comp), access.array in computed_arrays)
+                for access in st.inputs
+                for comp in access.components
+            ],
+            _element_of(st.output.components[0]),
+        )
+        for st in program.statements
+    }
+
     def run_statement(st: Statement, fixed: Mapping[str, int]) -> None:
+        reads, written = plans[st.name]
+        out_array = st.output.array
         for point in _iteration_points(st, fixed, extents_per_stmt[st.name], params):
-            parents: list[Vertex] = []
-            for access in st.inputs:
-                for comp in access.components:
-                    element = tuple(idx.evaluate(point) for idx in comp)
-                    key = (access.array, element)
-                    if key in latest:
-                        parents.append(latest[key])
-                    elif access.array in computed_arrays:
+            parents: dict[Vertex, None] = {}
+            for array, element_of, computed in reads:
+                element = element_of(point)
+                parent = latest.get((array, element))
+                if parent is None:
+                    if computed:
                         continue  # read before first write: initial value
-                    else:
-                        vertex = ("in", access.array, element)
-                        input_vertices.setdefault(vertex)
-                        graph.add_node(vertex)
-                        parents.append(vertex)
-            element = tuple(
-                idx.evaluate(point) for idx in st.output.components[0]
-            )
-            key = (st.output.array, element)
+                    parent = ("in", array, element)
+                    if parent not in input_vertices:
+                        input_vertices[parent] = None
+                        nodes.append(parent)
+                parents[parent] = None
+            key = (out_array, written(point))
             version = version_counter.get(key, 0)
             version_counter[key] = version + 1
-            vertex = ("v", st.output.array, element, version)
-            graph.add_node(vertex)
-            for parent in unique_in_order(parents):
-                graph.add_edge(parent, vertex)
+            vertex = ("v", out_array, key[1], version)
+            nodes.append(vertex)
+            edges.extend((parent, vertex) for parent in parents)
             latest[key] = vertex
-            by_array.setdefault(st.output.array, []).append(vertex)
+            by_array.setdefault(out_array, []).append(vertex)
             if record_points:
-                points[vertex] = (st.name, dict(point))
+                points[vertex] = (st.name, point)
 
     def run_shared(index: int, fixed: dict[str, int]) -> None:
         if index == len(shared):
@@ -202,11 +232,14 @@ def build_cdag(
 
     run_shared(0, {})
 
-    outputs = tuple(v for v in graph.nodes if graph.out_degree(v) == 0)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    has_child = {parent for parent, _ in edges}
     return ConcreteCDAG(
         graph=graph,
         inputs=tuple(input_vertices),
-        outputs=outputs,
+        outputs=tuple(v for v in nodes if v not in has_child),
         by_array={a: tuple(vs) for a, vs in by_array.items()},
         points=points,
     )

@@ -20,7 +20,7 @@ retained in ``rho_exact`` for small-S evaluation (pebbling validation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import sympy as sp
 
@@ -41,6 +41,8 @@ class IntensityResult:
     alpha: sp.Rational
     chi_solution: ChiSolution | None = None
     notes: tuple[str, ...] = ()
+    #: memo of :func:`repro.opt.tiling.tiles_at_x0`
+    _tiles_at_x0: dict | None = field(default=None, compare=False, repr=False)
 
     def rho_value(self, s_value: float) -> float:
         """Numeric intensity for a concrete fast-memory size."""

@@ -26,7 +26,16 @@ def tiles_at_x0(result: IntensityResult) -> dict[str, sp.Expr]:
     caller can still inspect the tile *shape* (ratios between tiles).
     Consumers that need numbers must use :func:`concrete_tiles_at_x0`, which
     makes the bandwidth-bound case explicit instead of leaking ``X``.
+
+    Memoized on ``result`` (a schedule is derived once per fast-memory size
+    from the same analysis); callers get their own copy.
     """
+    if result._tiles_at_x0 is None:
+        result._tiles_at_x0 = _substitute_x0(result)
+    return dict(result._tiles_at_x0)
+
+
+def _substitute_x0(result: IntensityResult) -> dict[str, sp.Expr]:
     solution = result.chi_solution
     if solution is None:
         return {}

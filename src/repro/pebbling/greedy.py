@@ -183,6 +183,9 @@ def tiled_order(
     repaired into a topological order by a stable Kahn pass that prefers the
     blocked sequence.  ``statement_rank`` orders statements sharing a tile
     (program order for multi-statement kernels); it defaults to 0.
+
+    This is the reference for :func:`repro.schedule.derive.blocked_order`,
+    which builds the same order over integer arrays.
     """
     inputs = {v for v in graph.nodes if graph.in_degree(v) == 0}
 

@@ -20,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping
 
+import numpy as np
+
 from repro.cdag.build import ConcreteCDAG, extent_values
+from repro.cdag.index import GraphIndex, graph_index
 from repro.ir.program import Program
 from repro.opt.tiling import concrete_tiles_at_x0
-from repro.pebbling.greedy import tiled_order
+from repro.pebbling.greedy import default_order
 from repro.sdg.bounds import ProgramBound
 from repro.util import unique_in_order
 from repro.util.errors import SoapError
@@ -162,24 +165,33 @@ def blocked_order(cdag: ConcreteCDAG, schedule: TiledSchedule) -> list[Hashable]
     Uses the iteration points recorded on the CDAG (the generic vertex ->
     point mapping) and ranks statements sharing a tile by program position.
     Returns the default topological order for untiled schedules.
+
+    The order is exactly :func:`repro.pebbling.greedy.tiled_order`'s, built
+    on the graph's :class:`~repro.cdag.index.GraphIndex`: one ``lexsort``
+    over (tile coordinates, statement rank, intra-tile point, vertex
+    position) gives the preferred sequence, and
+    :meth:`~repro.cdag.index.GraphIndex.min_rank_order` repairs it into a
+    topological order.
     """
     if not schedule.tiled:
-        from repro.pebbling.greedy import default_order
-
         return default_order(cdag.graph)
-    statement_pos: dict[str, int] = {}
-    for vertex, (st_name, _) in cdag.points.items():
-        if st_name not in statement_pos:
-            statement_pos[st_name] = len(statement_pos)
+    index = graph_index(cdag.graph)
+    order = index.min_rank_order(_preferred_order(index, cdag, schedule))
+    return [index.labels[i] for i in order.tolist()]
 
-    def rank(vertex: Hashable) -> int:
-        entry = cdag.points.get(vertex)
-        return statement_pos.get(entry[0], 0) if entry is not None else 0
 
-    return tiled_order(
-        cdag.graph,
-        cdag.point_of,
-        schedule.tile_sizes,
-        schedule.variable_order,
-        statement_rank=rank,
-    )
+def _preferred_order(
+    index: GraphIndex, cdag: ConcreteCDAG, schedule: TiledSchedule
+) -> np.ndarray:
+    """Computed vertices sorted by (tile coordinates, statement rank,
+    intra-tile point, vertex position) -- ``tiled_order``'s stable sort key."""
+    ranks, columns = index.point_columns(cdag.points, schedule.variable_order)
+    computed = np.flatnonzero(index.in_degree > 0)
+    intra = [column[computed] for column in columns]
+    tiles = [
+        values // max(1, schedule.tile_sizes.get(var, 1))
+        for var, values in zip(schedule.variable_order, intra)
+    ]
+    # lexsort's last key is the primary one
+    keys = [computed, *reversed(intra), ranks[computed], *reversed(tiles)]
+    return computed[np.lexsort(keys)]

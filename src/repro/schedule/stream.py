@@ -16,7 +16,10 @@ same stream under several policies or fast-memory sizes never recomputes it.
 Two builders:
 
 * :func:`stream_from_graph` -- from a materialized CDAG and a topological
-  order; works for any program, costs one pass over the edges.
+  order; works for any program.  It gathers parents from the graph's CSR
+  index (:mod:`repro.cdag.index`, built once per graph), checks the order,
+  and numbers ids with one first-appearance factorization -- no per-vertex
+  Python.
 * :func:`single_statement_stream` -- straight from the IR for
   single-statement self-update kernels (gemm, syrk, jacobi-style sweeps
   collapse to this shape after versioning): no graph is ever materialized
@@ -52,10 +55,11 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
+from repro.cdag.index import graph_index
 from repro.ir.program import Program
 from repro.obs import span as obs_span
-from repro.pebbling.greedy import default_order, stream_vertex_ids
-from repro.util.errors import PebblingError, SoapError
+from repro.pebbling.greedy import default_order
+from repro.util.errors import SoapError
 
 #: default positions per chunk for the chunked builder / next-use scan
 DEFAULT_CHUNK_POSITIONS = 1 << 20
@@ -288,52 +292,47 @@ class AccessStream:
 def stream_from_graph(
     graph: nx.DiGraph, order: Sequence[Hashable] | None = None
 ) -> AccessStream:
-    """Flatten a CDAG + topological order into an :class:`AccessStream`."""
-    inputs = {v for v in graph.nodes if graph.in_degree(v) == 0}
-    if order is None:
-        order = default_order(graph)
-    else:
-        order = list(order)
-        if len(order) != graph.number_of_nodes() - len(inputs):
-            raise PebblingError(
-                "order must cover every computed vertex exactly once"
-            )
-    ids = stream_vertex_ids(graph, order)
+    """Flatten a CDAG + topological order into an :class:`AccessStream`.
 
-    # One pass over the edges collecting plain Python lists (the graph walk
-    # itself is the cost here), then a single bulk conversion to arrays.
-    offsets = [0]
-    parent_ids: list[int] = []
-    computed_ids: list[int] = []
-    store_positions: list[int] = []
-    labels: list = [None] * len(ids)
-    for vertex, vid in ids.items():
-        labels[vid] = vertex
-
-    for pos, v in enumerate(order):
-        parent_ids.extend(ids[parent] for parent in graph.predecessors(v))
-        offsets.append(len(parent_ids))
-        computed_ids.append(ids[v])
-        if graph.out_degree(v) == 0:
-            store_positions.append(pos)
-
-    store_at_compute = np.zeros(len(order), dtype=np.uint8)
-    if store_positions:
-        store_at_compute[store_positions] = 1
-    starts_blue = np.zeros(len(ids), dtype=np.uint8)
-    blue_ids = [ids[v] for v in inputs if v in ids]  # isolated inputs never enter
-    if blue_ids:
-        starts_blue[blue_ids] = 1
+    ``order`` defaults to :func:`~repro.pebbling.greedy.default_order`.  It
+    must compute every in-degree > 0 vertex exactly once, parents first;
+    otherwise :class:`PebblingError` is raised.  Built from the graph's
+    :class:`~repro.cdag.index.GraphIndex`: the parents of each position are
+    gathered from the CSR arrays, and ids come from one first-appearance
+    factorization of the interleaved ``[parents..., vertex]`` sequence --
+    the numbering of :func:`~repro.pebbling.greedy.stream_vertex_ids`.
+    """
+    index = graph_index(graph)
+    vertices = index.schedule_positions(
+        default_order(graph) if order is None else list(order)
+    )
+    m = len(vertices)
+    counts = index.in_degree[vertices]
+    parent_offsets = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=parent_offsets[1:])
+    n_reads = int(parent_offsets[-1])
+    slots = np.repeat(
+        index.parent_offsets[vertices] - parent_offsets[:-1], counts
+    ) + np.arange(n_reads, dtype=np.int64)
+    # position p's parents, then p's vertex: the vertex sits at
+    # parent_offsets[p + 1] + p of the interleaved sequence
+    compute_at = parent_offsets[1:] + np.arange(m, dtype=np.int64)
+    is_read = np.ones(n_reads + m, dtype=bool)
+    is_read[compute_at] = False
+    seq = np.empty(n_reads + m, dtype=np.int64)
+    seq[compute_at] = vertices
+    seq[is_read] = index.parent_ids[slots]
+    ids_seq, first_seen = _first_appearance_ids(seq, index.n_vertices)
 
     return AccessStream(
-        n_positions=len(order),
-        n_ids=len(ids),
-        parent_offsets=np.asarray(offsets, dtype=np.int64),
-        parent_ids=np.asarray(parent_ids, dtype=np.int64),
-        computed_ids=np.asarray(computed_ids, dtype=np.int64),
-        starts_blue=starts_blue,
-        store_at_compute=store_at_compute,
-        labels=labels,
+        n_positions=m,
+        n_ids=len(first_seen),
+        parent_offsets=parent_offsets,
+        parent_ids=ids_seq[is_read],
+        computed_ids=ids_seq[compute_at],
+        starts_blue=(index.in_degree[first_seen] == 0).astype(np.uint8),
+        store_at_compute=(index.out_degree[vertices] == 0).astype(np.uint8),
+        labels=[index.labels[i] for i in first_seen.tolist()],
     )
 
 

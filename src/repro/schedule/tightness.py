@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.cdag.cache import cached_cdag
+from repro.cdag.index import graph_index
 from repro.obs import attach, trace_context
 from repro.obs import span as obs_span
 from repro.schedule import shared_streams
@@ -290,12 +291,10 @@ def _kernel_context(
         else:
             ctx.program = program
             ctx.cdag = cdag
-            # Feasibility floor: a vertex's operands plus itself must fit.
-            ctx.max_indegree = max(
-                (cdag.graph.in_degree(v) for v in cdag.graph.nodes), default=0
-            )
-            ctx.min_s = ctx.max_indegree + 2
             ctx.baseline_stream = stream_from_graph(cdag.graph)
+            # Feasibility floor: a vertex's operands plus itself must fit.
+            ctx.max_indegree = graph_index(cdag.graph).max_in_degree
+            ctx.min_s = ctx.max_indegree + 2
     _CTX.key, _CTX.val = key, ctx
     return ctx
 

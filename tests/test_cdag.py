@@ -3,8 +3,9 @@
 import networkx as nx
 import pytest
 
-from repro.cdag.build import build_cdag
+from repro.cdag.build import _element_of, build_cdag
 from repro.cdag.dominator import min_dominator_size, min_set
+from repro.ir.access import AffineIndex, component
 from repro.ir.program import Program
 from repro.kernels.common import ref, stmt
 from repro.frontend.python_frontend import parse_python
@@ -74,6 +75,23 @@ class TestBuild:
 
         with pytest.raises(SoapError):
             build_cdag(Program.make("p", [s]), {})
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            (),
+            ("i",),
+            ("i", "j"),
+            (AffineIndex.var("i", 1), "j"),
+            (0, "k"),
+            (AffineIndex.make({"i": 2, "j": 1}, -1),),
+            ("k", AffineIndex.make({"j": -1}, 3), "i"),
+        ],
+    )
+    def test_element_evaluator_matches_affine_evaluate(self, indices):
+        comp = component(*indices)
+        point = {"i": 3, "j": 5, "k": 2}
+        assert _element_of(comp)(point) == tuple(idx.evaluate(point) for idx in comp)
 
 
 class TestDominator:

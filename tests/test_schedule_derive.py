@@ -125,6 +125,28 @@ class TestBandwidthBoundPath:
         tiles = concrete_tiles_at_x0(analysis.intensity, {"N": 8}, 18)
         assert tiles == {"i": 4, "j": 4, "k": 4}
 
+    def test_tiles_at_x0_memoized_per_result(self, gemm_result, monkeypatch):
+        """Substituted once per analysis; every caller gets its own copy,
+        and the memo takes no part in equality."""
+        import dataclasses
+
+        import repro.opt.tiling as tiling
+
+        intensity = gemm_result.program_bound.per_array["C"].intensity
+        first = tiles_at_x0(intensity)
+        first["i"] = None
+
+        def recompute(result):
+            raise AssertionError("tiles_at_x0 recomputed")
+
+        monkeypatch.setattr(tiling, "_substitute_x0", recompute)
+        second = tiles_at_x0(intensity)
+        assert second["i"] is not None and second == tiles_at_x0(intensity)
+        assert concrete_tiles_at_x0(intensity, {"N": 8}, 18) == {
+            "i": 4, "j": 4, "k": 4,
+        }
+        assert dataclasses.replace(intensity, _tiles_at_x0=None) == intensity
+
     def test_derive_degrades_to_streaming(self, atax_result):
         """Fully bandwidth-bound kernel: the schedule is untiled program
         order, by design, not an error."""

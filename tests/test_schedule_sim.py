@@ -192,6 +192,40 @@ class TestAccessStream:
             stream_from_graph(chain(3), order=[1])
 
 
+class TestInvalidOrders:
+    """``x -> a -> b, y -> c``: every legal order replays at cost 4 (S=4);
+    each invalid one must be refused up front, not replayed."""
+
+    @pytest.fixture
+    def graph(self):
+        return nx.DiGraph([("x", "a"), ("a", "b"), ("y", "c")])
+
+    def test_legal_orders_cost_four(self, graph):
+        for order in (["a", "b", "c"], ["c", "a", "b"], ["a", "c", "b"]):
+            stream = stream_from_graph(graph, order)
+            assert simulate_io(stream, 4).cost == 4
+            assert greedy_pebbling_cost(graph, 4, order) == 4
+
+    def test_repeated_vertex_rejected(self, graph):
+        """Used to replay at cost 3: ``c`` was never computed or stored."""
+        with pytest.raises(PebblingError, match="exactly once"):
+            stream_from_graph(graph, ["a", "b", "b"])
+
+    def test_input_vertex_rejected(self, graph):
+        """Used to replay at cost 1: the input ``x`` counted as computed."""
+        with pytest.raises(PebblingError, match="exactly once"):
+            stream_from_graph(graph, ["x", "a", "b"])
+
+    def test_unknown_vertex_rejected(self, graph):
+        with pytest.raises(PebblingError, match="exactly once"):
+            stream_from_graph(graph, ["a", "b", "z"])
+
+    def test_child_before_parent_rejected(self, graph):
+        """Used to fail only inside the replay, as a recomputed value."""
+        with pytest.raises(PebblingError, match="order is not topological"):
+            stream_from_graph(graph, ["b", "a", "c"])
+
+
 class TestSingleStatementStream:
     @pytest.mark.parametrize("tile", [1, 2, 3])
     def test_gemm_matches_graph_stream(self, tile):
