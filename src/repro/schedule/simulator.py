@@ -3,20 +3,19 @@
 ``simulate_io`` replays an :class:`~repro.schedule.stream.AccessStream`
 against a fast memory of ``S`` slots and counts loads and stores.  The
 semantics are exactly those of :func:`repro.pebbling.greedy
-.greedy_pebbling_cost`: operands are loaded on miss, a slot is freed by
-evicting the victim chosen by the policy (Belady: farthest next use; LRU:
-least recently touched; ties to the largest stream id), evicted live values
-(a further use exists and no blue copy) are written back first, and program
-outputs are stored at compute time.  Cross-validation tests assert the two
-implementations produce **bit-identical** loads, stores, and evictions on
-the same stream.
+.greedy_pebbling_cost`, which stays the test oracle: operands are loaded on
+miss, a slot is freed by evicting the victim chosen by the policy (Belady:
+farthest next use; LRU: least recently touched; ties to the largest stream
+id), evicted live values (a further use exists and no blue copy) are
+written back first, and program outputs are stored at compute time.
+Differential tests assert **bit-identical** loads, stores, and evictions
+on the same stream.
 
 Why it scales where :class:`~repro.pebbling.game.PebbleGame` cannot: no
-per-vertex hashing of tuple labels, no move list, no legality replay.  Both
-policies run through one replay loop and one eviction core (:func:`_replay`)
-whose heap keys are *precomputed as whole numpy arrays* from the stream's
-memoized next-use table
-(:meth:`~repro.schedule.stream.AccessStream.next_use_table`):
+per-vertex hashing of tuple labels, no move list, no legality replay.  The
+heap keys are *precomputed as whole numpy arrays*, one position slab at a
+time (:func:`_policy_keys_slab`), from the stream's memoized next-use
+arrays (:meth:`~repro.schedule.stream.AccessStream.next_use_arrays`):
 
 * Belady pushes ``-(next_use * n_ids + id)`` -- a min-heap of negatives
   pops the farthest next use, ties to the largest id, and an entry above
@@ -25,11 +24,13 @@ memoized next-use table
   known in advance (touches happen in stream order), so even the liveness
   bit is baked into the key.
 
-The hot loop therefore does no arithmetic beyond list indexing: an entry is
-valid iff it equals ``current_key[id]`` (no division), and each access
-pushes exactly one fresh snapshot.  The whole replay is
-``O(accesses * log S)`` with tiny constants -- million-vertex gemm streams
-replay in a couple of CPU seconds (``benchmarks/bench_tightness.py``).
+The eviction core therefore does no arithmetic beyond indexing: an entry
+is valid iff it equals ``current_key[id]`` (no division), and each access
+pushes exactly one fresh snapshot.  The production executor is the
+compiled core of :mod:`repro.schedule._native`, fed slab by slab; the
+pure-Python loop :func:`_replay` runs the same algorithm on hosts without
+a C compiler (or under ``REPRO_NO_NATIVE_REPLAY=1``).  The whole replay is
+``O(accesses * log S)`` with tiny constants.
 """
 
 from __future__ import annotations
@@ -42,11 +43,7 @@ import numpy as np
 
 from repro.obs import NULL_SPAN
 from repro.obs import span as obs_span
-from repro.schedule.stream import (
-    AUTO_CHUNK_ACCESSES,
-    DEFAULT_CHUNK_POSITIONS,
-    AccessStream,
-)
+from repro.schedule.stream import DEFAULT_CHUNK_POSITIONS, AccessStream
 from repro.util.errors import PebblingError
 
 #: ``current_key`` sentinel for "not resident": Belady keys are <= 0 and
@@ -86,17 +83,18 @@ def simulate_io(
 ) -> SimulationResult:
     """Replay ``stream`` with ``s`` fast-memory slots under ``policy``.
 
-    Runs the compiled replay core when one is available (see
-    :mod:`repro.schedule._native`); the pure-Python loop is the reference
-    implementation and the fallback, and differential tests assert the two
-    agree bit for bit.  ``slab_positions`` bounds how many positions are
-    converted and handed to the C core per call (default: the stream's own
-    chunk size, or :data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`
-    for huge streams) -- the result is bit-identical whatever the slab
-    size, only peak memory changes.
+    Runs the compiled replay core (see :mod:`repro.schedule._native`), or
+    the pure-Python loop on hosts where it cannot be built; differential
+    tests assert the two agree bit for bit.  ``slab_positions`` bounds how
+    many positions are converted and handed to the C core per call
+    (default: the stream's own chunk size, else
+    :data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`) -- the result
+    is bit-identical whatever the slab size, only peak memory changes.
     """
     if s < 1:
         raise PebblingError("need at least one fast-memory slot")
+    if slab_positions is not None and int(slab_positions) < 1:
+        raise PebblingError("slab_positions must be >= 1")
     if policy not in ("belady", "lru"):
         raise PebblingError(f"unknown eviction policy {policy!r}")
     belady = policy == "belady"
@@ -125,10 +123,10 @@ def _native_replay(
     """Drive the compiled core; ``None`` when no native library exists.
 
     The core runs over position slabs with carried state (one
-    ``replay_slab`` call each): per slab, the int32/memmap stream columns
-    are converted to contiguous int64 and the policy heap keys computed
-    from the O(chunk + id-space) next-use arrays -- so replay never
-    materializes an O(stream) int64 temporary.
+    ``replay_slab`` call each): per slab, the stream columns are converted
+    to contiguous int64 and the policy heap keys computed from the
+    O(chunk + id-space) next-use arrays -- so replay never materializes an
+    O(stream) int64 temporary.
     """
     from repro.schedule._native import native_replay_lib
 
@@ -139,11 +137,9 @@ def _native_replay(
 
     n = stream.n_positions
     m = stream.n_ids
-    if slab_positions is None:
-        slab_positions = stream.chunk_positions
-        if slab_positions is None and stream.n_accesses > AUTO_CHUNK_ACCESSES:
-            slab_positions = DEFAULT_CHUNK_POSITIONS
-    slab = n if slab_positions is None else max(1, int(slab_positions))
+    slab = int(
+        slab_positions or stream.chunk_positions or DEFAULT_CHUNK_POSITIONS
+    )
     next_after, first_use = stream.next_use_arrays()
 
     i64p = ctypes.POINTER(ctypes.c_longlong)
@@ -166,7 +162,9 @@ def _native_replay(
             # NULL_SPAN when untraced: the per-slab counter readback below
             # is skipped and the slab loop stays free of tracing overhead
             with obs_span("replay.slab", lo=lo, hi=hi) as slab_span:
-                slab_off = np.asarray(offsets[lo:hi + 1], dtype=np.int64) - a_lo
+                slab_off = np.subtract(
+                    offsets[lo:hi + 1], a_lo, dtype=np.int64
+                )
                 parents = np.ascontiguousarray(
                     stream.parent_ids[a_lo:a_hi], dtype=np.int64
                 )
@@ -180,7 +178,6 @@ def _native_replay(
                     stream, next_after, first_use, lo, hi, a_lo, a_hi,
                     parents, computed, belady=belady,
                 )
-                slab_off = np.ascontiguousarray(slab_off)
                 rc = lib.replay_slab(
                     ctx,
                     hi - lo,
@@ -241,82 +238,69 @@ def _policy_keys_slab(
     *,
     belady: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Heap keys for one slab: :func:`_policy_keys` restricted to
-    positions ``[lo, hi)`` / accesses ``[a_lo, a_hi)``, identical values.
+    """Heap keys for positions ``[lo, hi)`` / accesses ``[a_lo, a_hi)``.
 
-    ``parents`` / ``computed`` are the already-converted int64 slab
-    columns; clocks use global indices so the keys match the monolithic
-    computation bit for bit.
+    One key per access, one per computed vertex: the key *is* the priority
+    snapshot the eviction core compares and the value stored in
+    ``current_key``, so the executors do no key arithmetic.  ``parents`` /
+    ``computed`` are the already-converted int64 slab columns; clocks use
+    global indices, so the keys do not depend on the slab boundaries.
     """
     m = stream.n_ids
-    na = np.asarray(next_after[a_lo:a_hi], dtype=np.int64)
-    # index first, widen after: widening first would materialize the whole
-    # O(id-space) table in int64 on every slab
-    fu = np.asarray(first_use[computed], dtype=np.int64)
+    # Widen while computing, into fresh int64 buffers finished in place:
+    # extra slab-sized temporaries are measurable next to the replay.
+    # Index first_use before widening: widening first would materialize
+    # the O(id-space) table on every slab.
     if belady:
-        akeys = -(na * m + parents)
-        ckeys = -(fu * m + computed)
-    else:
-        inf = stream.n_positions
-        counts = np.diff(np.asarray(stream.parent_offsets[lo:hi + 1]))
-        positions = np.repeat(np.arange(lo, hi, dtype=np.int64), counts)
-        access_clock = np.arange(a_lo + 1, a_hi + 1, dtype=np.int64) + positions
-        access_live = (na < inf).astype(np.int64)
-        akeys = (access_clock * 2 + access_live) * m + parents
-        compute_clock = np.asarray(
-            stream.parent_offsets[lo + 1:hi + 1], dtype=np.int64
-        ) + np.arange(lo + 1, hi + 1, dtype=np.int64)
-        compute_live = (fu < inf).astype(np.int64)
-        ckeys = (compute_clock * 2 + compute_live) * m + computed
-    return np.ascontiguousarray(akeys), np.ascontiguousarray(ckeys)
-
-
-def _policy_keys(
-    stream: AccessStream, *, belady: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized heap keys: one per access, one per computed vertex.
-
-    The key *is* the priority snapshot the eviction core compares and the
-    value stored in ``current_key``; precomputing every key as a numpy
-    expression keeps all integer arithmetic out of the replay loop (both
-    the Python loop and the native core consume them as-is).
-    """
-    next_after, first_use, positions = stream.next_use_table()
-    # chunked streams narrow to int32: widen before the key arithmetic
-    next_after = np.asarray(next_after, dtype=np.int64)
-    pids = np.asarray(stream.parent_ids, dtype=np.int64)
-    computed = np.asarray(stream.computed_ids, dtype=np.int64)
-    m = stream.n_ids
-    if belady:
-        access_keys = -(next_after * m + pids)
-        compute_keys = -(np.asarray(first_use, dtype=np.int64)[computed] * m + computed)
-    else:
-        inf = stream.n_positions
-        # The touch clock is deterministic: one tick per operand read (in
-        # stream order), one per compute -- so the stamp of every touch is
-        # known in advance.  The liveness bit rides along in the key.
-        access_clock = np.arange(1, len(pids) + 1, dtype=np.int64) + positions
-        access_live = (next_after < inf).astype(np.int64)
-        access_keys = (access_clock * 2 + access_live) * m + pids
-        compute_clock = stream.parent_offsets[1:] + np.arange(
-            1, stream.n_positions + 1, dtype=np.int64
-        )
-        compute_live = (first_use[computed] < inf).astype(np.int64)
-        compute_keys = (compute_clock * 2 + compute_live) * m + computed
-    return access_keys, compute_keys
+        akeys = np.multiply(next_after[a_lo:a_hi], -m, dtype=np.int64)
+        akeys -= parents
+        ckeys = np.multiply(first_use[computed], -m, dtype=np.int64)
+        ckeys -= computed
+        return akeys, ckeys
+    # LRU: the touch clock is deterministic -- one tick per operand read
+    # (in stream order), one per compute -- so the stamp of every touch is
+    # known in advance.  The liveness bit rides along in the key.
+    inf = stream.n_positions
+    offsets = stream.parent_offsets
+    access_live = next_after[a_lo:a_hi] < inf
+    compute_live = first_use[computed] < inf
+    akeys = np.repeat(
+        np.arange(lo, hi, dtype=np.int64), np.diff(offsets[lo:hi + 1])
+    )
+    akeys += np.arange(a_lo + 1, a_hi + 1, dtype=np.int64)
+    ckeys = np.add(
+        offsets[lo + 1:hi + 1], np.arange(lo + 1, hi + 1, dtype=np.int64),
+        dtype=np.int64,
+    )
+    for keys, live, ids in (
+        (akeys, access_live, parents), (ckeys, compute_live, computed)
+    ):
+        keys *= 2
+        keys += live
+        keys *= m
+        keys += ids
+    return akeys, ckeys
 
 
 def _replay(stream: AccessStream, s: int, *, belady: bool) -> SimulationResult:
-    """The shared replay core; ``belady`` selects the eviction priority.
+    """The pure-Python replay loop; ``belady`` selects the eviction priority.
 
-    State is flat and integer-indexed: ``current_key[id]`` holds the only
-    valid heap snapshot of a resident id (``_NOT_RESIDENT`` otherwise), so
-    pop-time validity is a single equality test, and stale or protected
-    entries are skipped (protected ones stashed and re-pushed).
+    The executor on hosts without a C compiler: the same algorithm as the
+    native core, keyed by :func:`_policy_keys_slab` over one whole-stream
+    slab.  State is flat and integer-indexed: ``current_key[id]`` holds the
+    only valid heap snapshot of a resident id (``_NOT_RESIDENT``
+    otherwise), so pop-time validity is a single equality test, and stale
+    or protected entries are skipped (protected ones stashed and re-pushed).
     """
     n_positions = stream.n_positions
     m = stream.n_ids
-    access_keys_arr, compute_keys_arr = _policy_keys(stream, belady=belady)
+    next_after, first_use = stream.next_use_arrays()
+    parents_arr = np.asarray(stream.parent_ids, dtype=np.int64)
+    computed_arr = np.asarray(stream.computed_ids, dtype=np.int64)
+    access_keys_arr, compute_keys_arr = _policy_keys_slab(
+        stream, next_after, first_use, 0, n_positions, 0, len(parents_arr),
+        parents_arr, computed_arr, belady=belady,
+    )
     access_keys = access_keys_arr.tolist()
     compute_keys = compute_keys_arr.tolist()
     counts_arr = np.diff(stream.parent_offsets)
@@ -327,8 +311,8 @@ def _replay(stream: AccessStream, s: int, *, belady: bool) -> SimulationResult:
         counts = counts_arr.astype(np.uint8).tobytes()
     else:
         counts = counts_arr.tolist()
-    parents = stream.parent_ids.tolist()
-    computed = stream.computed_ids.tolist()
+    parents = parents_arr.tolist()
+    computed = computed_arr.tolist()
     store_flag = stream.store_at_compute.tobytes()
     dead_floor = -(n_positions * m)  # Belady: entries <= floor have nu == inf
 

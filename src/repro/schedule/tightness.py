@@ -16,26 +16,27 @@ constant-factor slop (leading-order truncation, cold misses, tile rounding),
 so the thresholds are deliberately generous; the trend with growing ``S``
 and problem size is the signal.
 
-The sweep itself is embarrassingly parallel: every (kernel, params, S)
-point is an independent replay.  ``audit_corpus(jobs=N)`` runs it in two
-phases over one process pool (``repro tightness --jobs``, the
-``/tightness`` service endpoint, and ``benchmarks/bench_tightness.py`` all
-thread it through).  Phase A fans *kernels* out: each worker builds the
-CDAG, the baseline and derived-schedule streams, and their next-use arrays
-exactly once, then **publishes** the streams to shared memory
-(:mod:`repro.schedule.shared_streams`) keyed by stream signature.  Phase B
-fans the (kernel, S) *points* out: workers attach zero-copy read-only
-views of the published streams (cached per process) and replay -- no
-worker ever rebuilds a stream another worker already built.  The driver
-assembles rows from the replay costs, so parallel output is exactly the
-serial sweep's, row for row.  ``chunk_size`` bounds the replay slab (and
-next-use chunk) so even huge streams replay in O(chunk) extra memory.
+Every audit runs one pipeline of three steps.  Step 1 plans a kernel: it
+builds the CDAG, the program-order baseline stream and each distinct
+derived-schedule stream exactly once, and fixes every (kernel, S) point's
+clamped size, certified bound and schedule.  Step 2 replays each planned
+point.  Step 3 assembles the rows.  ``audit_kernel`` and
+``audit_corpus(jobs=1)`` run the steps in-process, kernel by kernel.
+``audit_corpus(jobs=N)`` (``repro tightness --jobs``, the ``/tightness``
+service endpoint, ``benchmarks/bench_tightness.py``) runs steps 1 and 2
+over one process pool: planning workers **publish** their streams, with
+their next-use arrays, to shared memory
+(:mod:`repro.schedule.shared_streams`), and replaying workers attach
+zero-copy read-only views (cached per process) -- no worker ever rebuilds
+a stream another worker already built.  The two modes differ only in
+carrying streams or segment refs, so their rows are identical.
+``chunk_size`` bounds the replay slab so even huge streams replay in
+O(chunk) extra memory.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -221,213 +222,13 @@ def _error_row(name: str, category: str, params, s: int, message: str) -> Tightn
     )
 
 
-@dataclass
-class _KernelContext:
-    """Everything one kernel instance shares across its S-sweep points.
-
-    Built once per (kernel, params) -- in-process for serial sweeps, once
-    per worker process for parallel ones -- and memoized so every further S
-    point reuses the CDAG, the program-order baseline stream (whose next-use
-    table is itself memoized on the stream), and any derived-schedule stream
-    already built for the same tile sizes.
-    """
-
-    category: str
-    program: object = None
-    cdag: object = None
-    baseline_stream: object = None
-    min_s: int = 1
-    max_indegree: int = 0
-    #: derived-schedule streams keyed by (tiled, variable order, tile sizes)
-    stream_cache: dict = field(default_factory=dict)
-    error: str | None = None
-    #: clamped sizes already audited in the current sweep (see _SWEEP_TOKENS)
-    sweep_token: int = -1
-    audited_s: set = field(default_factory=set)
-
-
-#: size-1 per-process-per-thread memo: points arrive kernel-major, so one
-#: slot suffices (and bounds worker memory at a single concrete CDAG).
-#: Thread-local because the service daemon runs concurrent audit jobs on a
-#: shared worker pool -- a module-global slot would race across jobs.
-_CTX = threading.local()
-
-#: one token per sweep, threaded through the point tasks so a worker can
-#: tell "duplicate clamped S within this sweep" (skip cheaply) apart from
-#: "same kernel audited again by a later sweep" (recompute)
-_SWEEP_TOKENS = itertools.count()
-
-
 @functools.lru_cache(maxsize=16)
 def _built_program(name: str):
     """Registered kernels build immutable IR; share one instance per name
-    between the driver's audit-default resolution and the audit contexts."""
+    between the driver's audit-default resolution and kernel planning."""
     from repro.kernels import get_kernel
 
     return get_kernel(name).build()
-
-
-def _kernel_context(
-    name: str, params: Mapping[str, int], max_vertices: int
-) -> _KernelContext:
-    from repro.kernels import get_kernel
-
-    key = (name, tuple(sorted(params.items())), int(max_vertices))
-    if getattr(_CTX, "key", None) == key:
-        return _CTX.val
-    spec = get_kernel(name)
-    ctx = _KernelContext(category=spec.category)
-    try:
-        program = _built_program(name)
-        cdag = cached_cdag(name, params, program=program)
-    except SoapError as err:
-        ctx.error = f"CDAG build failed: {err}"
-    else:
-        if cdag.n_vertices > max_vertices:
-            ctx.error = (
-                f"instance too large: {cdag.n_vertices} > "
-                f"{max_vertices} vertices"
-            )
-        else:
-            ctx.program = program
-            ctx.cdag = cdag
-            ctx.baseline_stream = stream_from_graph(cdag.graph)
-            # Feasibility floor: a vertex's operands plus itself must fit.
-            ctx.max_indegree = graph_index(cdag.graph).max_in_degree
-            ctx.min_s = ctx.max_indegree + 2
-    _CTX.key, _CTX.val = key, ctx
-    return ctx
-
-
-def _certified_bounds(
-    graph, name, params, s, bound, engines
-) -> tuple[dict[str, float], float, str | None]:
-    """Every applicable bound engine at one point: values, max, winner.
-
-    The same call serves the serial and the parallel sweep so their rows
-    stay bit-identical.  The certified value is the gap denominator; the
-    raw KKT value stays visible in the per-engine dict.
-    """
-    from repro.bounds import evaluate_bounds
-
-    combined = evaluate_bounds(
-        s=s,
-        graph=graph,
-        symbolic_bound=bound,
-        params=params,
-        kernel=name,
-        engines=engines,
-    )
-    return combined.engine_values(), combined.certified, combined.winning_engine
-
-
-def _audit_point(task: tuple) -> tuple[bool, TightnessRow | None]:
-    """One (kernel, params, S) audit point -- the serial sweep's unit of work.
-
-    Returns ``(dedupable, row)``: rows that went through feasibility
-    clamping carry ``dedupable=True`` so the driver can collapse requested
-    sizes that clamp to the same S, exactly like the serial sweep did.
-    A ``None`` row is a duplicate clamped size already audited by this
-    worker in this sweep, skipped before any replay work.
-    """
-    with obs_span(
-        "tightness.point", kernel=task[0], s_requested=int(task[2])
-    ):
-        return _audit_point_body(task)
-
-
-def _audit_point_body(task: tuple) -> tuple[bool, TightnessRow | None]:
-    (name, params, s_requested, max_vertices, bound, program_bound, token,
-     chunk_size, bounds_engines) = task
-    ctx = _kernel_context(name, params, max_vertices)
-    if ctx.error is not None:
-        return False, _error_row(
-            name, ctx.category, params, int(s_requested), ctx.error
-        )
-    s = max(int(s_requested), ctx.min_s)
-    if ctx.sweep_token != token:
-        ctx.sweep_token = token
-        ctx.audited_s = set()
-    if s in ctx.audited_s:
-        return True, None  # clamping collapsed two requested sizes
-    ctx.audited_s.add(s)
-    notes: list[str] = []
-    if s != s_requested:
-        notes.append(f"S clamped to {s} (max in-degree {ctx.max_indegree})")
-    try:
-        engine_bounds, bound_value, winning_engine = _certified_bounds(
-            ctx.cdag.graph, name, params, s, bound, bounds_engines
-        )
-        schedule = derive_schedule(ctx.program, program_bound, params, s)
-        stream_key = (
-            schedule.tiled,
-            tuple(schedule.variable_order),
-            tuple(sorted(schedule.tile_sizes.items())),
-        )
-        stream = ctx.stream_cache.get(stream_key)
-        if stream is None:
-            order = blocked_order(ctx.cdag, schedule)
-            stream = stream_from_graph(ctx.cdag.graph, order)
-            ctx.stream_cache[stream_key] = stream
-        schedule_cost = simulate_io(stream, s, slab_positions=chunk_size).cost
-        program_order_cost = simulate_io(
-            ctx.baseline_stream, s, slab_positions=chunk_size
-        ).cost
-    except SoapError as err:
-        return True, _error_row(name, ctx.category, params, s, str(err))
-    if not bound_value > 0:
-        return True, _error_row(
-            name, ctx.category, params, s,
-            f"bound evaluates to {bound_value}; gap undefined",
-        )
-    gap = schedule_cost / bound_value
-    if gap < 1.0:
-        # Legal: the leading-order bound need not bind on tiny instances
-        # (e.g. the whole working set fits in S, or the truncated
-        # lower-order terms dominate).  Flag it rather than hiding it.
-        notes.append(
-            "gap < 1: instance too small for the leading-order bound to bind"
-        )
-    return True, TightnessRow(
-        kernel=name,
-        category=ctx.category,
-        params=dict(params),
-        s=s,
-        s_requested=int(s_requested),
-        n_vertices=ctx.cdag.n_vertices,
-        bound_value=bound_value,
-        schedule_cost=schedule_cost,
-        program_order_cost=program_order_cost,
-        gap=gap,
-        gap_program_order=program_order_cost / bound_value,
-        classification=classify_gap(gap),
-        tiled=schedule.tiled,
-        tile_sizes=dict(schedule.tile_sizes),
-        notes=tuple(notes) + schedule.notes,
-        engine_bounds=engine_bounds,
-        winning_engine=winning_engine,
-    )
-
-
-def _collapse_clamped(
-    outcomes: Sequence[tuple[bool, TightnessRow | None]]
-) -> list[TightnessRow]:
-    """Drop repeated clamped sizes of one kernel sweep (first row wins).
-
-    Workers skip duplicates they can see themselves (``None`` rows); this
-    driver-side pass also covers duplicates split across workers.
-    """
-    rows: list[TightnessRow] = []
-    audited_s: set[int] = set()
-    for dedupable, row in outcomes:
-        if row is None:
-            continue
-        if dedupable:
-            if row.s in audited_s:
-                continue
-            audited_s.add(row.s)
-        rows.append(row)
-    return rows
 
 
 def _merged_params(
@@ -469,19 +270,13 @@ def audit_kernel(
     merged = _merged_params(name, _built_program(name), params)
     if result is None:
         result = analyze_kernel(name)
-    token = next(_SWEEP_TOKENS)
-    try:
-        outcomes = [
-            _audit_point(
-                (name, merged, int(s), int(max_vertices),
-                 result.bound, result.program_bound, token, chunk_size,
-                 bounds_engines)
-            )
-            for s in s_values
-        ]
-    finally:
-        _reset_context()
-    return _collapse_clamped(outcomes)
+    return _audit_in_process(
+        (name, merged, result.bound, result.program_bound),
+        s_values=tuple(int(s) for s in s_values),
+        max_vertices=int(max_vertices),
+        chunk_size=chunk_size,
+        bounds_engines=bounds_engines,
+    )
 
 
 def _checked_chunk_size(chunk_size) -> int | None:
@@ -508,16 +303,6 @@ def _checked_bounds_engines(engines) -> tuple[str, ...] | None:
     return engines
 
 
-def _reset_context() -> None:
-    """Drop the thread's kernel-context memo at sweep end.
-
-    Long-lived daemon worker threads would otherwise retain the last
-    kernel's CDAG and stream cache (tens of MB) indefinitely.  Pool workers
-    do not need this: their processes exit with the sweep.
-    """
-    _CTX.key = _CTX.val = None
-
-
 def audit_corpus(
     names: Sequence[str] | None = None,
     *,
@@ -538,13 +323,12 @@ def audit_corpus(
     ``params_overrides`` adds per-kernel overrides on top.  ``engine``
     shares a live engine (and its solve cache) with the caller -- the
     service daemon's audit endpoint uses this.  ``jobs > 1`` parallelizes
-    the analysis batch *and* the replay sweep, the latter in two phases
-    over one pool: kernels prepare-and-publish, then points attach-and-
-    replay (see the module docstring).  ``chunk_size`` bounds the replay
-    slab and next-use chunk, trading time for peak memory -- results are
-    bit-identical whatever its value.  ``bounds_engines`` restricts the
-    lower-bound engines behind the certified gap denominator (default:
-    all registered engines; ``("kkt",)`` reproduces the KKT-only audit).
+    the analysis batch *and* the replay sweep, the latter over one process
+    pool (see the module docstring).  ``chunk_size`` bounds the replay
+    slab, trading time for peak memory -- results are bit-identical
+    whatever its value.  ``bounds_engines`` restricts the lower-bound
+    engines behind the certified gap denominator (default: all registered
+    engines; ``("kkt",)`` reproduces the KKT-only audit).
     """
     import time
 
@@ -565,9 +349,7 @@ def audit_corpus(
             selected, jobs=jobs, cache_dir=cache_dir, engine=engine,
             solver=solver,
         )
-        token = next(_SWEEP_TOKENS)
         kernel_specs: list[tuple] = []
-        tasks: list[tuple] = []
         for name, result in zip(selected, results):
             overrides: dict[str, int] = dict(params or {})
             if params_overrides and name in params_overrides:
@@ -576,32 +358,20 @@ def audit_corpus(
             kernel_specs.append(
                 (name, merged, result.bound, result.program_bound)
             )
-            tasks.extend(
-                (name, merged, s, int(max_vertices),
-                 result.bound, result.program_bound, token, chunk_size,
-                 bounds_engines)
-                for s in s_values
-            )
-
-        per_kernel = max(1, len(s_values))
-        if jobs > 1 and len(tasks) > 1:
-            outcomes = _shared_sweep(
-                kernel_specs,
-                s_values=s_values,
-                jobs=jobs,
-                max_vertices=int(max_vertices),
-                chunk_size=chunk_size,
-                bounds_engines=bounds_engines,
-            )
+        sweep = dict(
+            s_values=s_values,
+            max_vertices=int(max_vertices),
+            chunk_size=chunk_size,
+            bounds_engines=bounds_engines,
+        )
+        if jobs > 1 and len(kernel_specs) * len(s_values) > 1:
+            rows = _shared_sweep(kernel_specs, jobs=jobs, **sweep)
         else:
-            try:
-                outcomes = [_audit_point(task) for task in tasks]
-            finally:
-                _reset_context()
-
-        rows: list[TightnessRow] = []
-        for start in range(0, len(outcomes), per_kernel):
-            rows.extend(_collapse_clamped(outcomes[start:start + per_kernel]))
+            rows = [
+                row
+                for spec in kernel_specs
+                for row in _audit_in_process(spec, **sweep)
+            ]
         sweep_span.add("rows", len(rows))
         return TightnessReport(
             rows=rows,
@@ -611,25 +381,27 @@ def audit_corpus(
 
 
 # ---------------------------------------------------------------------------
-# Two-phase zero-copy parallel sweep
+# The audit pipeline: plan each kernel, replay its points, assemble the rows
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _PreparedPoint:
-    """One (kernel, S) point after phase A, before replay."""
+    """One (kernel, S) point after planning, before replay."""
 
-    kind: str  #: "skip" (duplicate clamped S) | "error" | "replay"
+    kind: str  #: "error" | "replay"
     s: int = 0
     s_requested: int = 0
     message: str = ""
     notes: tuple = ()
     bound_value: float = 0.0
     tiled: bool = False
-    tile_sizes: tuple = ()
+    tile_sizes: tuple = ()  #: (variable, tile) pairs in schedule order
     schedule_notes: tuple = ()
-    schedule_ref: object = None
-    baseline_ref: object = None
+    #: the streams to replay: shared-memory refs in the pool, the
+    #: :class:`~repro.schedule.stream.AccessStream` objects in-process
+    schedule: object = None
+    baseline: object = None
     #: per-engine bound values as (engine, value) pairs (picklable, ordered)
     engine_bounds: tuple = ()
     winning_engine: str | None = None
@@ -637,7 +409,7 @@ class _PreparedPoint:
 
 @dataclass
 class _PreparedKernel:
-    """Phase-A output for one kernel: published streams + point plans."""
+    """Step-1 output for one kernel: point plans (+ published segments)."""
 
     name: str
     category: str
@@ -648,266 +420,190 @@ class _PreparedKernel:
     refs: list = field(default_factory=list)  #: segments the driver unlinks
 
 
-def _prepare_kernel(task: tuple) -> _PreparedKernel:
-    """Phase A, one kernel: build once, publish, plan every sweep point.
-
-    Mirrors :func:`_audit_point`'s decisions exactly (clamping, duplicate
-    skipping, error capture, note text) so the driver can assemble rows
-    identical to the serial sweep's.  Streams and their next-use arrays are
-    built here -- once, total -- and published; phase B only ever attaches.
-    """
-    (name, params, s_values, max_vertices, bound, program_bound,
-     bounds_engines, tctx) = task
-    with attach(tctx), obs_span("tightness.prepare", kernel=name):
-        return _prepare_kernel_body(
-            name, params, s_values, max_vertices, bound, program_bound,
-            bounds_engines,
-        )
-
-
 def _prepare_kernel_body(
-    name, params, s_values, max_vertices, bound, program_bound, bounds_engines
+    name, params, s_values, max_vertices, bound, program_bound,
+    bounds_engines, *, share: bool,
 ) -> _PreparedKernel:
-    ctx = _kernel_context(name, params, max_vertices)
-    prep = _PreparedKernel(
-        name=name, category=ctx.category, params=dict(params)
-    )
-    if ctx.error is not None:
-        prep.error = ctx.error
-        return prep
-    prep.n_vertices = ctx.cdag.n_vertices
-    param_key = tuple(sorted(params.items()))
-    published: dict = {}
-    baseline_ref = None
-    audited: set[int] = set()
-    for s_requested in s_values:
-        s = max(int(s_requested), ctx.min_s)
-        if s in audited:
-            prep.points.append(_PreparedPoint(kind="skip"))
-            continue
-        audited.add(s)
-        notes: list[str] = []
-        if s != s_requested:
-            notes.append(
-                f"S clamped to {s} (max in-degree {ctx.max_indegree})"
-            )
-        try:
-            engine_bounds, bound_value, winning_engine = _certified_bounds(
-                ctx.cdag.graph, name, params, s, bound, bounds_engines
-            )
-            schedule = derive_schedule(ctx.program, program_bound, params, s)
-            stream_key = (
-                schedule.tiled,
-                tuple(schedule.variable_order),
-                tuple(sorted(schedule.tile_sizes.items())),
-            )
-            schedule_ref = published.get(stream_key)
-            if schedule_ref is None:
-                stream = ctx.stream_cache.get(stream_key)
-                if stream is None:
-                    order = blocked_order(ctx.cdag, schedule)
-                    stream = stream_from_graph(ctx.cdag.graph, order)
-                    ctx.stream_cache[stream_key] = stream
-                schedule_ref = shared_streams.publish(
-                    stream,
-                    shared_streams.stream_signature(
-                        name, param_key, "schedule", stream_key
-                    ),
-                )
-                published[stream_key] = schedule_ref
-                prep.refs.append(schedule_ref)
-            if baseline_ref is None:
-                baseline_ref = shared_streams.publish(
-                    ctx.baseline_stream,
-                    shared_streams.stream_signature(
-                        name, param_key, "baseline"
-                    ),
-                )
-                prep.refs.append(baseline_ref)
-        except SoapError as err:
-            prep.points.append(
-                _PreparedPoint(
-                    kind="error", s=s, s_requested=int(s_requested),
-                    message=str(err),
-                )
-            )
-            continue
-        prep.points.append(
-            _PreparedPoint(
-                kind="replay",
-                s=s,
-                s_requested=int(s_requested),
-                notes=tuple(notes),
-                bound_value=bound_value,
-                tiled=schedule.tiled,
-                tile_sizes=tuple(sorted(schedule.tile_sizes.items())),
-                schedule_notes=tuple(schedule.notes),
-                schedule_ref=schedule_ref,
-                baseline_ref=baseline_ref,
-                engine_bounds=tuple(engine_bounds.items()),
-                winning_engine=winning_engine,
-            )
-        )
-    return prep
+    """Step 1, one kernel: build its CDAG and streams once, plan each point.
 
-
-def _replay_shared(task: tuple) -> tuple:
-    """Phase B, one point: attach published streams (cached) and replay.
-
-    No stream construction happens here, by design -- the function only
-    knows segment refs, so a worker cannot rebuild even by accident.
+    Clamps every requested S to the feasibility floor and plans each
+    clamped size once; per point it evaluates the certified bound and
+    derives the schedule, building each distinct schedule stream once.
+    With ``share`` (the pool) every stream is published to shared memory
+    together with its next-use arrays, so replaying workers only attach,
+    and the points carry the refs; a failure unlinks whatever this kernel
+    already published.  Without it the points carry the streams.
     """
-    schedule_ref, baseline_ref, s, chunk_size, kernel, tctx = task
-    with attach(tctx), obs_span(
-        "tightness.replay-point", kernel=kernel, s=int(s)
-    ):
+    from repro.bounds import evaluate_bounds
+    from repro.kernels import get_kernel
+
+    with obs_span("tightness.prepare", kernel=name):
+        prep = _PreparedKernel(
+            name=name, category=get_kernel(name).category, params=dict(params)
+        )
         try:
-            stream = shared_streams.attach_cached(schedule_ref)
-            baseline = shared_streams.attach_cached(baseline_ref)
+            program = _built_program(name)
+            cdag = cached_cdag(name, params, program=program)
+        except SoapError as err:
+            prep.error = f"CDAG build failed: {err}"
+            return prep
+        if cdag.n_vertices > max_vertices:
+            prep.error = (
+                f"instance too large: {cdag.n_vertices} > "
+                f"{max_vertices} vertices"
+            )
+            return prep
+        prep.n_vertices = cdag.n_vertices
+        param_key = tuple(sorted(params.items()))
+
+        def handle(stream, *kind):
+            """The stream itself in-process, its published ref in the pool."""
+            if not share:
+                return stream
+            ref = shared_streams.publish(
+                stream,
+                shared_streams.stream_signature(name, param_key, *kind),
+            )
+            prep.refs.append(ref)
+            return ref
+
+        baseline_stream = stream_from_graph(cdag.graph)
+        # Feasibility floor: a vertex's operands plus itself must fit.
+        max_indegree = graph_index(cdag.graph).max_in_degree
+        baseline = None
+        schedules: dict = {}  #: (tiled, variable order, tiles) -> handle
+        planned: set[int] = set()
+        try:
+            for s_requested in s_values:
+                s = max(int(s_requested), max_indegree + 2)
+                if s in planned:
+                    continue  # clamping collapsed two requested sizes
+                planned.add(s)
+                notes: list[str] = []
+                if s != s_requested:
+                    notes.append(
+                        f"S clamped to {s} (max in-degree {max_indegree})"
+                    )
+                try:
+                    # the certified value is the gap denominator; the raw
+                    # KKT value stays visible in the per-engine dict
+                    combined = evaluate_bounds(
+                        s=s, graph=cdag.graph, symbolic_bound=bound,
+                        params=params, kernel=name, engines=bounds_engines,
+                    )
+                    schedule = derive_schedule(
+                        program, program_bound, params, s
+                    )
+                    stream_key = (
+                        schedule.tiled,
+                        tuple(schedule.variable_order),
+                        tuple(sorted(schedule.tile_sizes.items())),
+                    )
+                    if stream_key not in schedules:
+                        order = blocked_order(cdag, schedule)
+                        schedules[stream_key] = handle(
+                            stream_from_graph(cdag.graph, order),
+                            "schedule", stream_key,
+                        )
+                    if baseline is None:
+                        baseline = handle(baseline_stream, "baseline")
+                except SoapError as err:
+                    prep.points.append(
+                        _PreparedPoint(
+                            kind="error", s=s, s_requested=int(s_requested),
+                            message=str(err),
+                        )
+                    )
+                    continue
+                prep.points.append(
+                    _PreparedPoint(
+                        kind="replay",
+                        s=s,
+                        s_requested=int(s_requested),
+                        notes=tuple(notes),
+                        bound_value=combined.certified,
+                        tiled=schedule.tiled,
+                        tile_sizes=tuple(schedule.tile_sizes.items()),
+                        schedule_notes=tuple(schedule.notes),
+                        schedule=schedules[stream_key],
+                        baseline=baseline,
+                        engine_bounds=tuple(combined.engine_values().items()),
+                        winning_engine=combined.winning_engine,
+                    )
+                )
+        except BaseException:
+            for ref in prep.refs:
+                shared_streams.unlink(ref)
+            raise
+        return prep
+
+
+def _replay_point(schedule, baseline, s: int, chunk_size, kernel: str) -> tuple:
+    """Step 2, one point: replay the schedule and the program-order stream.
+
+    Returns ``("ok", schedule_cost, program_order_cost)`` or
+    ``("error", message)``.
+    """
+    with obs_span("tightness.replay-point", kernel=kernel, s=int(s)):
+        try:
             schedule_cost = simulate_io(
-                stream, s, slab_positions=chunk_size
+                schedule, s, slab_positions=chunk_size
             ).cost
             program_order_cost = simulate_io(
                 baseline, s, slab_positions=chunk_size
             ).cost
         except SoapError as err:
             return ("error", str(err))
-        except (FileNotFoundError, ValueError, OSError) as err:
-            # A vanished or undersized segment (publisher died, orphan
-            # sweep raced us) degrades this point to a typed error row;
-            # it must never take the whole sweep down.
-            return (
-                "error",
-                f"shared segment unavailable ({type(err).__name__}: {err})",
-            )
-        return ("ok", schedule_cost, program_order_cost)
-
-
-def _shared_sweep(
-    kernel_specs: list[tuple],
-    *,
-    s_values: tuple[int, ...],
-    jobs: int,
-    max_vertices: int,
-    chunk_size: int | None,
-    bounds_engines: tuple[str, ...] | None,
-) -> list[tuple[bool, TightnessRow | None]]:
-    """The parallel sweep: prepare-and-publish, then attach-and-replay.
-
-    Both phases run on one process pool, order-preserving.  From the main
-    thread, forked workers inherit the warm interpreter state (kernel
-    registry, sympy caches); off the main thread -- the service daemon runs
-    audits on a thread pool -- forking a multithreaded process can inherit
-    held locks into the child and deadlock, so workers are spawned fresh
-    instead (tasks and refs are plain picklable data either way).  Shared
-    segments outlive the phase-A workers that created them; the driver
-    unlinks every segment on the way out, success or not.
-    """
-    import multiprocessing
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    on_main = threading.current_thread() is threading.main_thread()
-    try:
-        mp_context = multiprocessing.get_context("fork" if on_main else "spawn")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        mp_context = multiprocessing.get_context()
-    # cap at the core count: the points are CPU-bound, and the service
-    # endpoint forwards caller-supplied jobs values -- one request must not
-    # be able to spawn a worker per sweep point on a large corpus
-    n_points = len(kernel_specs) * max(1, len(s_values))
-    workers = max(1, min(int(jobs), n_points, os.cpu_count() or 1))
-    tctx = trace_context()  # workers stitch under the driver's sweep span
-    prep_tasks = [
-        (name, params, s_values, max_vertices, bound, program_bound,
-         bounds_engines, tctx)
-        for name, params, bound, program_bound in kernel_specs
-    ]
-    refs: list = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context
-        ) as pool:
-            preps = list(pool.map(_prepare_kernel, prep_tasks, chunksize=1))
-            replay_tasks = []
-            slots = []
-            for ki, prep in enumerate(preps):
-                refs.extend(prep.refs)
-                for pi, point in enumerate(prep.points):
-                    if point.kind == "replay":
-                        replay_tasks.append(
-                            (point.schedule_ref, point.baseline_ref,
-                             point.s, chunk_size, prep.name, tctx)
-                        )
-                        slots.append((ki, pi))
-            replays = (
-                list(
-                    pool.map(
-                        _replay_shared,
-                        replay_tasks,
-                        chunksize=max(1, len(s_values)),
-                    )
-                )
-                if replay_tasks
-                else []
-            )
-        return _assemble_outcomes(preps, replays, slots, s_values)
-    finally:
-        for ref in refs:
-            shared_streams.unlink(ref)
+    return ("ok", schedule_cost, program_order_cost)
 
 
 def _assemble_outcomes(
     preps: list[_PreparedKernel],
     replays: list[tuple],
-    slots: list[tuple[int, int]],
     s_values: tuple[int, ...],
-) -> list[tuple[bool, TightnessRow | None]]:
-    """Rows from phase-A plans + phase-B costs, serial-identical."""
-    outcomes: list[tuple[bool, TightnessRow | None]] = []
-    replay_by_slot = dict(zip(slots, replays))
-    for ki, prep in enumerate(preps):
+) -> list[TightnessRow]:
+    """Step 3: rows from the point plans and, in plan order, their replays."""
+    rows: list[TightnessRow] = []
+    pending = iter(replays)
+    for prep in preps:
         if prep.error is not None:
-            outcomes.extend(
-                (False, _error_row(
+            rows.extend(
+                _error_row(
                     prep.name, prep.category, prep.params,
                     int(s_requested), prep.error,
-                ))
+                )
                 for s_requested in s_values
             )
             continue
-        for pi, point in enumerate(prep.points):
-            if point.kind == "skip":
-                outcomes.append((True, None))
-                continue
-            if point.kind == "error":
-                outcomes.append((True, _error_row(
-                    prep.name, prep.category, prep.params, point.s,
-                    point.message,
-                )))
-                continue
-            replay = replay_by_slot[(ki, pi)]
+        for point in prep.points:
+            replay = (
+                next(pending) if point.kind == "replay"
+                else ("error", point.message)
+            )
             if replay[0] == "error":
-                outcomes.append((True, _error_row(
-                    prep.name, prep.category, prep.params, point.s,
-                    replay[1],
-                )))
+                rows.append(_error_row(
+                    prep.name, prep.category, prep.params, point.s, replay[1],
+                ))
                 continue
-            _, schedule_cost, program_order_cost = replay
             if not point.bound_value > 0:
-                outcomes.append((True, _error_row(
+                rows.append(_error_row(
                     prep.name, prep.category, prep.params, point.s,
                     f"bound evaluates to {point.bound_value}; gap undefined",
-                )))
+                ))
                 continue
+            _, schedule_cost, program_order_cost = replay
             gap = schedule_cost / point.bound_value
             notes = list(point.notes)
             if gap < 1.0:
+                # Legal: the leading-order bound need not bind on tiny
+                # instances (e.g. the whole working set fits in S, or the
+                # truncated lower-order terms dominate).  Flag it rather
+                # than hiding it.
                 notes.append(
                     "gap < 1: instance too small for the leading-order "
                     "bound to bind"
                 )
-            outcomes.append((True, TightnessRow(
+            rows.append(TightnessRow(
                 kernel=prep.name,
                 category=prep.category,
                 params=dict(prep.params),
@@ -925,5 +621,139 @@ def _assemble_outcomes(
                 notes=tuple(notes) + point.schedule_notes,
                 engine_bounds=dict(point.engine_bounds),
                 winning_engine=point.winning_engine,
-            )))
-    return outcomes
+            ))
+    return rows
+
+
+def _audit_in_process(
+    spec: tuple,
+    *,
+    s_values: tuple[int, ...],
+    max_vertices: int,
+    chunk_size: int | None,
+    bounds_engines: tuple[str, ...] | None,
+) -> list[TightnessRow]:
+    """One kernel through the three steps in this process (``jobs=1``)."""
+    name, params, bound, program_bound = spec
+    prep = _prepare_kernel_body(
+        name, params, s_values, max_vertices, bound, program_bound,
+        bounds_engines, share=False,
+    )
+    replays = [
+        _replay_point(point.schedule, point.baseline, point.s, chunk_size, name)
+        for point in prep.points
+        if point.kind == "replay"
+    ]
+    return _assemble_outcomes([prep], replays, s_values)
+
+
+# ---------------------------------------------------------------------------
+# The same pipeline over a process pool, streams in shared memory
+# ---------------------------------------------------------------------------
+
+
+def _prepare_kernel(task: tuple) -> _PreparedKernel:
+    """Step 1 in a pool worker: plan one kernel and publish its streams."""
+    (name, params, s_values, max_vertices, bound, program_bound,
+     bounds_engines, tctx) = task
+    with attach(tctx):
+        return _prepare_kernel_body(
+            name, params, s_values, max_vertices, bound, program_bound,
+            bounds_engines, share=True,
+        )
+
+
+def _replay_shared(task: tuple) -> tuple:
+    """Step 2 in a pool worker: attach the published streams and replay.
+
+    Attaches are cached per process.  No stream construction happens here,
+    by design -- the function only knows segment refs, so a worker cannot
+    rebuild even by accident.
+    """
+    schedule_ref, baseline_ref, s, chunk_size, kernel, tctx = task
+    with attach(tctx):
+        try:
+            schedule = shared_streams.attach_cached(schedule_ref)
+            baseline = shared_streams.attach_cached(baseline_ref)
+        except (FileNotFoundError, ValueError, OSError) as err:
+            # A vanished or undersized segment (publisher died, orphan
+            # sweep raced us) degrades this point to a typed error row;
+            # it must never take the whole sweep down.
+            return (
+                "error",
+                f"shared segment unavailable ({type(err).__name__}: {err})",
+            )
+        return _replay_point(schedule, baseline, s, chunk_size, kernel)
+
+
+def _shared_sweep(
+    kernel_specs: list[tuple],
+    *,
+    s_values: tuple[int, ...],
+    jobs: int,
+    max_vertices: int,
+    chunk_size: int | None,
+    bounds_engines: tuple[str, ...] | None,
+) -> list[TightnessRow]:
+    """The parallel sweep: plan-and-publish, then attach-and-replay.
+
+    Both steps run on one process pool, order-preserving, and the driver
+    assembles the rows.  From the main thread, forked workers inherit the
+    warm interpreter state (kernel registry, sympy caches); off the main
+    thread -- the service daemon runs audits on a thread pool -- forking a
+    multithreaded process can inherit held locks into the child and
+    deadlock, so workers are spawned fresh instead (tasks and refs are
+    plain picklable data either way).  Shared segments outlive the workers
+    that created them; the driver unlinks every segment any kernel
+    published on the way out, success or not.
+    """
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    on_main = threading.current_thread() is threading.main_thread()
+    try:
+        mp_context = multiprocessing.get_context("fork" if on_main else "spawn")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        mp_context = multiprocessing.get_context()
+    # cap at the core count: the points are CPU-bound, and the service
+    # endpoint forwards caller-supplied jobs values -- one request must not
+    # be able to spawn a worker per sweep point on a large corpus
+    n_points = len(kernel_specs) * max(1, len(s_values))
+    workers = max(1, min(int(jobs), n_points, os.cpu_count() or 1))
+    tctx = trace_context()  # workers stitch under the driver's sweep span
+    futures: list = []
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=mp_context
+        ) as pool:
+            for name, params, bound, program_bound in kernel_specs:
+                futures.append(pool.submit(
+                    _prepare_kernel,
+                    (name, params, s_values, max_vertices, bound,
+                     program_bound, bounds_engines, tctx),
+                ))
+            preps = [future.result() for future in futures]
+            replay_tasks = [
+                (point.schedule, point.baseline, point.s, chunk_size,
+                 prep.name, tctx)
+                for prep in preps
+                for point in prep.points
+                if point.kind == "replay"
+            ]
+            replays = list(
+                pool.map(
+                    _replay_shared,
+                    replay_tasks,
+                    chunksize=max(1, len(s_values)),
+                )
+            )
+        return _assemble_outcomes(preps, replays, s_values)
+    finally:
+        # The pool has finished every submitted kernel by now, so this
+        # also reaches the segments of kernels whose plans were never read
+        # because another kernel failed first.
+        for future in futures:
+            if not future.cancelled() and future.exception() is None:
+                for ref in future.result().refs:
+                    shared_streams.unlink(ref)

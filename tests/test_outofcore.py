@@ -1,20 +1,21 @@
-"""Out-of-core replay pipeline: chunked == monolithic, bit for bit.
+"""Out-of-core replay pipeline: every chunk size gives the same stream.
 
 Three contracts cover the whole chunked path:
 
-1. **Chunked stream build** (``single_statement_stream(chunk_positions=...)``,
-   optionally memmap-backed) produces arrays *identical* to the monolithic
-   lexsort build -- same ids, same offsets, same store markers -- for every
-   chunk size, including degenerate ones (1, a prime, larger than the
-   stream).
-2. **Chunked two-pass next-use** equals the monolithic argsort table.
+1. **Chunked stream build** (``single_statement_stream(chunk_positions=...)``)
+   produces arrays *identical* to the monolithic reference -- the graph
+   stream, ``stream_from_graph`` over the whole materialized CDAG in the
+   same blocked order: same ids, same offsets, same store markers -- for
+   every chunk size, including degenerate ones (1, a prime, larger than
+   the stream).
+2. **Chunked next-use** equals the one-slab scan at every chunk size.
 3. **Slab-driven native replay** equals the whole-stream replay and the
-   pure-Python reference, for Belady and LRU, at every slab size.
+   pure-Python loop, for Belady and LRU, at every slab size.
 
 Plus the zero-copy shared-stream layer (publish/attach round-trips, cached
-attaches, the parallel sweep building each stream exactly once) and the
-satellite knobs: native-core cache-dir resolution and jobs / chunk-size
-validation at every entry point.
+attaches, the parallel sweep building each stream exactly once, no segment
+surviving a failed sweep) and the satellite knobs: native-core cache-dir
+resolution and jobs / chunk-size validation at every entry point.
 """
 
 import os
@@ -23,10 +24,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cdag.build import build_cdag
 from repro.kernels import get_kernel
+from repro.pebbling.greedy import tiled_order
 from repro.schedule import shared_streams
 from repro.schedule.simulator import _replay, simulate_io
-from repro.schedule.stream import ScheduleError, single_statement_stream
+from repro.schedule.stream import (
+    ScheduleError,
+    single_statement_stream,
+    stream_from_graph,
+)
+from repro.util.errors import PebblingError
 
 #: (kernel, params, tile_sizes, variable_order) -- single-statement kernels
 #: with known-legal blocked orders, covering tiled/untiled, multi-array
@@ -55,6 +63,28 @@ def _build(case, **kwargs):
     )
 
 
+def _graph_stream(program, params, tiles=None, order=None):
+    """The independent reference: the CDAG built whole, then flattened in
+    the blocked order of the reference scheduler ``tiled_order``."""
+    cdag = build_cdag(program, params)
+    variables = list(order or program.statements[0].iteration_vars)
+    return stream_from_graph(
+        cdag.graph,
+        tiled_order(cdag.graph, cdag.point_of, tiles or {}, variables),
+    )
+
+
+def _guarded_gemm():
+    import dataclasses
+
+    from repro.ir.program import Program
+
+    st_ = get_kernel("gemm").build().statements[0]
+    return Program(
+        name="tri", statements=[dataclasses.replace(st_, guard="i <= j")]
+    )
+
+
 def assert_streams_identical(a, b):
     assert a.n_positions == b.n_positions
     assert a.n_ids == b.n_ids
@@ -70,42 +100,22 @@ class TestChunkedBuildBitIdentical:
     @pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: c[0])
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_matches_monolithic(self, case, chunk):
-        mono = _build(case)
-        chunked = _build(case, chunk_positions=chunk)
-        assert_streams_identical(mono, chunked)
-
-    def test_memmap_backed_build_identical(self, tmp_path):
-        case = STREAM_CASES[0]
-        mono = _build(case)
-        mapped = _build(case, chunk_positions=64, memmap_dir=str(tmp_path))
-        assert_streams_identical(mono, mapped)
-
-    def test_memmap_dir_true_uses_system_tmp(self):
-        case = STREAM_CASES[0]
-        mono = _build(case)
-        mapped = _build(case, memmap_dir=True)
-        assert_streams_identical(mono, mapped)
+        name, params, tiles, order = case
+        reference = _graph_stream(get_kernel(name).build(), params, tiles, order)
+        assert_streams_identical(reference, _build(case, chunk_positions=chunk))
 
     def test_guarded_stream_identical(self):
-        import dataclasses
-
-        from repro.ir.program import Program
-
-        base = get_kernel("gemm").build()
-        st_ = base.statements[0]
-        guarded = Program(
-            name="tri",
-            statements=[dataclasses.replace(st_, guard="i <= j")],
-        )
-        mono = single_statement_stream(guarded, {"N": 6})
+        guarded = _guarded_gemm()
+        reference = _graph_stream(guarded, {"N": 6})
         for chunk in CHUNK_SIZES:
             chunked = single_statement_stream(
                 guarded, {"N": 6}, chunk_positions=chunk
             )
-            assert_streams_identical(mono, chunked)
+            assert_streams_identical(reference, chunked)
 
     def test_illegal_tiling_raises_in_both_paths(self):
-        # tiling the reduction variable r of conv reorders version chains
+        # tiling the reduction variable r of conv reorders version chains,
+        # whether the violation falls inside one chunk or across two
         program = get_kernel("conv").build()
         params = {"B": 1, "Cin": 2, "Cout": 2, "Wout": 3, "Hout": 3,
                   "Wker": 2, "Hker": 2}
@@ -122,6 +132,27 @@ class TestChunkedBuildBitIdentical:
     def test_chunk_size_validated(self):
         with pytest.raises(ScheduleError):
             _build(STREAM_CASES[0], chunk_positions=0)
+        stream = _build(STREAM_CASES[0])
+        with pytest.raises(ScheduleError):
+            stream.next_use_arrays(chunk_positions=0)
+        for slab in (0, -1):
+            with pytest.raises(PebblingError, match="slab_positions"):
+                simulate_io(stream, 12, slab_positions=slab)
+
+    def test_sparse_keys_refused(self):
+        """``A[i,i,i]`` spans an N^3 key box for N points: too sparse for
+        the builder's dense tables, so it refuses instead of building."""
+        from repro.ir.program import Program
+        from repro.kernels.common import ref, stmt
+
+        program = Program.make("diag", [stmt(
+            "diag", {"i": "N"},
+            ref("C", "i"), ref("C", "i"), ref("A", "i,i,i"),
+        )])
+        with pytest.raises(ScheduleError, match="stream_from_graph"):
+            single_statement_stream(program, {"N": 200})
+        with pytest.raises(ScheduleError, match="stream_from_graph"):
+            single_statement_stream(program, {"N": 200}, chunk_positions=7)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -132,31 +163,36 @@ class TestChunkedBuildBitIdentical:
     def test_random_instances_identical(self, n, tile, chunk):
         program = get_kernel("gemm").build()
         tiles = {"i": tile, "j": tile, "k": tile}
-        mono = single_statement_stream(program, {"N": n}, tile_sizes=tiles)
         chunked = single_statement_stream(
             program, {"N": n}, tile_sizes=tiles, chunk_positions=chunk
         )
-        assert_streams_identical(mono, chunked)
+        assert_streams_identical(
+            _graph_stream(program, {"N": n}, tiles), chunked
+        )
 
 
 class TestChunkedNextUse:
     @pytest.mark.parametrize("case", STREAM_CASES, ids=lambda c: c[0])
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
     def test_matches_monolithic(self, case, chunk):
-        mono_na, mono_fu = _build(case).next_use_arrays()
+        """Every slab size gives the one-slab scan's arrays (which
+        ``test_schedule_sim`` pins against a pure-Python scan)."""
+        one_na, one_fu = _build(case).next_use_arrays(chunk_positions=10**9)
         chunk_na, chunk_fu = _build(case).next_use_arrays(
             chunk_positions=chunk
         )
-        np.testing.assert_array_equal(mono_na, np.asarray(chunk_na))
-        np.testing.assert_array_equal(mono_fu, np.asarray(chunk_fu))
+        np.testing.assert_array_equal(one_na, chunk_na)
+        np.testing.assert_array_equal(one_fu, chunk_fu)
 
     def test_chunked_stream_defaults_to_chunked_next_use(self):
+        """A stream built in chunks scans next-use in the same chunks."""
         stream = _build(STREAM_CASES[0], chunk_positions=16)
-        mono = _build(STREAM_CASES[0])
+        assert stream.chunk_positions == 16
+        one = _build(STREAM_CASES[0])
         na, fu = stream.next_use_arrays()
-        mono_na, mono_fu = mono.next_use_arrays()
-        np.testing.assert_array_equal(mono_na, np.asarray(na))
-        np.testing.assert_array_equal(mono_fu, np.asarray(fu))
+        one_na, one_fu = one.next_use_arrays()
+        np.testing.assert_array_equal(one_na, na)
+        np.testing.assert_array_equal(one_fu, fu)
 
 
 class TestSlabReplay:
@@ -178,18 +214,16 @@ class TestSlabReplay:
             assert slabbed.cost == python.cost
 
     def test_chunk_built_stream_replays_identically(self):
-        mono = _build(STREAM_CASES[0])
+        one = _build(STREAM_CASES[0])
         chunked = _build(STREAM_CASES[0], chunk_positions=7)
         for policy in ("belady", "lru"):
             assert (
                 simulate_io(chunked, 12, policy=policy,
                             slab_positions=7).cost
-                == simulate_io(mono, 12, policy=policy).cost
+                == simulate_io(one, 12, policy=policy).cost
             )
 
     def test_too_small_s_raises_through_slab_path(self):
-        from repro.util.errors import PebblingError
-
         stream = _build(STREAM_CASES[0])
         with pytest.raises(PebblingError):
             simulate_io(stream, 2, slab_positions=8)
@@ -285,6 +319,42 @@ class TestParallelSweepSharing:
         # sanity: a 3-point sweep without sharing would have rebuilt the
         # baseline + schedule streams in more than one worker
         assert counter.value <= serial_builds
+
+    def test_failed_sweep_leaves_no_segments(self, monkeypatch):
+        """A kernel whose publish fails mid-plan (after its schedule stream
+        is out) fails the sweep; every segment any kernel published is
+        unlinked anyway.  Fork workers inherit the patched ``publish``."""
+        import errno
+        from pathlib import Path
+
+        from repro.schedule import tightness as tightness_mod
+
+        shm = Path("/dev/shm")
+        if not shm.is_dir():
+            pytest.skip("no /dev/shm on this platform")
+        mvt = tightness_mod._merged_params(
+            "mvt", tightness_mod._built_program("mvt"), None
+        )
+        doomed = shared_streams.stream_signature(
+            "mvt", tuple(sorted(mvt.items())), "baseline"
+        )
+        real = shared_streams.publish
+
+        def publish(stream, signature):
+            if signature == doomed:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(stream, signature)
+
+        def segments():
+            return {p.name for p in shm.glob("reprosoap-*")}
+
+        monkeypatch.setattr(shared_streams, "publish", publish)
+        before = segments()
+        with pytest.raises(OSError):
+            tightness_mod.audit_corpus(
+                ["gemm", "atax", "mvt"], s_values=(8,), jobs=2
+            )
+        assert segments() - before == set()
 
     def test_parallel_chunked_rows_match_serial(self):
         from repro.schedule.tightness import audit_corpus
