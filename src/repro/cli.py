@@ -28,7 +28,8 @@ Usage examples::
 ``--jobs N`` parallelizes the analysis (kernels for ``table2``, subgraph
 solves for ``analyze``/``kernel``, and the (kernel, S) replay sweep for
 ``tightness``); ``--cache-dir DIR`` persists the fused-problem memoization
-cache across invocations; ``--json`` emits a machine-readable report
+cache across invocations in ``DIR/solves.sqlite``, the store ``serve
+--cache-dir DIR`` shares too; ``--json`` emits a machine-readable report
 including per-stage engine diagnostics.
 
 Expected failures (unknown kernel names, unparsable sources, unreachable

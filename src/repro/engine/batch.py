@@ -6,8 +6,10 @@
   in-process cache deduplicates problem (8) instances *across* kernels (the
   suite's gemm-shaped contractions all resolve to a handful of signatures);
 * ``jobs > 1``: kernels are distributed over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; workers share solved
-  problems through the on-disk cache tier when ``cache_dir`` is given.
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose workers share one
+  :class:`~repro.engine.store.SharedSolveStore` -- the engine's, the one
+  under ``cache_dir``, or one in a temp dir that lives as long as the
+  batch.  The store's claims make the workers solve each signature once.
   ``executor.map`` preserves input order, so results are deterministic and
   position-aligned with ``names`` either way.
 """
@@ -16,31 +18,24 @@ from __future__ import annotations
 
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, closing
 from typing import Iterable, Sequence
 
 from repro.engine.cache import SolveCache
 from repro.engine.core import Engine
+from repro.engine.store import SharedSolveStore
 from repro.obs import attach, trace_context
 
 
 def _kernel_task(task: tuple):
     """Analyze one kernel in a worker process (top-level for pickling)."""
-    name, cache_dir, store_path, solver, tctx = task
+    name, store_path, solver, tctx = task
     from repro.analysis import analyze_kernel
 
     # stitch this worker's spans under the driver's trace (no-op untraced)
-    with attach(tctx):
-        if store_path is not None:
-            # fleet mode: share solves through the sqlite store (claims
-            # make concurrent workers solve each signature exactly once)
-            from repro.engine.store import SharedSolveStore
-
-            engine = Engine(
-                cache=SolveCache(store=SharedSolveStore(store_path)),
-                solver=solver,
-            )
-            return analyze_kernel(name, engine=engine)
-        return analyze_kernel(name, cache_dir=cache_dir, solver=solver)
+    with attach(tctx), closing(SharedSolveStore(store_path)) as store:
+        engine = Engine(cache=SolveCache(store=store), solver=solver)
+        return analyze_kernel(name, engine=engine)
 
 
 def analyze_many(
@@ -73,34 +68,18 @@ def analyze_many(
                 cache=SolveCache(cache_dir), solver=solver or "exact"
             )
         return [analyze_kernel(name, engine=engine) for name in selected]
-    store_path: str | None = None
-    if engine is not None:
-        # Worker processes cannot share the engine's in-memory tier; they can
-        # share its disk tier (None when the engine's cache is memory-only)
-        # or, for fleet engines, the sqlite solve store.
-        disk = engine.cache.cache_dir
-        cache_dir = str(disk) if disk is not None else None
-        if engine.cache.store is not None:
-            store_path = str(engine.cache.store.path)
-        solver = engine.solver
-    solver = solver or "exact"
-    if cache_dir is not None or store_path is not None:
-        return _run_parallel(selected, cache_dir, store_path, jobs, solver)
-    # No persistent store requested: share solves through a batch-lifetime
-    # temp directory, else every worker would re-solve the suite's repeated
-    # problem shapes from scratch.
-    with tempfile.TemporaryDirectory(prefix="soap-engine-cache-") as tmp:
-        return _run_parallel(selected, tmp, None, jobs, solver)
-
-
-def _run_parallel(
-    selected: Sequence[str],
-    cache_dir: str | None,
-    store_path: str | None,
-    jobs: int,
-    solver: str,
-) -> list:
-    tctx = trace_context()
-    tasks = [(name, cache_dir, store_path, solver, tctx) for name in selected]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_kernel_task, tasks))
+    with ExitStack() as stack:
+        # The parent opens the store before the pool forks and holds it for
+        # the whole batch, so the workers never race to create the file.
+        store = engine.cache.store if engine is not None else None
+        if store is None:
+            if cache_dir is None:
+                cache_dir = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="soap-engine-cache-")
+                )
+            store = stack.enter_context(closing(SolveCache(cache_dir).store))
+        solver = (engine.solver if engine is not None else solver) or "exact"
+        tctx = trace_context()
+        tasks = [(name, str(store.path), solver, tctx) for name in selected]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(_kernel_task, tasks))

@@ -1,10 +1,12 @@
 """Two-tier memoization cache for solved problem (8) instances.
 
 Tier 1 is an in-process LRU (shared across every kernel analyzed by one
-:class:`repro.engine.Engine`), tier 2 an optional on-disk JSON store (one
-file per entry, written atomically so concurrent ``--jobs`` workers can
-share a directory without locking).  Keys are composed by the engine as
-``<canonical signature>-<backend>-r<SOLVER_REVISION>``
+:class:`repro.engine.Engine`), tier 2 the persistent sqlite
+:class:`~repro.engine.store.SharedSolveStore`: ``SolveCache(cache_dir)``
+opens ``<cache_dir>/solves.sqlite``, the file ``repro serve --cache-dir``
+uses too, and ``SolveCache(store=...)`` takes an open handle (service
+workers pass one to set the claim lease).  Keys are composed by the engine
+as ``<canonical signature>-<backend>-r<SOLVER_REVISION>``
 (:meth:`~repro.opt.backends.SolverBackend.cache_tag`), so results produced
 by different solver backends -- or different solver generations -- are
 namespaced and never alias.  Values are either a serialized
@@ -17,19 +19,14 @@ The memory tier is unbounded by default (a suite run holds a few hundred
 signatures at most), but a long-lived daemon serving arbitrary sources must
 not grow without limit: pass ``max_memory_entries`` to cap it.  Eviction is
 least-recently-used and counted in :class:`CacheStats`; an evicted entry
-that is still on disk simply costs a disk hit later.  All operations take an
-internal lock, so one cache can back a multi-threaded worker pool (the
-analysis service) as well as the single-threaded CLI.
-
-Expressions are serialized with :func:`sympy.srepr`, which round-trips
-symbol assumptions (``positive=True``) -- essential, because ``repro``'s
-canonical symbols carry assumptions and sympy treats ``Symbol('N')`` and
-``Symbol('N', positive=True)`` as different symbols.
+that is still in the store simply costs a store hit later.  All operations
+take an internal lock, so one cache can back a multi-threaded worker pool
+as well as the single-threaded CLI.  A sick store degrades to a miss or a
+lost write, never to a failed analysis.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sqlite3
 import threading
@@ -37,23 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-import sympy as sp
-
-from repro.opt.kkt import SOLVER_REVISION, ChiSolution
-
-_SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    """Result of one canonical problem (8): a solution or a solver failure."""
-
-    solution: ChiSolution | None = None
-    error: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.solution is not None
+from repro.engine.store import STORE_FILE, SharedSolveStore, SolveOutcome
 
 
 @dataclass
@@ -61,7 +42,7 @@ class CacheStats:
     """Counters surfaced in engine diagnostics and ``--json`` reports."""
 
     memory_hits: int = 0
-    disk_hits: int = 0
+    disk_hits: int = 0  #: store hits
     misses: int = 0
     stores: int = 0
     evictions: int = 0
@@ -89,11 +70,9 @@ class CacheStats:
 class SolveCache:
     """Signature-keyed store of :class:`SolveOutcome` values.
 
-    Tier 2 is either a directory of JSON files (``cache_dir``) or a
-    :class:`~repro.engine.store.SharedSolveStore` (``store``) -- the
-    fleet-shared sqlite database used by the analysis service.  The two are
-    mutually exclusive; a store hit counts as a ``disk_hit`` so diagnostics
-    keep one shape either way.
+    Tier 2 is the :class:`~repro.engine.store.SharedSolveStore` under
+    ``cache_dir`` or the one passed as ``store``; with neither, the cache
+    is memory-only.  A store hit counts as a ``disk_hit``.
     """
 
     def __init__(
@@ -101,29 +80,26 @@ class SolveCache:
         cache_dir: str | os.PathLike | None = None,
         *,
         max_memory_entries: int | None = None,
-        store=None,
+        store: SharedSolveStore | None = None,
     ):
         if max_memory_entries is not None and max_memory_entries < 1:
             raise ValueError("max_memory_entries must be >= 1 (or None)")
         if cache_dir is not None and store is not None:
-            raise ValueError("cache_dir and store are mutually exclusive tiers")
+            raise ValueError("cache_dir and store are mutually exclusive")
         self._memory: OrderedDict[str, SolveOutcome] = OrderedDict()
         self._max_entries = max_memory_entries
         self._lock = threading.RLock()
-        self._dir: Path | None = Path(cache_dir) if cache_dir is not None else None
-        self.store = store
-        if self._dir is not None:
+        if cache_dir is not None:
+            directory = Path(cache_dir)
             try:
-                self._dir.mkdir(parents=True, exist_ok=True)
+                directory.mkdir(parents=True, exist_ok=True)
             except (FileExistsError, NotADirectoryError):
                 raise NotADirectoryError(
-                    f"cache dir {self._dir} exists and is not a directory"
+                    f"cache dir {directory} exists and is not a directory"
                 ) from None
+            store = SharedSolveStore(directory / STORE_FILE)
+        self.store = store
         self.stats = CacheStats()
-
-    @property
-    def cache_dir(self) -> Path | None:
-        return self._dir
 
     @property
     def max_memory_entries(self) -> int | None:
@@ -136,12 +112,6 @@ class SolveCache:
                 self._memory.move_to_end(signature)
                 self.stats.memory_hits += 1
                 return outcome
-            if self._dir is not None:
-                outcome = self._load_disk(signature)
-                if outcome is not None:
-                    self._insert(signature, outcome)
-                    self.stats.disk_hits += 1
-                    return outcome
             if self.store is not None:
                 try:
                     outcome = self.store.get(signature)
@@ -161,13 +131,17 @@ class SolveCache:
         with self._lock:
             self._insert(signature, outcome)
             self.stats.stores += 1
-            if self._dir is not None:
-                self._store_disk(signature, outcome)
             if self.store is not None:
                 try:
                     self.store.put(signature, outcome)
                 except sqlite3.Error:
-                    self.store.count_error()  # lost sharing, not correctness
+                    # lost sharing, not correctness -- but hand back any
+                    # claim on the key, or other processes wait a lease
+                    self.store.count_error()
+                    try:
+                        self.store.release(signature)
+                    except sqlite3.Error:
+                        pass
 
     def memorize(self, signature: str, outcome: SolveOutcome) -> None:
         """Adopt another process's solve into the memory tier only.
@@ -195,79 +169,3 @@ class SolveCache:
             while len(self._memory) > self._max_entries:
                 self._memory.popitem(last=False)
                 self.stats.evictions += 1
-
-    # ------------------------------------------------------------------
-    # disk tier
-    # ------------------------------------------------------------------
-
-    def _path(self, signature: str) -> Path:
-        return self._dir / f"{signature}.json"
-
-    def _load_disk(self, signature: str) -> SolveOutcome | None:
-        path = self._path(signature)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("schema") != _SCHEMA:
-            return None
-        try:
-            return _decode(payload)
-        except (KeyError, ValueError, TypeError, sp.SympifyError):
-            return None  # corrupt entry: fall through to a fresh solve
-
-    def _store_disk(self, signature: str, outcome: SolveOutcome) -> None:
-        path = self._path(signature)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(json.dumps(_encode(outcome), indent=1))
-            os.replace(tmp, path)  # atomic: concurrent workers can race safely
-        except OSError:
-            tmp.unlink(missing_ok=True)
-
-
-def encode_outcome(outcome: SolveOutcome) -> dict:
-    if outcome.solution is None:
-        # Failures depend on what the solver *can* do, so they carry the
-        # solver revision; solutions are verified facts and never go stale.
-        return {
-            "schema": _SCHEMA,
-            "status": "error",
-            "message": outcome.error,
-            "solver_revision": SOLVER_REVISION,
-        }
-    solution = outcome.solution
-    return {
-        "schema": _SCHEMA,
-        "status": "ok",
-        "chi": sp.srepr(solution.chi),
-        "tiles": {name: sp.srepr(expr) for name, expr in solution.tiles.items()},
-        "capped": list(solution.capped),
-        "pinned": list(solution.pinned),
-        "exact": bool(solution.exact),
-        "notes": list(solution.notes),
-    }
-
-
-def decode_outcome(payload: dict) -> SolveOutcome | None:
-    if payload["status"] == "error":
-        if payload.get("solver_revision") != SOLVER_REVISION:
-            return None  # stale failure: a newer solver may succeed
-        return SolveOutcome(error=str(payload["message"]))
-    return SolveOutcome(
-        solution=ChiSolution(
-            chi=sp.sympify(payload["chi"]),
-            tiles={
-                name: sp.sympify(expr) for name, expr in payload["tiles"].items()
-            },
-            capped=tuple(payload["capped"]),
-            pinned=tuple(payload["pinned"]),
-            exact=bool(payload["exact"]),
-            notes=tuple(payload["notes"]),
-        )
-    )
-
-
-# historical private names (tests and older callers import these)
-_encode = encode_outcome
-_decode = decode_outcome

@@ -1,9 +1,12 @@
 """Staged analysis engine: ``build-sdg -> enumerate -> fuse -> solve -> combine``.
 
-The engine runs the Theorem 1 pipeline as explicit, composable stages.  Each
-stage appends a :class:`~repro.engine.diagnostics.StageRecord` (wall time +
-counters), and the hot stage -- solving optimization problem (8) -- goes
-through a canonicalize/dedup/memoize funnel:
+The engine runs the Theorem 1 pipeline as explicit, composable stages
+(:data:`STAGES`).  Each stage runs inside one span of its own name and
+appends a :class:`~repro.engine.diagnostics.StageRecord` (wall time +
+counters) to the analysis's diagnostics; the engine keeps no metrics
+registry -- span totals are the one stage clock operators read.  The hot
+stage -- solving optimization problem (8) -- goes through a
+canonicalize/dedup/memoize funnel:
 
 * every fused problem arrives as a :class:`~repro.opt.problem.ProblemIR`
   (built once at fusion time) and is **canonicalized**
@@ -12,9 +15,12 @@ through a canonicalize/dedup/memoize funnel:
   both within a kernel and across the whole Table 2 suite;
 * distinct signatures are resolved through the two-tier
   :class:`~repro.engine.cache.SolveCache` (in-process dict + optional
-  on-disk JSON store), with negative entries for solver failures.  Entries
-  are namespaced by **solver backend** and :data:`~repro.opt.kkt.SOLVER_REVISION`,
-  so different solving strategies (or solver generations) never alias;
+  sqlite :class:`~repro.engine.store.SharedSolveStore`), with negative
+  entries for solver failures.  Entries are namespaced by **solver
+  backend** and :data:`~repro.opt.kkt.SOLVER_REVISION`, so different
+  solving strategies (or solver generations) never alias.  With a store,
+  missing signatures are *claimed* first, so concurrent processes solve
+  each one once;
 * signatures missing from the cache are solved by the selected
   :mod:`~repro.opt.backends` backend (``exact`` by default; ``numeric-first``
   for the fast path; ``cross-check`` to run both), optionally in parallel via
@@ -35,13 +41,13 @@ import sqlite3
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import sympy as sp
 
 from repro import faults
-from repro.engine.cache import CacheStats, SolveCache, SolveOutcome
+from repro.engine.cache import CacheStats, SolveCache
 from repro.engine.diagnostics import EngineDiagnostics, StageRecord
 from repro.engine.signature import (
     CanonicalProblem,
@@ -49,8 +55,8 @@ from repro.engine.signature import (
     rename_solution,
     rename_text,
 )
+from repro.engine.store import SolveOutcome
 from repro.ir.program import Program
-from repro.obs import MetricsRegistry, default_registry
 from repro.obs import span as obs_span
 from repro.opt.backends import DEFAULT_BACKEND, get_backend
 from repro.opt.backends.crosscheck import COVERAGE_MARKER, MISMATCH_PREFIX
@@ -61,6 +67,9 @@ from repro.sdg.subgraphs import DEFAULT_MAX_SIZE, enumerate_subgraphs
 from repro.soap.classify import OverlapPolicy
 from repro.symbolic.asymptotics import leading_term
 from repro.util.errors import SolverError
+
+#: the pipeline's stages in order; each is one span and one StageRecord
+STAGES = ("build-sdg", "enumerate", "fuse", "solve", "combine")
 
 
 @dataclass(frozen=True)
@@ -126,23 +135,12 @@ class Engine:
         self,
         cache: SolveCache | None = None,
         jobs: int = 1,
-        on_stage: Callable[[StageRecord], None] | None = None,
         solver: str = DEFAULT_BACKEND,
-        registry: MetricsRegistry | None = None,
     ):
         self.cache = cache if cache is not None else SolveCache()
         self.jobs = max(1, int(jobs))
         get_backend(solver)  # validate eagerly: a bad name is a config error
         self.solver = solver
-        #: job hook: called with each completed StageRecord (the analysis
-        #: service feeds its per-stage metrics through this; must be cheap
-        #: and thread-safe when the engine is shared by a worker pool)
-        self.on_stage = on_stage
-        #: operational counters: every StageRecord is folded in as
-        #: ``engine_stage_seconds_total{stage=...}``; the service passes its
-        #: own registry so /metrics sees engine stages, everyone else shares
-        #: the process default
-        self.registry = registry if registry is not None else default_registry()
         # Per-backend solve-health counters (fresh solves only, not cache
         # hits), keyed backend -> {exact, fitted, negative, mismatch}.
         self._solver_stats: dict[str, dict[str, int]] = {}
@@ -216,196 +214,139 @@ class Engine:
         get_backend(options.solver)  # fail fast on unknown backends
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         stages: list[StageRecord] = []
-        open_stage: list = []
-
-        def stage_begin(name: str) -> float:
-            """Open the stage's span; ``record`` closes it with the counts."""
-            faults.check_deadline(name)  # cooperative cancellation point
-            ctx = obs_span(name)
-            open_stage.append((ctx, ctx.__enter__()))
-            return time.perf_counter()
-
-        def record(stage: StageRecord) -> None:
-            stages.append(stage)
-            if open_stage:
-                ctx, sp = open_stage.pop()
-                for key, value in stage.counts:
-                    if isinstance(value, int) and not isinstance(value, bool):
-                        sp.add(key, value)
-                ctx.__exit__(None, None, None)
-            self.registry.inc(
-                "engine_stage_seconds_total", stage.seconds, stage=stage.name
-            )
-            self.registry.inc("engine_stages_total", 1.0, stage=stage.name)
-            if self.on_stage is not None:
-                self.on_stage(stage)
-
         notes: list[str] = []
         stats_before = replace(self.cache.stats)
         solver_before = self.solver_stats_snapshot().get(options.solver, {})
 
-        # ---- stage: build-sdg -------------------------------------------
-        started = stage_begin("build-sdg")
-        sdg = SDG.from_program(program)
-        sharing = sdg.sharing_graph()
-        record(
-            StageRecord(
-                "build-sdg",
-                time.perf_counter() - started,
-                (
-                    ("computed_arrays", len(sdg.computed)),
-                    ("input_arrays", len(sdg.inputs)),
-                    ("sharing_edges", sharing.number_of_edges()),
-                ),
-            )
-        )
+        with _stage("build-sdg", stages) as counts:
+            sdg = SDG.from_program(program)
+            sharing = sdg.sharing_graph()
+            counts.extend((
+                ("computed_arrays", len(sdg.computed)),
+                ("input_arrays", len(sdg.inputs)),
+                ("sharing_edges", sharing.number_of_edges()),
+            ))
 
-        # ---- stage: enumerate -------------------------------------------
-        started = stage_begin("enumerate")
-        subsets = list(
-            enumerate_subgraphs(sharing, max_size=options.max_subgraph_size)
-        )
-        record(
-            StageRecord(
-                "enumerate",
-                time.perf_counter() - started,
-                (
-                    ("subgraphs", len(subsets)),
-                    ("max_size", options.max_subgraph_size),
-                ),
+        with _stage("enumerate", stages) as counts:
+            subsets = list(
+                enumerate_subgraphs(sharing, max_size=options.max_subgraph_size)
             )
-        )
+            counts.extend((
+                ("subgraphs", len(subsets)),
+                ("max_size", options.max_subgraph_size),
+            ))
 
-        # ---- stage: fuse -------------------------------------------------
-        started = stage_begin("fuse")
-        fused_items: list[tuple[tuple[str, ...], FusedStatement | None, str | None]] = []
-        for subset in subsets:
-            try:
-                fused = fuse_statements(
-                    program,
-                    subset,
-                    policy=options.policy,
-                    unify_same_names=options.unify_same_names,
+        with _stage("fuse", stages) as counts:
+            fused_items: list[
+                tuple[tuple[str, ...], FusedStatement | None, str | None]
+            ] = []
+            for subset in subsets:
+                try:
+                    fused = fuse_statements(
+                        program,
+                        subset,
+                        policy=options.policy,
+                        unify_same_names=options.unify_same_names,
+                    )
+                    fused_items.append((subset, fused, None))
+                except SolverError as err:
+                    fused_items.append((subset, None, str(err)))
+            fuse_failures = sum(1 for _, fused, _ in fused_items if fused is None)
+            counts.extend((
+                ("fused", len(fused_items) - fuse_failures),
+                ("failed", fuse_failures),
+            ))
+
+        with _stage("solve", stages) as counts:
+            canonicals: list[CanonicalProblem | None] = []
+            for _, fused, _ in fused_items:
+                if fused is None:
+                    canonicals.append(None)
+                    continue
+                canonicals.append(
+                    canonicalize_ir(
+                        fused.problem,
+                        allow_pinning=options.allow_pinning,
+                        allow_caps=options.allow_pinning,
+                    )
                 )
-                fused_items.append((subset, fused, None))
-            except SolverError as err:
-                fused_items.append((subset, None, str(err)))
-        fuse_failures = sum(1 for _, fused, _ in fused_items if fused is None)
-        record(
-            StageRecord(
-                "fuse",
-                time.perf_counter() - started,
-                (
-                    ("fused", len(fused_items) - fuse_failures),
-                    ("failed", fuse_failures),
+            outcomes = self._resolve_signatures(
+                [c for c in canonicals if c is not None],
+                allow_pinning=options.allow_pinning,
+                jobs=jobs,
+                solver=options.solver,
+            )
+
+            analyses: list[SubgraphAnalysis] = []
+            skipped: list[tuple[str, ...]] = []
+            solve_failures = 0
+            for (subset, fused, fuse_error), canonical in zip(fused_items, canonicals):
+                if fused is None:
+                    skipped.append(subset)
+                    notes.append(f"subgraph {subset}: {fuse_error}")
+                    continue
+                outcome = outcomes[canonical.signature]
+                if not outcome.ok:
+                    skipped.append(subset)
+                    notes.append(
+                        f"subgraph {subset}: "
+                        f"{rename_text(outcome.error, canonical.inverse)}"
+                    )
+                    solve_failures += 1
+                    continue
+                solution = rename_solution(outcome.solution, canonical.inverse)
+                try:
+                    intensity = intensity_from_chi(solution)
+                except SolverError as err:
+                    skipped.append(subset)
+                    notes.append(f"subgraph {subset}: {err}")
+                    solve_failures += 1
+                    continue
+                analyses.append(SubgraphAnalysis(subset, fused, intensity))
+            cache_delta = _stats_delta(stats_before, self.cache.stats)
+            solver_delta = _solver_delta(
+                solver_before, self.solver_stats_snapshot().get(options.solver, {})
+            )
+            counts.extend((
+                ("problems", len(fused_items) - fuse_failures),
+                ("distinct", len({c.signature for c in canonicals if c})),
+                ("solved", len(analyses)),
+                ("skipped", solve_failures),
+                ("cache_hits", cache_delta.hits),
+                ("cache_misses", cache_delta.misses),
+                ("jobs", jobs),
+                *sorted(
+                    (f"solver_{bucket}", count)
+                    for bucket, count in solver_delta.items()
                 ),
-            )
-        )
+            ))
 
-        # ---- stage: solve ------------------------------------------------
-        started = stage_begin("solve")
-        canonicals: list[CanonicalProblem | None] = []
-        for _, fused, _ in fused_items:
-            if fused is None:
-                canonicals.append(None)
-                continue
-            canonicals.append(
-                canonicalize_ir(
-                    fused.problem,
-                    allow_pinning=options.allow_pinning,
-                    allow_caps=options.allow_pinning,
-                )
-            )
-        outcomes = self._resolve_signatures(
-            [c for c in canonicals if c is not None],
-            allow_pinning=options.allow_pinning,
-            jobs=jobs,
-            solver=options.solver,
-        )
+        with _stage("combine", stages) as counts:
+            per_array: dict[str, SubgraphAnalysis] = {}
+            for analysis in analyses:
+                for array in analysis.arrays:
+                    current = per_array.get(array)
+                    if current is None or compare_intensity(analysis.rho, current.rho) > 0:
+                        per_array[array] = analysis
 
-        analyses: list[SubgraphAnalysis] = []
-        skipped: list[tuple[str, ...]] = []
-        solve_failures = 0
-        for (subset, fused, fuse_error), canonical in zip(fused_items, canonicals):
-            if fused is None:
-                skipped.append(subset)
-                notes.append(f"subgraph {subset}: {fuse_error}")
-                continue
-            outcome = outcomes[canonical.signature]
-            if not outcome.ok:
-                skipped.append(subset)
-                notes.append(
-                    f"subgraph {subset}: "
-                    f"{rename_text(outcome.error, canonical.inverse)}"
-                )
-                solve_failures += 1
-                continue
-            solution = rename_solution(outcome.solution, canonical.inverse)
-            try:
-                intensity = intensity_from_chi(solution)
-            except SolverError as err:
-                skipped.append(subset)
-                notes.append(f"subgraph {subset}: {err}")
-                solve_failures += 1
-                continue
-            analyses.append(SubgraphAnalysis(subset, fused, intensity))
-        cache_delta = _stats_delta(stats_before, self.cache.stats)
-        solver_delta = _solver_delta(
-            solver_before, self.solver_stats_snapshot().get(options.solver, {})
-        )
-        record(
-            StageRecord(
-                "solve",
-                time.perf_counter() - started,
-                (
-                    ("problems", len(fused_items) - fuse_failures),
-                    ("distinct", len({c.signature for c in canonicals if c})),
-                    ("solved", len(analyses)),
-                    ("skipped", solve_failures),
-                    ("cache_hits", cache_delta.hits),
-                    ("cache_misses", cache_delta.misses),
-                    ("jobs", jobs),
-                    *sorted(
-                        (f"solver_{bucket}", count)
-                        for bucket, count in solver_delta.items()
-                    ),
-                ),
-            )
-        )
-
-        # ---- stage: combine ----------------------------------------------
-        started = stage_begin("combine")
-        per_array: dict[str, SubgraphAnalysis] = {}
-        for analysis in analyses:
-            for array in analysis.arrays:
-                current = per_array.get(array)
-                if current is None or compare_intensity(analysis.rho, current.rho) > 0:
-                    per_array[array] = analysis
-
-        total = sp.Integer(0)
-        dropped = 0
-        for array in program.computed_arrays():
-            best = per_array.get(array)
-            if best is None:
-                notes.append(
-                    f"array {array}: no analyzable subgraph; contribution dropped"
-                )
-                dropped += 1
-                continue
-            total += program.vertex_count(array) / best.rho
-        bound_full = sp.simplify(total)
-        bound = leading_term(bound_full) if bound_full != 0 else bound_full
-        io_floor = io_footprint_floor(program)
-        record(
-            StageRecord(
-                "combine",
-                time.perf_counter() - started,
-                (
-                    ("arrays", len(program.computed_arrays())),
-                    ("dropped", dropped),
-                ),
-            )
-        )
+            total = sp.Integer(0)
+            dropped = 0
+            for array in program.computed_arrays():
+                best = per_array.get(array)
+                if best is None:
+                    notes.append(
+                        f"array {array}: no analyzable subgraph; contribution dropped"
+                    )
+                    dropped += 1
+                    continue
+                total += program.vertex_count(array) / best.rho
+            bound_full = sp.simplify(total)
+            bound = leading_term(bound_full) if bound_full != 0 else bound_full
+            io_floor = io_footprint_floor(program)
+            counts.extend((
+                ("arrays", len(program.computed_arrays())),
+                ("dropped", dropped),
+            ))
 
         diagnostics = EngineDiagnostics(
             stages=tuple(stages),
@@ -537,6 +478,26 @@ class Engine:
                 outcomes[signature] = outcome
             self._count_solves(solver, reclaimed)
         return outcomes
+
+
+@contextmanager
+def _stage(name: str, stages: list[StageRecord]):
+    """Run one pipeline stage inside its span; yields the stage's counts.
+
+    The body appends ``(key, n)`` pairs to the yielded list; on success they
+    become the span's counters and the stage's :class:`StageRecord`.  A
+    stage that raises closes its span tagged ``error`` and records nothing.
+    """
+    faults.check_deadline(name)  # cooperative cancellation point
+    with obs_span(name) as span:
+        started = time.perf_counter()
+        counts: list[tuple[str, int]] = []
+        yield counts
+        seconds = time.perf_counter() - started
+        for key, value in counts:
+            if isinstance(value, int) and not isinstance(value, bool):
+                span.add(key, value)
+        stages.append(StageRecord(name, seconds, tuple(counts)))
 
 
 def _stats_delta(before: CacheStats, after: CacheStats) -> CacheStats:

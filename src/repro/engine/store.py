@@ -1,14 +1,18 @@
-"""Shared persistent solve store: one sqlite database behind a worker fleet.
+"""Persistent solve store: the one sqlite tier behind every solve cache.
 
-:class:`SharedSolveStore` is the fleet-shape replacement for the per-process
-JSON disk cache tier: every analysis worker process opens the same sqlite
-file (WAL mode, so N readers and one writer coexist without blocking each
-other), keyed by the engine's canonical problem identity
-``<signature>-<backend>-r<SOLVER_REVISION>``.  Three guarantees:
+:class:`SharedSolveStore` is the only persistence tier of
+:class:`~repro.engine.cache.SolveCache`.  ``SolveCache(cache_dir)`` opens
+``<cache_dir>/solves.sqlite`` (:data:`STORE_FILE`), the same file the
+analysis service opens under ``repro serve --cache-dir``, so the CLI, the
+library, ``analyze_many``'s workers and the daemon's fleet all share one
+store.  Every process opens the same sqlite file (WAL mode, so N readers
+and one writer coexist without blocking each other), keyed by the engine's
+canonical problem identity ``<signature>-<backend>-r<SOLVER_REVISION>``.
+Three guarantees:
 
-* **solve-once across the fleet** -- a ``claims`` protocol layered on the
-  same table: a worker that misses atomically *claims* the key before
-  solving, and any other worker arriving at the same signature blocks on
+* **solve-once across processes** -- a ``claims`` protocol layered on the
+  same table: a process that misses atomically *claims* the key before
+  solving, and any other process arriving at the same signature blocks on
   the claim instead of duplicating the solve (cross-process request
   coalescing at the solver level);
 * **crash safety** -- claims carry a lease; a claim whose holder died is
@@ -19,12 +23,16 @@ other), keyed by the engine's canonical problem identity
   transparently when the pid changes (the tightness sweep forks workers
   that inherit the engine's store handle).
 
-Values round-trip through the same :func:`sympy.srepr` JSON encoding as the
-old disk tier, so results served from the store are bit-identical to fresh
-solves -- whichever worker solved them.  A second ``reports`` table stores
-finished analysis artifacts (the DaCe/PyOP2 compiled-artifact pattern):
-warm kernel requests are served straight from the store without re-running
-the analysis pipeline.
+Values are :class:`SolveOutcome` records serialized by
+:func:`encode_outcome` as JSON with :func:`sympy.srepr` expressions, which
+round-trips symbol assumptions (``positive=True``) -- essential, because
+``repro``'s canonical symbols carry assumptions and sympy treats
+``Symbol('N')`` and ``Symbol('N', positive=True)`` as different symbols.
+Results served from the store are therefore bit-identical to fresh solves,
+whichever process solved them.  A second ``reports`` table stores finished
+analysis artifacts (the DaCe/PyOP2 compiled-artifact pattern): warm kernel
+requests are served straight from the store without re-running the
+analysis pipeline.
 """
 
 from __future__ import annotations
@@ -38,17 +46,17 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.engine.cache import (
-    _SCHEMA as _PAYLOAD_SCHEMA,
-)
-from repro.engine.cache import (
-    SolveOutcome,
-    decode_outcome,
-    encode_outcome,
-)
-from repro import faults
+import sympy as sp
 
+from repro import faults
+from repro.opt.kkt import SOLVER_REVISION, ChiSolution
+
+#: the store's file name inside a ``--cache-dir``
+STORE_FILE = "solves.sqlite"
+#: version of the ``solves.payload`` JSON encoding
 _SCHEMA = 1
+#: version of the table layout, recorded in the ``meta`` table
+_DB_SCHEMA = 1
 
 #: how long a claim protects an in-flight solve before others may reclaim it
 DEFAULT_LEASE_SECONDS = 300.0
@@ -56,6 +64,75 @@ DEFAULT_LEASE_SECONDS = 300.0
 DEFAULT_POLL_SECONDS = 0.02
 #: sqlite busy handler budget (writer contention between workers)
 _BUSY_TIMEOUT_SECONDS = 10.0
+
+
+@dataclass(frozen=True)
+class SolveOutcome:
+    """Result of one canonical problem (8): a solution or a solver failure."""
+
+    solution: ChiSolution | None = None
+    error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.solution is not None
+
+
+def encode_outcome(outcome: SolveOutcome) -> str:
+    """The JSON payload of one ``solves`` row."""
+    if outcome.solution is None:
+        # Failures depend on what the solver *can* do, so they carry the
+        # solver revision; solutions are verified facts and never go stale.
+        payload = {
+            "schema": _SCHEMA,
+            "status": "error",
+            "message": outcome.error,
+            "solver_revision": SOLVER_REVISION,
+        }
+    else:
+        solution = outcome.solution
+        payload = {
+            "schema": _SCHEMA,
+            "status": "ok",
+            "chi": sp.srepr(solution.chi),
+            "tiles": {name: sp.srepr(expr) for name, expr in solution.tiles.items()},
+            "capped": list(solution.capped),
+            "pinned": list(solution.pinned),
+            "exact": bool(solution.exact),
+            "notes": list(solution.notes),
+        }
+    return json.dumps(payload)
+
+
+def decode_outcome(payload: str | None) -> SolveOutcome | None:
+    """Inverse of :func:`encode_outcome`; ``None`` for anything unusable.
+
+    Corrupt rows, other payload schemas and failures recorded by an older
+    solver revision all read as a miss: re-solving is always correct.
+    """
+    try:
+        decoded = json.loads(payload)
+        if decoded.get("schema") != _SCHEMA:
+            return None
+        if decoded["status"] == "error":
+            if decoded.get("solver_revision") != SOLVER_REVISION:
+                return None  # stale failure: a newer solver may succeed
+            return SolveOutcome(error=str(decoded["message"]))
+        return SolveOutcome(
+            solution=ChiSolution(
+                chi=sp.sympify(decoded["chi"]),
+                tiles={
+                    name: sp.sympify(expr)
+                    for name, expr in decoded["tiles"].items()
+                },
+                capped=tuple(decoded["capped"]),
+                pinned=tuple(decoded["pinned"]),
+                exact=bool(decoded["exact"]),
+                notes=tuple(decoded["notes"]),
+            )
+        )
+    except Exception:  # noqa: BLE001 - corrupt rows fall through to re-solve
+        return None
 
 
 @dataclass
@@ -155,7 +232,7 @@ class SharedSolveStore:
                 timeout=_BUSY_TIMEOUT_SECONDS,
                 isolation_level=None,  # autocommit; claims use BEGIN IMMEDIATE
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS solves ("
@@ -178,7 +255,7 @@ class SharedSolveStore:
             )
             conn.execute(
                 "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema', ?)",
-                (str(_SCHEMA),),
+                (str(_DB_SCHEMA),),
             )
             local.conn = conn
             local.pid = os.getpid()
@@ -220,7 +297,7 @@ class SharedSolveStore:
         ).fetchone()
         outcome = None
         if row is not None and row[0] == "done":
-            outcome = _decode(row[1])
+            outcome = decode_outcome(row[1])
         self._count("hits" if outcome is not None else "misses")
         return outcome
 
@@ -234,7 +311,7 @@ class SharedSolveStore:
             " ON CONFLICT(key) DO UPDATE SET state='done',"
             "  payload=excluded.payload, solved=excluded.solved,"
             "  owner=NULL, lease_until=NULL",
-            (key, json.dumps(encode_outcome(outcome)), now, now),
+            (key, encode_outcome(outcome), now, now),
         )
         self._count("stores")
 
@@ -276,7 +353,7 @@ class SharedSolveStore:
                 return "acquired", None
             state, payload, lease_until = row
             if state == "done":
-                outcome = _decode(payload)
+                outcome = decode_outcome(payload)
                 if outcome is not None:
                     conn.execute("COMMIT")
                     self._count("hits")
@@ -414,16 +491,20 @@ class SharedSolveStore:
         return int(count)
 
 
-def _decode(payload: str | None) -> SolveOutcome | None:
-    if not payload:
-        return None
-    try:
-        decoded = json.loads(payload)
-    except ValueError:
-        return None
-    if not isinstance(decoded, dict) or decoded.get("schema") != _PAYLOAD_SCHEMA:
-        return None
-    try:
-        return decode_outcome(decoded)
-    except Exception:  # noqa: BLE001 - corrupt rows fall through to re-solve
-        return None
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s file to WAL mode, waiting out other writers.
+
+    The busy handler does not cover the journal-mode switch: on a file not
+    yet in WAL mode it fails at once with ``database is locked`` while
+    another connection holds a write lock (two processes opening a fresh
+    store together), so retry for the busy budget.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_SECONDS
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(DEFAULT_POLL_SECONDS)

@@ -137,9 +137,9 @@ def run_chaos(
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
             # pre-create the store file: corrupt-at-open sites need a db
             # that exists before the daemon's boot integrity check runs
-            from repro.engine.store import SharedSolveStore
+            from repro.engine.store import STORE_FILE, SharedSolveStore
 
-            SharedSolveStore(Path(tmp) / "solves.sqlite").close()
+            SharedSolveStore(Path(tmp) / STORE_FILE).close()
             config = ServiceConfig(workers=workers, cache_dir=tmp)
             with plan_scope(plan):
                 with ServiceThread(config) as thread:

@@ -42,6 +42,8 @@ from pathlib import Path
 
 from repro.engine import program_fingerprint
 from repro.engine.cache import CacheStats
+from repro.engine.core import STAGES
+from repro.engine.store import STORE_FILE
 from repro.service.jobs import (
     DEFAULT_PRIORITY,
     DONE,
@@ -136,9 +138,9 @@ class AnalysisService:
     @property
     def store_path(self) -> Path | None:
         if self.config.cache_dir is not None:
-            return Path(self.config.cache_dir) / "solves.sqlite"
+            return Path(self.config.cache_dir) / STORE_FILE
         if self._store_dir is not None:
-            return Path(self._store_dir) / "solves.sqlite"
+            return Path(self._store_dir) / STORE_FILE
         return None
 
     async def start(self) -> None:
@@ -694,12 +696,16 @@ class AnalysisService:
         if not stats:
             return
         registry = self.metrics.registry
-        for stage, record in (stats.get("stages") or {}).items():
-            registry.inc(
-                "engine_stage_seconds_total", record["seconds"], stage=stage
-            )
-            registry.inc("engine_stages_total", record["calls"], stage=stage)
-        registry.merge_span_stats(stats.get("spans") or {})
+        spans = stats.get("spans") or {}
+        registry.merge_span_stats(spans)
+        # the engine's stage spans are its one stage clock
+        calls, seconds = spans.get("counts") or {}, spans.get("seconds") or {}
+        for stage in STAGES:
+            if calls.get(stage):
+                registry.inc(
+                    "engine_stage_seconds_total", float(seconds[stage]), stage=stage
+                )
+                registry.inc("engine_stages_total", float(calls[stage]), stage=stage)
         for field, value in (stats.get("cache") or {}).items():
             setattr(
                 self._cache_totals,

@@ -2,10 +2,11 @@
 
 :class:`ServiceMetrics` is a facade over one
 :class:`~repro.obs.metrics.MetricsRegistry` -- the same implementation that
-backs span accounting and engine stage timings.  The service hands its
-registry to the shared :class:`~repro.engine.Engine` (``registry=``), so
-engine stage counters land next to the service's own queue/latency metrics
-and one ``GET /metrics`` (JSON or Prometheus text) sees everything.
+backs span accounting.  Workers ship each job's span totals home, and the
+front-end folds them in; the engine's stage spans also become
+``engine_stage_seconds_total``/``engine_stages_total``, so engine stage
+counters land next to the service's own queue/latency metrics and one
+``GET /metrics`` (JSON or Prometheus text) sees everything.
 
 Latency percentiles are computed over a bounded reservoir of the most recent
 job wall times -- a daemon serving millions of requests must not keep every
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import time
 
-from repro.engine.diagnostics import StageRecord
 from repro.obs.metrics import MetricsRegistry, percentile
 
 __all__ = ["ServiceMetrics", "percentile"]
@@ -47,18 +47,6 @@ class ServiceMetrics:
 
     def observe_coalesced(self) -> None:
         self.registry.inc("service_jobs_coalesced_total")
-
-    def observe_stage(self, stage: StageRecord) -> None:
-        """Accumulate one engine stage into the registry.
-
-        Only for engines that do *not* share this registry -- an engine
-        constructed with ``registry=metrics.registry`` records its stages
-        itself, and wiring its ``on_stage`` here too would double-count.
-        """
-        self.registry.inc(
-            "engine_stage_seconds_total", stage.seconds, stage=stage.name
-        )
-        self.registry.inc("engine_stages_total", 1.0, stage=stage.name)
 
     def observe_finished(self, job) -> None:
         if job.finished_ok:

@@ -4,7 +4,7 @@ The PR-2 daemon ran jobs on threads inside the front-end process, so one
 slow sympy solve head-of-line-blocked everything behind the GIL.  Fleet
 shape moves the work out: the front-end forks ``workers`` processes, each
 owning a **full engine** (its own memory-tier cache, its own metrics
-registry per job), all sharing one
+registry and tracer per job), all sharing one
 :class:`~repro.engine.store.SharedSolveStore` -- so a problem solved by any
 worker is a store hit for every other, and two workers racing the same
 canonical signature coalesce on the store's claims table instead of solving
@@ -13,10 +13,10 @@ twice.
 Protocol: each worker holds one duplex :func:`multiprocessing.Pipe`.  The
 front-end sends a picklable *descriptor* (``{"kind": "kernel", ...}``) and
 receives ``{"ok", "result", "error", "error_kind", "stats"}`` back; ``None``
-asks the worker to exit.  ``stats`` carries the job's metric deltas (engine
-stages, cache/store/solver counters, span aggregates) so the front-end can
-fold fleet-wide numbers into its :class:`~repro.obs.metrics.MetricsRegistry`
-without sharing memory.
+asks the worker to exit.  ``stats`` carries the job's metric deltas (span
+aggregates, the engine's stage spans among them, and cache/store/solver
+counters) so the front-end can fold fleet-wide numbers into its
+:class:`~repro.obs.metrics.MetricsRegistry` without sharing memory.
 
 Workers are forked, not spawned: the service forks them at boot and on
 reload -- both quiescent moments -- and fork inherits the parent's warm
@@ -198,7 +198,6 @@ def _run_job(engine, store, descriptor: dict, report_cache: bool) -> dict:
     from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
-    engine.registry = registry
     cache_before = engine.cache.stats_snapshot()
     store_before = store.stats_snapshot()
     solver_before = engine.solver_stats_snapshot()
@@ -259,17 +258,6 @@ def _run_job(engine, store, descriptor: dict, report_cache: bool) -> dict:
     cache_after = engine.cache.stats_snapshot()
     store_after = store.stats_snapshot()
     stats = {
-        "stages": {
-            stage: {
-                "seconds": seconds,
-                "calls": registry.counter_by_label(
-                    "engine_stages_total", "stage"
-                ).get(stage, 0.0),
-            }
-            for stage, seconds in registry.counter_by_label(
-                "engine_stage_seconds_total", "stage"
-            ).items()
-        },
         "spans": {
             "counts": registry.span_counts(),
             "seconds": registry.counter_by_label("span_seconds_total", "name"),

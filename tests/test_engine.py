@@ -1,6 +1,7 @@
 """Staged engine: canonical signatures, memoization cache, parallel solving."""
 
 import json
+import sqlite3
 
 import pytest
 import sympy as sp
@@ -16,6 +17,7 @@ from repro.engine import (
     rename_solution,
     rename_text,
 )
+from repro.engine.store import STORE_FILE
 from repro.ir.array import Array
 from repro.ir.program import Program
 from repro.kernels.common import ref, stmt
@@ -211,19 +213,30 @@ class TestCacheCorrectness:
     def test_stale_negative_entry_resolved_by_newer_solver(self, tmp_path):
         store = SolveCache(tmp_path / "cache")
         store.put("sig", SolveOutcome(error="boundary optimum"))
-        entry = json.loads((tmp_path / "cache" / "sig.json").read_text())
-        entry["solver_revision"] = entry["solver_revision"] - 1
-        (tmp_path / "cache" / "sig.json").write_text(json.dumps(entry))
+        assert SolveCache(tmp_path / "cache").get("sig") is not None
+        with sqlite3.connect(tmp_path / "cache" / STORE_FILE) as conn:
+            (payload,) = conn.execute(
+                "SELECT payload FROM solves WHERE key='sig'"
+            ).fetchone()
+            entry = json.loads(payload)
+            entry["solver_revision"] = entry["solver_revision"] - 1
+            conn.execute(
+                "UPDATE solves SET payload=? WHERE key='sig'", (json.dumps(entry),)
+            )
         fresh = SolveCache(tmp_path / "cache")  # empty in-process tier
         assert fresh.get("sig") is None  # stale failure: treated as a miss
 
     def test_corrupt_disk_entry_falls_back_to_solve(self, tmp_path):
         cache_dir = tmp_path / "cache"
         cold = analyze_kernel("gemm", cache_dir=str(cache_dir))
-        for path in cache_dir.glob("*.json"):
-            path.write_text("{not json")
+        with sqlite3.connect(cache_dir / STORE_FILE) as conn:
+            corrupted = conn.execute(
+                "UPDATE solves SET payload='{not json' WHERE state='done'"
+            ).rowcount
+        assert corrupted > 0
         again = analyze_kernel("gemm", cache_dir=str(cache_dir))
         assert again.bound == cold.bound
+        assert again.diagnostics.cache.misses == corrupted
 
     def test_disk_roundtrip_preserves_solution(self, tmp_path):
         fused = fuse_statements(_gemm_program(("i", "j", "k")), ("C",))
@@ -284,6 +297,20 @@ class TestStageDiagnostics:
         json.dumps(payload)
         assert payload["stages"][0]["name"] == "build-sdg"
 
+    def test_raising_stage_closes_its_span_tagged_error(self):
+        from repro import faults
+        from repro.faults.plan import FaultPlan, FaultSpec
+        from repro.obs import MetricsRegistry, Tracer
+
+        plan = FaultPlan(seed=1, specs=[FaultSpec(site="solver.solve", p=1.0)])
+        tracer = Tracer(keep_spans=True, registry=MetricsRegistry())
+        with tracer, faults.plan_scope(plan), pytest.raises(faults.FaultInjected):
+            sdg_bound(_atax_program())
+        spans = {span["name"]: span for span in tracer.spans}
+        assert spans["solve"]["attrs"]["error"] == "FaultInjected"
+        assert "error" not in spans["fuse"]["attrs"]
+        assert "combine" not in spans
+
 
 class TestIoFloorEdgeCases:
     def test_no_declared_element_counts_gives_zero_floor(self):
@@ -337,6 +364,13 @@ class TestCLIPlumbing:
         assert payload["ratio"] == "1" and payload["shape_matches"] is True
         stage_names = [s["name"] for s in payload["diagnostics"]["stages"]]
         assert stage_names == ["build-sdg", "enumerate", "fuse", "solve", "combine"]
+
+    def test_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "not-a-dir"
+        path.write_text("")
+        assert main(["kernel", "gemm", "--cache-dir", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cache dir {path} exists and is not a directory\n"
 
 
 class TestLRUCap:

@@ -237,6 +237,36 @@ class TestStoreResilience:
         assert store.stats.errors > 0
         store.close()
 
+    #: the first store write fails, as a busy or sick store would
+    FAILED_PUT = {"site": "store.put", "error": "sqlite-busy", "at": (1,)}
+
+    def test_failed_put_releases_the_claim(self, tmp_path):
+        from repro.engine.cache import SolveCache, SolveOutcome
+        from repro.engine.store import SharedSolveStore
+
+        path = tmp_path / "solves.sqlite"
+        holder = SolveCache(store=SharedSolveStore(path))
+        other = SharedSolveStore(path)
+        with faults.plan_scope(_plan(self.FAILED_PUT)):
+            assert holder.store.try_claim("k") == ("acquired", None)
+            holder.put("k", SolveOutcome(error="e"))
+        assert holder.store.stats.errors == 1
+        # no other process waits out the claim's lease
+        assert other.try_claim("k") == ("acquired", None)
+
+    def test_engine_leaves_no_claim_after_failed_put(self, tmp_path):
+        from repro.analysis import analyze_kernel
+        from repro.engine import Engine, SolveCache
+        from repro.engine.store import SharedSolveStore
+
+        store = SharedSolveStore(tmp_path / "solves.sqlite")
+        engine = Engine(cache=SolveCache(store=store))
+        with faults.plan_scope(_plan(self.FAILED_PUT)):
+            result = analyze_kernel("gemm", engine=engine)
+        assert str(result.bound) == "2*N**3/sqrt(S)"
+        assert store.stats.errors == 1
+        assert store.claim_count() == 0
+
 
 class TestSharedMemoryResilience:
     def _ref(self, name="reprosoap-1-deadbeef0000"):

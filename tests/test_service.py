@@ -6,6 +6,7 @@ import pytest
 
 from repro import __version__
 from repro.analysis import analyze_kernel
+from repro.engine.core import STAGES
 from repro.reporting.serialize import kernel_report
 from repro.service import (
     AnalysisService,
@@ -243,6 +244,15 @@ class TestEndpoints:
         assert spans["counts"].get("job", 0) >= 1
         assert spans["counts"].get("engine.analyze", 0) >= 1
         assert spans["slowest"]
+
+    def test_metrics_stage_totals_are_the_stage_spans(self, client):
+        """The engine's stage spans are the service's one stage clock."""
+        client.kernel("gemm")
+        metrics = client.metrics()
+        for stage in STAGES:
+            calls = metrics["spans"]["counts"][stage]
+            assert calls >= 1
+            assert metrics["stages"][stage]["calls"] == calls
 
     def test_metrics_count_closed_forms_and_rescues(self):
         # own fleet: deriche's problems must be cold solves, not store hits

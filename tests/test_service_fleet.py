@@ -137,6 +137,18 @@ class TestWarmBoot:
                 report_cache = client.metrics()["report_cache"]
                 assert report_cache["hits"] >= len(WARM_KERNELS)
 
+    def test_daemon_serves_solves_the_cli_stored(self, tmp_path):
+        """The library and the daemon share one store under one cache dir."""
+        cache_dir = str(tmp_path / "cache")
+        direct = analyze_kernel("gemm", cache_dir=cache_dir)
+        config = ServiceConfig(workers=1, cache_dir=cache_dir)
+        with ServiceThread(config) as thread:
+            with ServiceClient(port=thread.port) as client:
+                record = client.kernel("gemm")
+                assert record.ok
+                assert record.result["ours"] == kernel_report(direct)["ours"]
+                assert client.metrics()["store"]["stores"] == 0
+
     def test_warm_state_in_healthz_while_warming(self):
         config = ServiceConfig(workers=1, warm=WARM_KERNELS)
         with ServiceThread(config) as thread:

@@ -91,6 +91,24 @@ class TestStoreBasics:
         assert store.stats.report_hits == 1
         assert store.stats.report_misses == 1
 
+    def test_fresh_store_opens_once_another_writer_commits(self, tmp_path):
+        """Switching a fresh file to WAL waits out another connection's
+        write lock instead of failing with ``database is locked``."""
+        path = tmp_path / "solves.sqlite"
+        writer = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+        writer.execute("BEGIN IMMEDIATE")
+        writer.execute("CREATE TABLE t(x)")
+        commit = threading.Timer(0.5, writer.execute, ("COMMIT",))
+        commit.start()
+        try:
+            store = SharedSolveStore(path)
+        finally:
+            commit.join(timeout=10)
+            writer.close()
+        assert not commit.is_alive()
+        store.put("sig", _outcome())
+        assert store.get("sig") is not None
+
     def test_rejects_bad_lease_and_poll(self, tmp_path):
         with pytest.raises(ValueError):
             SharedSolveStore(tmp_path / "a.sqlite", lease_seconds=0)
