@@ -75,19 +75,19 @@ def canonicalize_ir(
 ) -> CanonicalProblem:
     """Canonicalize a :class:`ProblemIR` and hash it."""
     variables = problem.variables
-    constrained = problem.constrained_columns()
-    objective_cols = _used_columns(problem.objective, len(variables))
+    objective = _incidence(problem, problem.objective)
+    constraint = _incidence(problem, problem.constraint)
     extents = problem.extents_dict()
     # Only extents of constraint-uncapped objective variables influence the
     # solution (the solver substitutes them); restricting the signature to
     # those maximizes sharing between kernels with different loop bounds.
     relevant: dict[int, str] = {}
     for idx, name in enumerate(variables):
-        if objective_cols[idx] and not constrained[idx]:
+        if objective[idx] and not constraint[idx]:
             value = extents.get(name)
             relevant[idx] = sp.srepr(value) if value is not None else "-"
 
-    ranks = _stable_ranks(problem, relevant)
+    ranks = _stable_ranks(objective, constraint, relevant)
     ordered = sorted(range(len(variables)), key=lambda idx: (ranks[idx], idx))
     rename = {variables[idx]: f"c{pos}" for pos, idx in enumerate(ordered)}
     inverse = {canonical: original for original, canonical in rename.items()}
@@ -194,36 +194,42 @@ def rename_text(text: str, inverse: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _used_columns(terms: tuple[TermIR, ...], n_cols: int) -> tuple[bool, ...]:
-    flags = [False] * n_cols
+def _incidence(problem: ProblemIR, terms: tuple[TermIR, ...]) -> list[list[tuple]]:
+    """Per column, ``(coefficient key, exponent, row)`` of every term using it.
+
+    ``row`` holds the term's non-zero ``(column, exponent)`` pairs, read once
+    per problem instead of once per column and refinement round.
+    """
+    by_col: list[list[tuple]] = [[] for _ in problem.variables]
     for term in terms:
-        for idx, exp in enumerate(term.exponents):
-            if exp != 0:
-                flags[idx] = True
-    return tuple(flags)
+        row = tuple((idx, e) for idx, e in enumerate(term.exponents) if e != 0)
+        key = problem.coeff_keys[term.coeff]
+        for idx, e in row:
+            by_col[idx].append((key, e, row))
+    return by_col
 
 
-def _local_profile(problem: ProblemIR, col: int, terms: tuple[TermIR, ...]) -> tuple:
-    """Name-free view of how variable ``col`` participates in ``terms``."""
-    rows = []
-    for term in terms:
-        exponent = term.exponents[col]
-        if exponent == 0:
-            continue
-        others = tuple(
-            sorted(e for idx, e in enumerate(term.exponents) if idx != col and e != 0)
+def _local_profile(entries: list[tuple], col: int) -> tuple:
+    """Name-free view of how variable ``col`` participates in its terms."""
+    return tuple(
+        sorted(
+            (key, exponent, tuple(sorted(e for idx, e in row if idx != col)))
+            for key, exponent, row in entries
         )
-        rows.append((problem.coeff_keys[term.coeff], exponent, others))
-    return tuple(sorted(rows))
+    )
 
 
-def _stable_ranks(problem: ProblemIR, extent_keys: dict[int, str]) -> list[int]:
+def _stable_ranks(
+    objective: list[list[tuple]],
+    constraint: list[list[tuple]],
+    extent_keys: dict[int, str],
+) -> list[int]:
     """Rank variables by structure, WL-refined to a fixpoint."""
-    n = len(problem.variables)
+    n = len(objective)
     fingerprints: list[object] = [
         (
-            _local_profile(problem, col, problem.objective),
-            _local_profile(problem, col, problem.constraint),
+            _local_profile(objective[col], col),
+            _local_profile(constraint[col], col),
             extent_keys.get(col, "-"),
         )
         for col in range(n)
@@ -233,8 +239,8 @@ def _stable_ranks(problem: ProblemIR, extent_keys: dict[int, str]) -> list[int]:
         refined: list[object] = [
             (
                 ranks[col],
-                _rank_context(problem.objective, col, ranks),
-                _rank_context(problem.constraint, col, ranks),
+                _rank_context(objective[col], col, ranks),
+                _rank_context(constraint[col], col, ranks),
             )
             for col in range(n)
         ]
@@ -245,27 +251,22 @@ def _stable_ranks(problem: ProblemIR, extent_keys: dict[int, str]) -> list[int]:
     return ranks
 
 
-def _rank_context(
-    terms: tuple[TermIR, ...], col: int, ranks: list[int]
-) -> tuple:
-    rows = []
-    for term in terms:
-        exponent = term.exponents[col]
-        if exponent == 0:
-            continue
-        neighbours = sorted(
-            (ranks[idx], e)
-            for idx, e in enumerate(term.exponents)
-            if idx != col and e != 0
+def _rank_context(entries: list[tuple], col: int, ranks: list[int]) -> tuple:
+    return tuple(
+        sorted(
+            (
+                exponent,
+                tuple(sorted((ranks[idx], e) for idx, e in row if idx != col)),
+            )
+            for _, exponent, row in entries
         )
-        rows.append((exponent, tuple(neighbours)))
-    return tuple(sorted(rows))
+    )
 
 
 def _dense_ranks(fingerprints: list[object]) -> list[int]:
-    ordered = sorted(set(map(repr, fingerprints)))
-    index = {fp: rank for rank, fp in enumerate(ordered)}
-    return [index[repr(fp)] for fp in fingerprints]
+    keys = [repr(fp) for fp in fingerprints]
+    index = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [index[key] for key in keys]
 
 
 def _rows_key(problem: ProblemIR, terms: tuple[TermIR, ...]) -> list:

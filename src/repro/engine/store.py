@@ -44,6 +44,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import sympy as sp
@@ -120,9 +121,9 @@ def decode_outcome(payload: str | None) -> SolveOutcome | None:
             return SolveOutcome(error=str(decoded["message"]))
         return SolveOutcome(
             solution=ChiSolution(
-                chi=sp.sympify(decoded["chi"]),
+                chi=_parse_srepr(decoded["chi"]),
                 tiles={
-                    name: sp.sympify(expr)
+                    name: _parse_srepr(expr)
                     for name, expr in decoded["tiles"].items()
                 },
                 capped=tuple(decoded["capped"]),
@@ -133,6 +134,12 @@ def decode_outcome(payload: str | None) -> SolveOutcome | None:
         )
     except Exception:  # noqa: BLE001 - corrupt rows fall through to re-solve
         return None
+
+
+@lru_cache(maxsize=4096)
+def _parse_srepr(text: str) -> sp.Expr:
+    """``sp.sympify`` of one stored ``srepr``; rows repeat their expressions."""
+    return sp.sympify(text)
 
 
 @dataclass

@@ -37,6 +37,8 @@ import sympy as sp
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import tile, tile_name
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class TermIR:
@@ -102,8 +104,11 @@ class ProblemIR:
         def rows(posy: Posynomial) -> tuple[TermIR, ...]:
             built = []
             for term in posy.terms:
+                powers = dict(term.powers)
                 exponents = tuple(
-                    Fraction(int(term.exponent(sym).p), int(term.exponent(sym).q))
+                    Fraction(int(powers[sym].p), int(powers[sym].q))
+                    if sym in powers
+                    else _ZERO
                     for sym in symbols
                 )
                 built.append(TermIR(intern(sp.sympify(term.coeff)), exponents))

@@ -21,6 +21,7 @@ retained in ``rho_exact`` for small-S evaluation (pebbling validation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import sympy as sp
 
@@ -50,11 +51,36 @@ class IntensityResult:
 
 
 def intensity_from_chi(solution: ChiSolution) -> IntensityResult:
-    """Minimize ``chi(X)/(X-S)`` over ``X > S``."""
-    chi = sp.expand(solution.chi)
+    """Minimize ``chi(X)/(X-S)`` over ``X > S``.
+
+    The derivation reads only ``solution.chi`` and is memoized on it; every
+    call still returns a fresh result carrying the caller's own solution
+    and notes.
+    """
+    chi, rho, rho_exact, x0, alpha, note = _intensity_of_chi(solution.chi)
+    notes = tuple(solution.notes) + ((note,) if note else ())
+    return IntensityResult(
+        rho=rho,
+        rho_exact=rho_exact,
+        x0=x0,
+        chi=chi,
+        alpha=alpha,
+        chi_solution=solution,
+        notes=notes,
+    )
+
+
+@lru_cache(maxsize=4096)
+def _intensity_of_chi(chi: sp.Expr) -> tuple:
+    """``(chi, rho, rho_exact, x0, alpha, note)`` of one ``chi(X)``.
+
+    ``note`` is the ``alpha == 1`` remark, or ``None``.  A sublinear ``chi``
+    raises on every call (``lru_cache`` does not keep exceptions).
+    """
+    chi = sp.expand(chi)
     lead = leading_in_x(chi)
     alpha = degree_in_x(lead)
-    notes = list(solution.notes)
+    note = None
 
     if alpha < 1:
         raise SolverError(
@@ -67,26 +93,19 @@ def intensity_from_chi(solution: ChiSolution) -> IntensityResult:
         rho = sp.simplify(coeff)
         rho_exact = rho
         x0 = sp.oo
-        notes.append("alpha == 1: intensity approached as X -> oo")
+        note = "alpha == 1: intensity approached as X -> oo"
     else:
         x0 = sp.nsimplify(alpha / (alpha - 1)) * S_SYM
         rho_exact = sp.simplify(chi.subs(X_SYM, x0) / (x0 - S_SYM))
         rho = leading_term(rho_exact)
-    return IntensityResult(
-        rho=sp.simplify(rho),
-        rho_exact=rho_exact,
-        x0=x0,
-        chi=chi,
-        alpha=sp.Rational(alpha),
-        chi_solution=solution,
-        notes=tuple(notes),
-    )
+    return chi, sp.simplify(rho), rho_exact, x0, sp.Rational(alpha), note
 
 
 _LARGE_S = sp.Integer(2) ** 40
 _LARGE_PARAM = sp.Integer(10) ** 9
 
 
+@lru_cache(maxsize=4096)
 def compare_intensity(a: sp.Expr, b: sp.Expr) -> int:
     """Order two intensities for large ``S`` (and large parameters).
 

@@ -119,9 +119,10 @@ class AnalysisService:
         self._deadline_totals: dict[str, int] = {}
         self._requeued_jobs = 0
         self._shm_orphans_swept = 0
-        # Fingerprinting (submission path) gets its own small pool so busy
-        # workers cannot stall new submissions or the event loop; pipe I/O
-        # gets one thread per worker so dispatchers never queue on threads.
+        # Parsing and fingerprinting (submission path) get their own small
+        # pool so busy workers cannot stall new submissions or the event
+        # loop; pipe I/O gets one thread per worker so dispatchers never
+        # queue on threads.
         self._prep_pool = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="soap-service-prep"
         )
@@ -325,35 +326,39 @@ class AnalysisService:
         an isomorphic in-flight request (renamed loop variables, reordered
         statements) attaches to the running computation and receives its
         payload verbatim -- including the original submitter's ``program``
-        name field.  Fingerprinting is sympy work, so it runs on a dedicated
-        prep pool: the event loop stays responsive and busy analysis workers
-        cannot delay new submissions.  The fingerprint also keys the store's
-        report-artifact cache, so isomorphic *repeat* requests are served
-        without re-analysis even across daemon restarts.
+        name field.  Parsing and fingerprinting (sympy work) run on a
+        dedicated prep pool: the event loop stays responsive and busy
+        analysis workers cannot delay new submissions.  The fingerprint also
+        keys the store's report-artifact cache, so isomorphic *repeat*
+        requests are served without re-analysis even across daemon restarts.
         """
-        from repro.frontend.python_frontend import parse_python
         from repro.sdg.subgraphs import DEFAULT_MAX_SIZE
 
         if max_subgraph_size is None:
             max_subgraph_size = DEFAULT_MAX_SIZE
-        if language == "python":
-            program = parse_python(source, name=name)
-        elif language == "c":
-            from repro.frontend.c_frontend import parse_c
-
-            program = parse_c(source, name=name)
-        else:
+        if language not in ("python", "c"):
             raise ValueError(f"unknown language {language!r}")
-        loop = asyncio.get_running_loop()
-        fingerprint = await loop.run_in_executor(
-            self._prep_pool,
-            lambda: program_fingerprint(
+
+        def fingerprint_source() -> str:
+            if language == "python":
+                from repro.frontend.python_frontend import parse_python
+
+                program = parse_python(source, name=name)
+            else:
+                from repro.frontend.c_frontend import parse_c
+
+                program = parse_c(source, name=name)
+            return program_fingerprint(
                 program,
                 policy=policy,
                 max_subgraph_size=max_subgraph_size,
                 allow_pinning=allow_pinning,
                 solver=self.config.solver,
-            ),
+            )
+
+        loop = asyncio.get_running_loop()
+        fingerprint = await loop.run_in_executor(
+            self._prep_pool, fingerprint_source
         )
         return self._submit(
             kind="analyze",

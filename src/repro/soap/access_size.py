@@ -41,11 +41,12 @@ Three structural subtleties, all needed for soundness:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import sympy as sp
 
-from repro.soap.classify import OverlapPolicy, SimpleOverlapGroup
+from repro.soap.classify import DimIndex, OverlapPolicy, SimpleOverlapGroup
 from repro.symbolic.posynomial import Posynomial
 from repro.symbolic.symbols import is_version_var, tile, version_components
 
@@ -116,7 +117,20 @@ def access_size_leading(group: SimpleOverlapGroup) -> Posynomial:
     optimization problem (8); lower-order terms perturb ``chi(X)`` below
     leading order.  For an input/output stencil group the leading part is the
     *surface* posynomial ``sum_i |t̂_i| * prod_{k != i} |D_k|``.
+
+    Memoized on ``(group.dims, group.includes_output)``, the only fields it
+    reads; the returned posynomial is immutable.
     """
+    return _access_size_leading(group.dims, group.includes_output)
+
+
+@lru_cache(maxsize=4096)
+def _access_size_leading(
+    dims: tuple[DimIndex, ...], includes_output: bool
+) -> Posynomial:
+    group = SimpleOverlapGroup(
+        array="", dims=dims, components=(), includes_output=includes_output
+    )
     expr = access_size(group)
     variables = [tile(v) for v in group.variables]
     posy = Posynomial.from_expr(expr, variables)

@@ -14,6 +14,7 @@ The convention implemented here mirrors the paper's presentation:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import sympy as sp
@@ -68,7 +69,14 @@ def leading_term(expr: sp.Expr, large: Iterable[sp.Symbol] = ()) -> sp.Expr:
     Incomparable terms both survive: bounds over incomparable parameters
     (e.g. BERT's ``4BHPL^2 + 8BH^2P^2L``) keep their full sum, exactly as
     the paper's Table 2 reports them.
+
+    Memoized on ``(expr, tuple(large))``.
     """
+    return _leading_term(expr, tuple(large))
+
+
+@lru_cache(maxsize=4096)
+def _leading_term(expr: sp.Expr, large: tuple[sp.Symbol, ...]) -> sp.Expr:
     expanded = sp.expand(sp.radsimp(sp.together(sp.expand(expr))))
     if expanded.func is not sp.Add:
         return sp.nsimplify(sp.simplify(expr))

@@ -84,6 +84,11 @@ class Monomial:
         return str(self.expr)
 
 
+def _simplified(coeff: sp.Expr) -> sp.Expr:
+    """``sp.simplify(coeff)``, skipped for numbers (which it returns as is)."""
+    return coeff if coeff.is_Number else sp.simplify(coeff)
+
+
 class Posynomial:
     """An ordered sum of :class:`Monomial` terms over shared variables."""
 
@@ -96,7 +101,7 @@ class Posynomial:
             else:
                 merged[key] = term
         self._terms: tuple[Monomial, ...] = tuple(
-            t for t in merged.values() if sp.simplify(t.coeff) != 0
+            t for t in merged.values() if _simplified(t.coeff) != 0
         )
 
     @property
@@ -161,7 +166,7 @@ class Posynomial:
 
     def is_positive(self) -> bool:
         """True if every coefficient is (provably) positive."""
-        return all(sp.simplify(t.coeff).is_positive for t in self._terms)
+        return all(_simplified(t.coeff).is_positive for t in self._terms)
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same monomials with equal coefficients.

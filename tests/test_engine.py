@@ -1,5 +1,6 @@
 """Staged engine: canonical signatures, memoization cache, parallel solving."""
 
+import hashlib
 import json
 import sqlite3
 
@@ -17,19 +18,30 @@ from repro.engine import (
     rename_solution,
     rename_text,
 )
+from repro.engine.signature import canonicalize_ir
 from repro.engine.store import STORE_FILE
 from repro.ir.array import Array
 from repro.ir.program import Program
+from repro.kernels import get_kernel, kernel_names
 from repro.kernels.common import ref, stmt
 from repro.opt.kkt import ChiSolution
 from repro.sdg.bounds import io_footprint_floor, sdg_bound
+from repro.sdg.graph import SDG
 from repro.sdg.merge import fuse_statements
+from repro.sdg.subgraphs import enumerate_subgraphs
 from repro.symbolic.symbols import X_SYM
+from repro.util.errors import SolverError
 
 N = sp.Symbol("N", positive=True)
 M = sp.Symbol("M", positive=True)
 
 CACHE_KERNELS = ["gemm", "atax", "bicg", "mvt", "trisolv"]
+
+#: sha256 of the sorted ``[kernel, subset, signature, sorted rename]`` rows of
+#: every fused corpus subgraph (357 rows, 193 distinct signatures)
+CORPUS_SIGNATURE_DIGEST = (
+    "5c5d1ce34db82687cbf8adf94de4f63d7f1ed6c3be133e9ea38eb1bce17d2af6"
+)
 
 
 def _gemm_program(vars3, name="p"):
@@ -167,6 +179,38 @@ class TestCanonicalSignature:
         assert renamed.tiles == {"i": sp.sqrt(X_SYM), "j": sp.Integer(1)}
         assert renamed.capped == ("i",) and renamed.pinned == ("j",)
         assert renamed.chi == X_SYM
+
+    def test_corpus_signatures_are_pinned(self):
+        """Signatures and renames are the store's keys and decide which
+        canonical problem the solver sees: every corpus (kernel, subset) row
+        under its Table 2 options hashes to the same digest, whatever
+        ``PYTHONHASHSEED`` is."""
+        rows = []
+        for name in kernel_names():
+            spec = get_kernel(name)
+            program = spec.build()
+            sharing = SDG.from_program(program).sharing_graph()
+            for subset in enumerate_subgraphs(sharing, max_size=spec.max_subgraph_size):
+                try:
+                    fused = fuse_statements(program, subset, policy=spec.policy)
+                except SolverError:
+                    continue
+                canonical = canonicalize_ir(
+                    fused.problem,
+                    allow_pinning=spec.allow_pinning,
+                    allow_caps=spec.allow_pinning,
+                )
+                rows.append([
+                    name,
+                    list(subset),
+                    canonical.signature,
+                    sorted(canonical.rename.items()),
+                ])
+        rows.sort()
+        assert len(rows) == 357
+        assert len({row[2] for row in rows}) == 193
+        digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+        assert digest == CORPUS_SIGNATURE_DIGEST
 
 
 class TestCacheCorrectness:

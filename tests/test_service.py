@@ -1,6 +1,7 @@
 """Analysis service: HTTP API, priority queue, request coalescing, metrics."""
 
 import threading
+import time
 
 import pytest
 
@@ -184,6 +185,38 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as exc:
             client.analyze("for i in range(N:\n    pass\n")
         assert exc.value.status == 400
+
+    def test_parsing_does_not_block_the_event_loop(self, daemon, monkeypatch):
+        """A slow parse runs on the prep pool: health checks still answer."""
+        import repro.frontend.python_frontend as frontend
+
+        parse = frontend.parse_python
+        parsing = threading.Event()
+
+        def slow_parse(*args, **kwargs):
+            parsing.set()
+            time.sleep(0.5)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(frontend, "parse_python", slow_parse)
+        records = []
+
+        def submit():
+            with ServiceClient(port=daemon.port) as c:
+                records.append(c.analyze(GEMM_SRC, name="slow-parse"))
+
+        submitter = threading.Thread(target=submit)
+        submitter.start()
+        try:
+            assert parsing.wait(timeout=30)
+            with ServiceClient(port=daemon.port) as c:
+                start = time.perf_counter()
+                assert c.healthz().status == "ok"
+                elapsed = time.perf_counter() - start
+        finally:
+            submitter.join(timeout=300)
+        assert elapsed < 0.25, f"/healthz waited {elapsed:.3f}s behind a parse"
+        assert records and records[0].ok
 
     def test_missing_field_is_400(self, client):
         with pytest.raises(ServiceError) as exc:
