@@ -5,13 +5,14 @@ Every backend consumes the same backend-neutral
 :class:`~repro.opt.kkt.ChiSolution`, so the engine, the cache, and the
 benchmarks can swap solving strategies without touching the pipeline:
 
-* ``exact`` -- the numerically-guided symbolic KKT solver
-  (:mod:`repro.opt.kkt`), rehosted on ProblemIR.  Full symbolic
-  verification; the reference backend.
-* ``numeric-first`` -- warm-started scipy probe plus exact KKT linear
-  algebra over :class:`fractions.Fraction`, verified numerically; the
-  expensive sympy verification and tile closed forms are deferred.  Falls
-  back to ``exact`` per problem whenever a fast-path check fails.
+* ``exact`` -- the numerically guided KKT solver (:mod:`repro.opt.kkt`),
+  rehosted on ProblemIR: one scipy probe, then an exact reconstruction over
+  :class:`fractions.Fraction` with exact verification and tile closed
+  forms; the reference backend.
+* ``numeric-first`` -- warm-started scipy probe plus the KKT linear algebra
+  over :class:`fractions.Fraction`, verified numerically; tile closed forms
+  are deferred.  Falls back to ``exact`` per problem whenever a fast-path
+  check fails.
 * ``cross-check`` -- runs both and raises unless they agree on the
   leading-order ``chi`` (hence on the leading-order intensity ``rho``).
 

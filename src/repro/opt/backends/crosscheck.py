@@ -12,9 +12,9 @@ simplification), so only the leading term is compared, semantically
 sweep can assert there were none.
 
 When exactly one backend solves a problem the two backends differ in
-**coverage**, not in any computed intensity: the numeric-first rational
-reconstruction and the sympy reconstruction have slightly different reach
-on degenerate boundary optima.  Coverage differences are *reported* (tagged
+**coverage**, not in any computed intensity: the two reconstructions have
+slightly different reach on degenerate boundary optima (numeric-first drops
+an active term whose dual solves to 0, exact rejects the point).  Coverage differences are *reported* (tagged
 ``cross-check coverage`` in the returned notes/error and counted by the
 engine) but are not mismatches -- there are no two rho values to disagree.
 In every case the **exact** backend's outcome is what cross-check returns,

@@ -1,9 +1,11 @@
-"""The reference backend: the numerically-guided symbolic KKT solver.
+"""The reference backend: the numerically guided exact KKT solver.
 
 A thin rehosting of :func:`repro.opt.kkt.solve_chi` on
-:class:`~repro.opt.problem.ProblemIR`: the IR's posynomial views are exactly
-the inputs the solver always took, so the behaviour (and every verified
-closed form) is unchanged.
+:class:`~repro.opt.problem.ProblemIR`.  One SLSQP probe picks the active set;
+the stationarity system, the ``mu`` decompositions, the softmax and
+saturation checks and the tile system are then solved and decided exactly
+over :class:`fractions.Fraction`, and sympy is built only for an accepted
+``chi`` and its tile closed forms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from repro.opt.problem import ProblemIR
 
 @register_backend
 class ExactBackend(SolverBackend):
-    """Full symbolic reconstruction with exact verification."""
+    """Rational KKT reconstruction with exact verification and tile closed forms."""
 
     name = "exact"
 

@@ -1,10 +1,11 @@
 """The numeric-first backend: rational KKT algebra on a warm-started probe.
 
-Profiling the exact backend shows the cold-solve cost is **not** scipy: it
-is the symbolic reconstruction -- ``sympy.linsolve`` over symbolic unknowns,
-``simplify``/``powsimp`` verification, and closed-form tile recovery.  This
-backend keeps the same mathematical derivation but replaces every symbolic
-step that admits an exact rational counterpart:
+The exact backend also reconstructs over :class:`fractions.Fraction`, so
+what this backend saves is probe time: a warm-started SLSQP call instead of
+the reference restart schedule, numeric verification, and no tile closed
+forms.  Cold over the full Table 2 suite it took 6.0 CPU-s against exact's
+7.4 (1.23x, ``benchmarks/bench_solver.py`` on a 2-vCPU Xeon; 1.73x while
+exact still rebuilt each answer with sympy).  The steps:
 
 0. the bandwidth-bound class (the objective monomial is the dominant
    constraint term) is answered in closed form before any probe, exactly
@@ -23,8 +24,7 @@ step that admits an exact rational counterpart:
    probe point) plus an exact rational consistency check of the tile
    system's left-nullspace -- the condition that makes ``chi`` independent
    of the particular ``mu`` chosen.  Exact **tile closed forms are
-   deferred**: they need symbolic logs and nothing downstream of the bound
-   needs them.
+   deferred**: nothing downstream of the bound needs them.
 
 Any failed check falls back to the exact backend for that problem, so the
 fast path can be aggressive without risking a wrong (or missing) bound.

@@ -24,12 +24,20 @@ consistent ``log(m_r/k_r)`` lies in the row space of ``e``.
 
 The solver is *numerically guided*: a scipy solve of the same program (at a
 large concrete ``X``, :mod:`repro.opt.numeric`) identifies the active
-constraint terms, the surviving objective monomials, and any variables pinned
-at their lower bound ``b=1``; the linear algebra is then done exactly over
-the rationals and verified by substitution (``w_p * chi == u_p`` and, when
-all tiles have closed forms, constraint == X at leading order).  When exact
-reconstruction fails, a rational-exponent fit of the numeric solution is
-returned with ``exact=False`` (re-verified at an independent ``X``).
+constraint terms, the surviving objective monomials, any variables pinned at
+their lower bound ``b=1``, and the weights that fix the free unknowns of an
+underdetermined (*).  The reconstruction after the probe is exact and builds
+no sympy until it has decided: (*) and each ``mu`` decomposition are solved
+over :class:`~fractions.Fraction` (:func:`repro.opt.problem.solve_rational`);
+every value is a log-vector over generators -- ``X``, the integers of
+``q_r/k_r`` and any non-numeric coefficient factor such as a capped extent
+``N`` -- so the checks ``w_p * chi == u_p`` and (when all tiles have closed
+forms) constraint == X at leading order compare rationals class by class,
+and the tile system ``<e_r, log b> = log(m_r/k_r)`` is one row reduction
+with a column per generator.  Sympy is built once, for an accepted ``chi``
+and its tiles.  When exact reconstruction fails, a rational-exponent fit of
+the numeric solution is returned with ``exact=False`` (re-verified at an
+independent ``X``).
 
 One class needs no probe at all: when the objective monomial is itself a
 constraint term that dominates every other one, ``chi = (c/k)*X`` in closed
@@ -41,6 +49,7 @@ dominator budget and are capped at their full loop extents beforehand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +58,7 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from repro.opt.numeric import NumericSolution, solve_numeric
-from repro.opt.problem import ProblemIR
+from repro.opt.problem import ProblemIR, _row_reduce, rationalize, solve_rational
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import X_SYM, tile, tile_name
 from repro.util.errors import SolverError
@@ -63,6 +72,7 @@ SOLVER_REVISION = 3
 _PIN_TOLERANCE = 1.2  #: numeric tile value below this counts as pinned to 1
 _OBJ_TOLERANCE = 1e-3  #: objective weight below this counts as negligible
 _PROBE_X = 1.0e9
+_ZERO = Fraction(0)
 
 #: note carried by every solution :func:`bandwidth_bound_chi` produced
 CLOSED_FORM_NOTE = "closed form: objective monomial is the dominant constraint term"
@@ -217,9 +227,7 @@ def solve_chi(
         for name in capped:
             tiles[name] = sp.sympify(extents[name])
         notes.append(f"degenerate boundary point at {pinned}; interior optimum used")
-        return ChiSolution(
-            sp.simplify(interior.chi), tiles, tuple(capped), (), True, tuple(notes)
-        )
+        return ChiSolution(interior.chi, tiles, tuple(capped), (), True, tuple(notes))
 
     part: _PartSolution | None = None
     try:
@@ -239,7 +247,7 @@ def solve_chi(
     for name in capped:
         tiles[name] = sp.sympify(extents[name])
     return ChiSolution(
-        sp.simplify(part.chi),
+        part.chi,
         tiles,
         tuple(capped),
         part.pinned,
@@ -321,14 +329,6 @@ def _substituted(posy: Posynomial, subs: Mapping[sp.Symbol, sp.Expr]) -> Posynom
     )
 
 
-def _fold_pinned(terms: Sequence[Monomial], pinned_syms: set) -> list[Monomial]:
-    folded = []
-    for term in terms:
-        powers = {v: e for v, e in term.powers if v not in pinned_syms}
-        folded.append(Monomial.make(term.coeff, powers))
-    return folded
-
-
 def _exact_from_guidance(
     objective: Posynomial,
     constraint: Posynomial,
@@ -336,6 +336,12 @@ def _exact_from_guidance(
     pinned: Sequence[str],
     param_subs: Mapping[sp.Symbol, sp.Expr] | None = None,
 ) -> _PartSolution | None:
+    """Rebuild the optimum the probe found, exactly; ``None`` when it fails.
+
+    Every decision is taken over :class:`~fractions.Fraction` and log-vectors
+    (see the section after this function); sympy is built once, for an
+    accepted ``chi`` and its tiles.
+    """
     pinned_syms = {tile(name) for name in pinned}
     param_subs = dict(param_subs or {})
 
@@ -360,151 +366,256 @@ def _exact_from_guidance(
     if not live_monos:
         return None
 
-    reduced_obj = _fold_pinned(live_monos, pinned_syms)
-    reduced_con = _fold_pinned(active_terms, pinned_syms)
+    # Pinned tiles sit at 1 and drop out of every row.
     free_vars = sorted(
-        {v for t in reduced_con for v in t.variables()}
-        | {v for t in reduced_obj for v in t.variables()},
+        {v for t in live_monos + active_terms for v in t.variables()} - pinned_syms,
         key=lambda s: s.name,
     )
     if not free_vars:
         return None
+    obj_rows = [_exponent_row(t, free_vars) for t in live_monos]
+    con_rows = [_exponent_row(t, free_vars) for t in active_terms]
 
     # Joint stationarity system over (w_p, y_r):
     #   per variable t:  sum_p a_pt w_p - sum_r e_rt y_r = 0
     #   normalization:   sum_p w_p = 1
-    n_obj, n_con = len(reduced_obj), len(reduced_con)
-    rows = []
-    rhs = []
-    for v in free_vars:
-        rows.append(
-            [t.exponent(v) for t in reduced_obj] + [-t.exponent(v) for t in reduced_con]
-        )
-        rhs.append(sp.Integer(0))
-    rows.append([sp.Integer(1)] * n_obj + [sp.Integer(0)] * n_con)
-    rhs.append(sp.Integer(1))
-    matrix = sp.Matrix(rows)
-    target = sp.Matrix(rhs)
-    hints = list(live_hints) + list(active_hints)
-    wy = _solve_linear_with_hint(matrix, target, hints)
-    if wy is None:
+    # Free unknowns (non-pivot columns, pivots taken left to right) come from
+    # the probe's weights, rationalized to denominators <= 1000.
+    n_obj, n_vars = len(obj_rows), len(free_vars)
+    system = [
+        [row[i] for row in obj_rows] + [-row[i] for row in con_rows]
+        for i in range(n_vars)
+    ]
+    system.append([Fraction(1)] * n_obj + [_ZERO] * len(con_rows))
+    rhs = [_ZERO] * n_vars + [Fraction(1)]
+    wy = solve_rational(system, rhs, [rationalize(h) for h in live_hints + active_hints])
+    if wy is None or any(value <= 0 for value in wy):
         return None
-    w = wy[:n_obj]
-    y = wy[n_obj:]
-    if any(sp.simplify(val).is_positive is not True for val in w + y):
-        return None
+    w, y = wy[:n_obj], wy[n_obj:]
 
-    total_y = sum(y, sp.Integer(0))
-    m_values = [sp.nsimplify(val / total_y) * X_SYM for val in y]
+    # m_r / k_r with m_r = q_r * X, q_r = y_r / sum(y)
+    total_y = sum(y)
+    m_over_k = [
+        sp.Rational(value / total_y) * X_SYM / term.coeff
+        for value, term in zip(y, active_terms)
+    ]
+    ratios = [_log_terms(value) for value in m_over_k]
 
-    # u_p = c_p * prod_r (m_r/k_r)^{mu_r}  with  sum_r mu_r e_r = a_p.
-    e_matrix = sp.Matrix([[t.exponent(v) for t in reduced_con] for v in free_vars])
-    u_values: list[sp.Expr] = []
-    for mono in reduced_obj:
-        a_vec = sp.Matrix([mono.exponent(v) for v in free_vars])
-        mu = _solve_linear_with_hint(e_matrix, a_vec, None)
+    # u_p = c_p * prod_r (m_r/k_r)^{mu_r}  with  sum_r mu_r e_r = a_p  (free
+    # mu_r = 1/2).
+    e_rows = [[row[i] for row in con_rows] for i in range(n_vars)]
+    halves = [Fraction(1, 2)] * len(con_rows)
+    mus = []
+    u_parts = []
+    for row, mono in zip(obj_rows, live_monos):
+        mu = solve_rational(e_rows, row, halves)
         if mu is None:
             return None
-        u = mono.coeff
-        for m_val, term, mu_r in zip(m_values, reduced_con, mu):
-            if mu_r != 0:
-                u *= (m_val / term.coeff) ** mu_r
-        u_values.append(sp.powsimp(sp.simplify(u), force=True))
-    chi = sp.powsimp(sp.simplify(sp.Add(*u_values)), force=True)
+        mus.append(mu)
+        u_parts.append(_split(_combine(_log_terms(mono.coeff), *zip(ratios, mu))))
 
-    # Cross-check the softmax identity w_p * chi == u_p.
-    for w_p, u_p in zip(w, u_values):
-        if sp.simplify(w_p * chi - u_p) != 0:
-            return None
+    # Softmax identity w_p * chi == u_p: with every w_p rational, all u_p
+    # share one class and their rational parts are the w_p shares.
+    if len({cls for _, cls in u_parts}) != 1:
+        return None
+    total_u = sum(part for part, _ in u_parts)
+    if any(part != w_p * total_u for (part, _), w_p in zip(u_parts, w)):
+        return None
 
-    tiles = _recover_tiles(free_vars, reduced_con, m_values)
-    if tiles is None:
+    logs = _recover_tile_logs(con_rows, ratios)
+    if logs is None:
         # The chosen stationarity solution does not correspond to any tile
         # assignment (inconsistent log-linear system): reject -- accepting it
         # would report a chi no feasible point attains.
         return None
+    tile_logs = {tile_name(v): log for v, log in zip(free_vars, logs) if log is not None}
     for name in pinned:
-        tiles[name] = sp.Integer(1)
+        tile_logs[name] = {}
 
     # When every tile has a closed form, verify the constraint saturates X at
     # leading order.
-    if all(tile_name(v) in tiles for v in free_vars):
-        subs = {tile(n): e for n, e in tiles.items()}
-        lhs = leading_in_x(sp.expand(sp.powsimp(constraint.expr.subs(subs), force=True)))
-        if sp.simplify(lhs - X_SYM) != 0:
-            return None
+    if all(tile_name(v) in tile_logs for v in free_vars) and not _saturates(
+        constraint, tile_logs
+    ):
+        return None
+
+    # Build sympy along the products the algebra above names: sympy's radical
+    # form depends on the factorization it is handed (``2**(1/7)*5**(2/7)``
+    # and ``50**(1/7)`` are both left as they are).
+    u_values = []
+    for mono, mu in zip(live_monos, mus):
+        u = mono.coeff
+        for ratio, mu_r in zip(m_over_k, mu):
+            if mu_r:
+                u *= ratio ** sp.Rational(mu_r)
+        u_values.append(u)
+    chi = sp.Add(*u_values)
+    if chi.free_symbols - {X_SYM}:
+        # A symbolic coefficient (capped extents merged into a sum) takes the
+        # form sympy's simplify gives it: simplify factors such sums
+        # (10*N**2 + 5 -> 5*(2*N**2 + 1)) by rules no cheaper call repeats.
+        chi = sp.simplify(chi)
+    tiles = {name: _exp_of(log) for name, log in tile_logs.items()}
     return _PartSolution(chi, tiles, tuple(pinned), True)
 
 
-def _solve_linear_with_hint(
-    matrix: sp.Matrix,
-    rhs: sp.Matrix,
-    hint: Sequence[float] | None,
-) -> list[sp.Expr] | None:
-    """Solve ``matrix * v = rhs`` exactly over the rationals.
+# ---------------------------------------------------------------------------
+# exact values as log-vectors
+# ---------------------------------------------------------------------------
+#
+# A positive value is held as its logarithm the way sympy expands it,
+# ``{generator: coefficient}`` (:func:`_log_terms`).  A generator is an int
+# (the perfect-power root of an integer sympy keeps apart) or a sympy base:
+# ``X``, a capped extent ``N``, a merged sum of extents.  Products add
+# vectors and powers scale them (:func:`_combine`).  Equality and sums go
+# through :func:`_split`, which factors the int generators into primes;
+# primes and independent symbols are multiplicatively independent, so equal
+# values split equally, and a sum of positive terms is fixed by the rational
+# part of each class, because distinct classes are linearly independent over
+# the rationals.  The tile system keeps the generators themselves as its
+# right-hand columns, so it accepts and rejects exactly the systems
+# ``sympy.linsolve`` accepts and rejects over ``log(m_r/k_r)``.
 
-    With multiple solutions, free parameters are set from ``hint`` (numeric
-    weights), rationalized via :func:`sympy.nsimplify`, and the chosen
-    particular solution is re-verified exactly.
+_LogVector = Mapping[object, Fraction]
+
+
+def _exponent_row(term: Monomial, variables: Sequence[sp.Symbol]) -> list[Fraction]:
+    powers = dict(term.powers)
+    return [
+        Fraction(int(powers[v].p), int(powers[v].q)) if v in powers else _ZERO
+        for v in variables
+    ]
+
+
+def _log_terms(value: sp.Expr) -> dict[object, Fraction]:
+    """``log(value)`` as sympy expands it, for a positive product ``value``.
+
+    The int generators are the perfect-power roots of the integers sympy
+    keeps apart: the numerator and denominator of the rational coefficient
+    and each numeric radicand (``log(3*X/40)`` expands to ``log(X) + log(3)
+    - log(40)``, ``log(X/8)`` to ``log(X) - 3*log(2)``).  Any other factor,
+    a float included, is a generator of its own.
     """
-    n_unknowns = matrix.shape[1]
-    unknowns = list(sp.symbols(f"_y0:{n_unknowns}", real=True))
-    system = matrix * sp.Matrix(unknowns) - rhs
-    solutions = sp.linsolve([sp.Eq(row, 0) for row in system], unknowns)
-    if not solutions:
-        return None
-    solution = next(iter(solutions))
-    free = sorted(
-        {s for expr in solution for s in sp.sympify(expr).free_symbols if s in unknowns},
-        key=lambda s: s.name,
-    )
-    assignment: dict[sp.Symbol, sp.Expr] = {}
-    for sym in free:
-        idx = unknowns.index(sym)
-        if hint is not None and idx < len(hint):
-            assignment[sym] = sp.nsimplify(hint[idx], rational=True, tolerance=1e-3)
+    head, rest = value.as_coeff_Mul(rational=True)
+    integers = [(int(head.p), Fraction(1)), (int(head.q), Fraction(-1))]
+    log: dict[object, Fraction] = {}
+    for factor in sp.Mul.make_args(rest):
+        base, exp = factor.as_base_exp()
+        if not exp.is_Rational:
+            base, exp = factor, sp.Integer(1)
+        power = Fraction(int(exp.p), int(exp.q))
+        if base.is_Integer:
+            integers.append((int(base), power))
         else:
-            assignment[sym] = sp.Rational(1, 2)
-    values = [sp.nsimplify(sp.sympify(expr).subs(assignment)) for expr in solution]
-    check = matrix * sp.Matrix(values) - rhs
-    if any(sp.simplify(entry) != 0 for entry in check):
-        return None
-    return values
+            log[base] = log.get(base, _ZERO) + power
+    for n, scale in integers:
+        if n != 1:
+            root = sp.perfect_power(n)
+            base, power = (int(root[0]), root[1]) if root else (n, 1)
+            log[base] = log.get(base, _ZERO) + scale * power
+    return log
 
 
-def _recover_tiles(
-    variables: list[sp.Symbol],
-    terms: list[Monomial],
-    m_values: list[sp.Expr],
-) -> dict[str, sp.Expr] | None:
-    """Solve ``<e_r, log b> = log(m_r/k_r)`` for the tile sizes.
+def _exp_of(log: _LogVector) -> sp.Expr:
+    """The value whose log is ``log``, as sympy evaluates ``exp`` of the sum."""
+    return sp.exp(
+        sp.Add(
+            *(
+                sp.Rational(coeff) * sp.log(sp.Integer(g) if isinstance(g, int) else g)
+                for g, coeff in log.items()
+            )
+        )
+    )
 
-    Returns closed forms for the uniquely determined variables; variables
-    left free by a rank-deficient (but consistent) system are omitted -- chi
-    does not depend on the split (module docstring).  Returns ``None`` when
-    the system is *inconsistent*: the stationarity solution then matches no
-    feasible tile assignment and the caller must reject it.
+
+def _combine(
+    first: _LogVector, *scaled: tuple[_LogVector, Fraction]
+) -> dict[object, Fraction]:
+    """``first + sum(scale * vector)``, zero entries dropped."""
+    out = dict(first)
+    for vector, scale in scaled:
+        for atom, exp in vector.items():
+            out[atom] = out.get(atom, _ZERO) + scale * exp
+    return {atom: exp for atom, exp in out.items() if exp}
+
+
+@functools.lru_cache(maxsize=4096)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple(sp.factorint(n).items())
+
+
+def _split(log: _LogVector) -> tuple[Fraction, frozenset]:
+    """``(rational part, class)`` of the value whose log is ``log``.
+
+    Over primes, the integer part of each exponent moves into the rational;
+    the fractional prime exponents and the symbolic generators are the class.
     """
-    logs = [sp.Symbol(f"_l_{v.name}") for v in variables]
-    equations = []
-    for term, m_val in zip(terms, m_values):
-        lhs = sp.Integer(0)
-        for v, log_sym in zip(variables, logs):
-            lhs += term.exponent(v) * log_sym
-        equations.append(sp.Eq(lhs, sp.log(m_val / term.coeff)))
-    solutions = sp.linsolve(equations, logs)
-    if not solutions:
+    primes: dict[object, Fraction] = {}
+    for generator, coeff in log.items():
+        factors = _prime_powers(generator) if isinstance(generator, int) else ((generator, 1),)
+        for atom, power in factors:
+            primes[atom] = primes.get(atom, _ZERO) + coeff * power
+    rational = Fraction(1)
+    cls = []
+    for atom, exp in primes.items():
+        if isinstance(atom, int):
+            whole = math.floor(exp)
+            rational *= Fraction(atom) ** whole
+            exp -= whole
+        if exp:
+            cls.append((atom, exp))
+    return rational, frozenset(cls)
+
+
+def _recover_tile_logs(
+    con_rows: Sequence[Sequence[Fraction]], ratios: Sequence[_LogVector]
+) -> list[dict[object, Fraction] | None] | None:
+    """Solve ``<e_r, log b> = log(m_r/k_r)`` for the tile logs.
+
+    One row reduction with a right-hand column per generator.  Returns the
+    log of each uniquely determined tile and ``None`` for one a rank-deficient
+    (but consistent) system leaves free -- chi does not depend on the split
+    (module docstring).  Returns ``None`` overall when the system is
+    *inconsistent*: the stationarity solution then matches no feasible tile
+    assignment and the caller must reject it.
+    """
+    generators = list(dict.fromkeys(g for ratio in ratios for g in ratio))
+    n_vars = len(con_rows[0])
+    matrix = [
+        list(row) + [ratio.get(g, _ZERO) for g in generators]
+        for row, ratio in zip(con_rows, ratios)
+    ]
+    pivot_cols, rank = _row_reduce(matrix, n_vars)
+    if any(any(row[n_vars:]) for row in matrix[rank:]):
         return None
-    solution = next(iter(solutions))
-    tiles: dict[str, sp.Expr] = {}
-    for v, expr in zip(variables, solution):
-        expr = sp.sympify(expr)
-        if expr.free_symbols & set(logs):
-            continue  # undetermined split
-        value = sp.powsimp(sp.exp(sp.expand(expr)), force=True)
-        value = sp.simplify(sp.powdenest(value, force=True))
-        tiles[tile_name(v)] = value
-    return tiles
+    free_cols = [c for c in range(n_vars) if c not in pivot_cols]
+    logs: list[dict[object, Fraction] | None] = [None] * n_vars
+    for row, col in zip(matrix, pivot_cols):
+        if not any(row[c] for c in free_cols):
+            logs[col] = {g: c for g, c in zip(generators, row[n_vars:]) if c}
+    return logs
+
+
+def _saturates(constraint: Posynomial, tile_logs: Mapping[str, _LogVector]) -> bool:
+    """Does the full constraint equal ``X`` at leading order under the tiles?
+
+    A term whose tile is not determined keeps that tile as an opaque
+    generator, so it never counts towards ``X``.
+    """
+    parts = []
+    for term in constraint.terms:
+        scaled = [
+            (tile_logs.get(tile_name(var), {var: Fraction(1)}), Fraction(int(e.p), int(e.q)))
+            for var, e in term.powers
+        ]
+        parts.append(_split(_combine(_log_terms(term.coeff), *scaled)))
+    degree = {cls: dict(cls).get(X_SYM, _ZERO) for _, cls in parts}
+    top = max(degree.values())
+    leading = [(part, cls) for part, cls in parts if degree[cls] == top]
+    x_class = frozenset({(X_SYM, Fraction(1))})
+    return all(cls == x_class for _, cls in leading) and sum(
+        part for part, _ in leading
+    ) == 1
 
 
 def _fit_from_numeric(
@@ -519,8 +630,8 @@ def _fit_from_numeric(
     alpha_f = (math.log(s2.objective_value) - math.log(s1.objective_value)) / (
         math.log(x2) - math.log(x1)
     )
-    alpha = sp.nsimplify(alpha_f, rational=True, tolerance=1e-3)
-    if sp.Rational(alpha).q > 12:
+    alpha = rationalize(alpha_f)
+    if alpha.denominator > 12:
         raise SolverError(f"cannot rationalize chi exponent {alpha_f}")
     # Estimate the coefficient at the *largest* probe: lower-order chi terms
     # (and constraint slack) contaminate c(X) = chi(X)/X^alpha by O(X^(beta
@@ -542,7 +653,7 @@ def _fit_from_numeric(
             coeff = sp.nsimplify(coeff_f, tolerance=1e-4, full=True)
         except (TypeError, ValueError):  # mpmath.identify can crash on edge inputs
             coeff = sp.nsimplify(coeff_f, rational=True, tolerance=1e-4)
-    chi = coeff * X_SYM**alpha
+    chi = coeff * X_SYM ** sp.Rational(alpha)
     s3 = solve_numeric(objective, constraint, x3)
     predicted = float(coeff) * x3 ** float(alpha)
     if abs(predicted - s3.objective_value) > 0.05 * abs(s3.objective_value):

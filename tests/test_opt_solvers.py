@@ -1,19 +1,37 @@
 """Optimization problem (8): numeric GP solver and exact KKT reconstruction."""
 
+import hashlib
+import json
 import math
+from collections import Counter
+from unittest.mock import patch
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.signature import canonicalize_ir
+from repro.kernels import get_kernel, kernel_names
 from repro.obs import MetricsRegistry, Tracer
-from repro.opt.kkt import ChiSolution, degree_in_x, leading_in_x, solve_chi
-from repro.opt.numeric import solve_numeric
+from repro.opt import kkt
+from repro.opt.backends import get_backend
+from repro.opt.kkt import (
+    CLOSED_FORM_NOTE,
+    ChiSolution,
+    degree_in_x,
+    leading_in_x,
+    solve_chi,
+)
+from repro.opt.numeric import NumericSolution, solve_numeric
 from repro.opt.rho import compare_intensity, intensity_from_chi
 from repro.opt.tiling import tiles_at_x0
+from repro.sdg.graph import SDG
+from repro.sdg.merge import fuse_statements
+from repro.sdg.subgraphs import enumerate_subgraphs
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import S_SYM, X_SYM, tile
 from repro.util.errors import SolverError
+from tests.kkt_reference import reference_exact_from_guidance
 
 bi, bj, bk, bl, bt = tile("i"), tile("j"), tile("k"), tile("l"), tile("t")
 
@@ -209,3 +227,189 @@ def test_chi_matches_numeric_optimum(instance):
     numeric = solve_numeric(objective, constraint, x_val)
     symbolic_value = float(sol.chi.subs(X_SYM, x_val))
     assert math.isclose(symbolic_value, numeric.objective_value, rel_tol=2e-2)
+
+
+# ---------------------------------------------------------------------------
+# the rational reconstruction against the sympy one it replaced
+# ---------------------------------------------------------------------------
+
+#: sha256 of the sorted ``[signature, outcome]`` rows of the corpus's 193
+#: distinct canonical problems, solved by the sympy reconstruction
+CORPUS_OUTCOME_DIGEST = (
+    "5714e3a3028ab722a3d58810fd6689e8e219a4cf1aa2c0d61be36949367c77fd"
+)
+
+
+def _outcome(solve):
+    """srepr of everything a solve reports, or the rejection text."""
+    try:
+        solution = solve()
+    except SolverError as err:
+        return str(err)
+    return [
+        sp.srepr(solution.chi),
+        sorted((name, sp.srepr(value)) for name, value in solution.tiles.items()),
+        list(solution.capped),
+        list(solution.pinned),
+        solution.exact,
+        list(solution.notes),
+    ]
+
+
+def _outcome_class(outcome) -> str:
+    if isinstance(outcome, str):
+        return "cap" if "capping" in outcome else "pin" if "pins tiles" in outcome else outcome
+    notes = outcome[5]
+    if CLOSED_FORM_NOTE in notes:
+        return "closed form"
+    if not outcome[4]:
+        return "fitted"
+    if any(note.startswith("degenerate boundary point") for note in notes):
+        return "degenerate interior"
+    return "exact"
+
+
+def test_corpus_outcomes_are_pinned():
+    """Every distinct canonical problem of the corpus, solved by ``exact``
+    under its kernel's Table 2 options, reports the same chi, tiles, caps,
+    pins, exactness and notes (or rejection text) as the sympy reconstruction
+    did; the digest holds whatever ``PYTHONHASHSEED`` is."""
+    problems = {}
+    for name in kernel_names():
+        spec = get_kernel(name)
+        program = spec.build()
+        sharing = SDG.from_program(program).sharing_graph()
+        for subset in enumerate_subgraphs(sharing, max_size=spec.max_subgraph_size):
+            try:
+                fused = fuse_statements(program, subset, policy=spec.policy)
+            except SolverError:
+                continue
+            canonical = canonicalize_ir(
+                fused.problem,
+                allow_pinning=spec.allow_pinning,
+                allow_caps=spec.allow_pinning,
+            )
+            problems.setdefault(
+                canonical.signature, (canonical.problem, spec.allow_pinning)
+            )
+    backend = get_backend("exact")
+    rows = [
+        [
+            signature,
+            _outcome(
+                lambda: backend.solve(problem, allow_pinning=allow, allow_caps=allow)
+            ),
+        ]
+        for signature, (problem, allow) in problems.items()
+    ]
+    rows.sort()
+    assert len(rows) == 193
+    assert Counter(_outcome_class(outcome) for _, outcome in rows) == {
+        "closed form": 70,
+        "exact": 42,
+        "degenerate interior": 20,
+        "fitted": 4,
+        "cap": 7,
+        "pin": 50,
+    }
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == CORPUS_OUTCOME_DIGEST
+
+
+_EXPONENTS = (0, sp.Rational(1, 2), 1, 2)
+_EXTENT = sp.Symbol("N", positive=True)
+
+
+@st.composite
+def _kkt_problems(draw):
+    """Small problems whose coefficients 1-12 and half exponents put radicals
+    of 2, 3, 5, 7 and 11 into chi.  ``pinned``: the last tile is in the
+    constraint only, so the optimum pins it at 1.  ``capped``: the last tile
+    is in the objective only and is capped at a symbolic extent."""
+    n_tiles = draw(st.integers(2, 4))
+    names = "ijkl"[:n_tiles]
+    symbols = [tile(name) for name in names]
+    mode = draw(st.sampled_from(("plain", "pinned", "capped")))
+    constrained = symbols[:-1] if mode == "capped" else symbols
+    rewarded = symbols[:-1] if mode == "pinned" else symbols
+
+    def monomial(pool):
+        powers = {v: draw(st.sampled_from(_EXPONENTS)) for v in pool}
+        if not any(powers.values()):
+            powers[draw(st.sampled_from(pool))] = 1
+        return Monomial.make(draw(st.integers(1, 12)), powers)
+
+    constraint = Posynomial([monomial(constrained) for _ in range(draw(st.integers(2, 5)))])
+    objective = Posynomial([monomial(rewarded) for _ in range(draw(st.integers(1, 3)))])
+    extents = {names[-1]: _EXTENT} if mode == "capped" else {}
+    return objective, constraint, extents, draw(st.booleans())
+
+
+def _assert_matches_reference(objective, constraint, extents, allow_pinning):
+    """Given the same probe, the rational reconstruction and the sympy one
+    report srepr-identical chi and tiles, or both reject."""
+    probes = []
+
+    def recording(*args, **kwargs):
+        probes.append(solve_numeric(*args, **kwargs))
+        return probes[-1]
+
+    def solve(guidance=None):
+        return solve_chi(
+            objective, constraint, extents,
+            allow_pinning=allow_pinning, guidance=guidance,
+        )
+
+    with patch.object(kkt, "solve_numeric", recording):
+        rational = _outcome(solve)
+    guidance = probes[0] if probes else None
+    with patch.object(kkt, "_exact_from_guidance", reference_exact_from_guidance):
+        reference = _outcome(lambda: solve(guidance))
+    assert rational == reference
+
+
+@given(problem=_kkt_problems())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_reconstruction_matches_the_sympy_reference(problem):
+    _assert_matches_reference(*problem)
+
+
+@pytest.mark.parametrize(
+    "objective, constraint",
+    [
+        (sp.Float(0.5) * bi * bj, bi + bj),
+        (bi * bj, sp.Float(1.5) * bi + bj),
+    ],
+)
+def test_float_coefficients_match_the_sympy_reference(objective, constraint):
+    """A float coefficient is a log generator of its own."""
+    _assert_matches_reference(
+        _posy(objective, [bi, bj]), _posy(constraint, [bi, bj]), {}, True
+    )
+
+
+def test_unsaturated_constraint_rejects():
+    """Tiles that leave a leading-order constraint term out of ``X`` are
+    rejected, as the sympy reconstruction rejected them: a probe that calls
+    ``2*b_i`` active and ``b_i**2`` slack reconstructs ``b_i = X/2``, under
+    which the constraint grows as ``X**2/4``."""
+    objective = Posynomial([Monomial.make(1, {bi: 1})])
+    constraint = Posynomial([Monomial.make(2, {bi: 1}), Monomial.make(1, {bi: 2})])
+
+    def probe(active, duals):
+        return NumericSolution(
+            variables=(bi,),
+            tile_values={bi: 3.0e4},
+            objective_value=3.0e4,
+            constraint_terms=(6.0e4, 9.0e8),
+            active=active,
+            dual_weights=duals,
+        )
+
+    wrong = probe((True, False), (1.0, 0.0))
+    assert kkt._exact_from_guidance(objective, constraint, wrong, ()) is None
+    assert reference_exact_from_guidance(objective, constraint, wrong, ()) is None
+    right = probe((False, True), (0.0, 1.0))
+    part = kkt._exact_from_guidance(objective, constraint, right, ())
+    assert part.chi == reference_exact_from_guidance(objective, constraint, right, ()).chi
+    assert sp.srepr(part.tiles["i"]) == sp.srepr(sp.sqrt(X_SYM))
