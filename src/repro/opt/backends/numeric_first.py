@@ -57,6 +57,7 @@ from repro.opt.kkt import (
 from repro.opt.numeric import NumericSolution, ProbeResult, probe_arrays
 from repro.opt.problem import (
     ProblemIR,
+    fraction,
     nullspace_rational,
     rationalize,
     solve_rational,
@@ -376,7 +377,7 @@ def _solve_fast(
             if ratio_cache[r] is None:
                 k_expr = act_coeffs[r]
                 if k_expr.is_Rational:
-                    ratio_cache[r] = q[r] / Fraction(int(k_expr.p), int(k_expr.q))
+                    ratio_cache[r] = q[r] / fraction(k_expr)
                 else:
                     ratio_cache[r] = sp.Rational(q[r]) / k_expr
             return ratio_cache[r]
@@ -551,7 +552,7 @@ def _check_tile_consistency(e_transpose, q, act_coeffs, param_subs, guidance) ->
             product = Fraction(1)
             for z_r, q_r, k_expr in zip(integral, q, act_coeffs):
                 if z_r:
-                    product *= (q_r / Fraction(int(k_expr.p), int(k_expr.q))) ** z_r
+                    product *= (q_r / fraction(k_expr)) ** z_r
             if product != 1:
                 raise _Fallback("tile system inconsistent (coefficient component)", guidance)
         else:

@@ -49,7 +49,6 @@ dominator budget and are capped at their full loop extents beforehand.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -58,7 +57,15 @@ from typing import Mapping, Sequence
 import sympy as sp
 
 from repro.opt.numeric import NumericSolution, solve_numeric
-from repro.opt.problem import ProblemIR, _row_reduce, rationalize, solve_rational
+from repro.opt.problem import (
+    _ZERO,
+    ProblemIR,
+    _row_reduce,
+    exponent_row,
+    fraction,
+    rationalize,
+    solve_rational,
+)
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import X_SYM, tile, tile_name
 from repro.util.errors import SolverError
@@ -72,7 +79,6 @@ SOLVER_REVISION = 3
 _PIN_TOLERANCE = 1.2  #: numeric tile value below this counts as pinned to 1
 _OBJ_TOLERANCE = 1e-3  #: objective weight below this counts as negligible
 _PROBE_X = 1.0e9
-_ZERO = Fraction(0)
 
 #: note carried by every solution :func:`bandwidth_bound_chi` produced
 CLOSED_FORM_NOTE = "closed form: objective monomial is the dominant constraint term"
@@ -373,8 +379,8 @@ def _exact_from_guidance(
     )
     if not free_vars:
         return None
-    obj_rows = [_exponent_row(t, free_vars) for t in live_monos]
-    con_rows = [_exponent_row(t, free_vars) for t in active_terms]
+    obj_rows = [exponent_row(t, free_vars) for t in live_monos]
+    con_rows = [exponent_row(t, free_vars) for t in active_terms]
 
     # Joint stationarity system over (w_p, y_r):
     #   per variable t:  sum_p a_pt w_p - sum_r e_rt y_r = 0
@@ -479,14 +485,6 @@ def _exact_from_guidance(
 _LogVector = Mapping[object, Fraction]
 
 
-def _exponent_row(term: Monomial, variables: Sequence[sp.Symbol]) -> list[Fraction]:
-    powers = dict(term.powers)
-    return [
-        Fraction(int(powers[v].p), int(powers[v].q)) if v in powers else _ZERO
-        for v in variables
-    ]
-
-
 def _log_terms(value: sp.Expr) -> dict[object, Fraction]:
     """``log(value)`` as sympy expands it, for a positive product ``value``.
 
@@ -503,7 +501,7 @@ def _log_terms(value: sp.Expr) -> dict[object, Fraction]:
         base, exp = factor.as_base_exp()
         if not exp.is_Rational:
             base, exp = factor, sp.Integer(1)
-        power = Fraction(int(exp.p), int(exp.q))
+        power = fraction(exp)
         if base.is_Integer:
             integers.append((int(base), power))
         else:
@@ -539,11 +537,6 @@ def _combine(
     return {atom: exp for atom, exp in out.items() if exp}
 
 
-@functools.lru_cache(maxsize=4096)
-def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(sp.factorint(n).items())
-
-
 def _split(log: _LogVector) -> tuple[Fraction, frozenset]:
     """``(rational part, class)`` of the value whose log is ``log``.
 
@@ -552,7 +545,11 @@ def _split(log: _LogVector) -> tuple[Fraction, frozenset]:
     """
     primes: dict[object, Fraction] = {}
     for generator, coeff in log.items():
-        factors = _prime_powers(generator) if isinstance(generator, int) else ((generator, 1),)
+        factors = (
+            sp.factorint(generator).items()
+            if isinstance(generator, int)
+            else ((generator, 1),)
+        )
         for atom, power in factors:
             primes[atom] = primes.get(atom, _ZERO) + coeff * power
     rational = Fraction(1)
@@ -605,7 +602,7 @@ def _saturates(constraint: Posynomial, tile_logs: Mapping[str, _LogVector]) -> b
     parts = []
     for term in constraint.terms:
         scaled = [
-            (tile_logs.get(tile_name(var), {var: Fraction(1)}), Fraction(int(e.p), int(e.q)))
+            (tile_logs.get(tile_name(var), {var: Fraction(1)}), fraction(e))
             for var, e in term.powers
         ]
         parts.append(_split(_combine(_log_terms(term.coeff), *scaled)))

@@ -21,9 +21,8 @@ lossless (:meth:`ProblemIR.from_posynomials` / :meth:`ProblemIR.objective`).
 
 The module also provides exact linear algebra over the rationals
 (:func:`solve_rational`, :func:`nullspace_rational`): plain Gaussian
-elimination on ``Fraction`` entries, which the numeric-first backend uses to
-run the KKT reconstruction without sympy's ``linsolve``/``simplify`` on the
-hot path.
+elimination on ``Fraction`` entries, with which the exact and numeric-first
+backends run the KKT reconstruction without sympy's ``linsolve``/``simplify``.
 """
 
 from __future__ import annotations
@@ -38,6 +37,17 @@ from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import tile, tile_name
 
 _ZERO = Fraction(0)
+
+
+def fraction(value: sp.Rational) -> Fraction:
+    """A sympy rational as a :class:`~fractions.Fraction`."""
+    return Fraction(int(value.p), int(value.q))
+
+
+def exponent_row(term: Monomial, symbols: Sequence[sp.Symbol]) -> tuple[Fraction, ...]:
+    """``term``'s exponent of each of ``symbols``, zero where it is absent."""
+    powers = dict(term.powers)
+    return tuple(fraction(powers[sym]) if sym in powers else _ZERO for sym in symbols)
 
 
 @dataclass(frozen=True)
@@ -102,17 +112,10 @@ class ProblemIR:
             return index
 
         def rows(posy: Posynomial) -> tuple[TermIR, ...]:
-            built = []
-            for term in posy.terms:
-                powers = dict(term.powers)
-                exponents = tuple(
-                    Fraction(int(powers[sym].p), int(powers[sym].q))
-                    if sym in powers
-                    else _ZERO
-                    for sym in symbols
-                )
-                built.append(TermIR(intern(sp.sympify(term.coeff)), exponents))
-            return tuple(built)
+            return tuple(
+                TermIR(intern(sp.sympify(term.coeff)), exponent_row(term, symbols))
+                for term in posy.terms
+            )
 
         obj_rows = rows(objective)
         con_rows = rows(constraint)
