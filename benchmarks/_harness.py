@@ -9,7 +9,7 @@ fragments -- a ``benchmark.pedantic(..., rounds=1, iterations=1)`` call, a
   (the suite's benchmarks regenerate paper artifacts, so one verified run is
   the measurement; repetition would only re-measure sympy caches);
 * :func:`timed` -- wall *and* CPU seconds of a callable (CPU time is what
-  the solver benchmark gates on: shared CI boxes make wall time noisy);
+  the bounds and tightness gates read: shared CI boxes make wall time noisy);
 * :func:`make_parser` / :func:`finish` -- the standard script entry point:
   ``--subset``, ``-o/--output``, JSON writing, a one-line summary, and the
   exit code contract (0 iff the payload passed its acceptance predicate).

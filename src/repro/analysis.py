@@ -53,17 +53,15 @@ class KernelResult:
         )
 
 
-def _engine(
-    engine: Engine | None, cache_dir: str | None, jobs: int, solver: str | None
-) -> Engine:
+def _engine(engine: Engine | None, cache_dir: str | None, jobs: int) -> Engine:
     if engine is not None:
-        if cache_dir is not None or jobs != 1 or solver is not None:
+        if cache_dir is not None or jobs != 1:
             raise ValueError(
-                "pass either engine or cache_dir/jobs/solver, not both "
-                "(the engine already carries its cache, job count, and backend)"
+                "pass either engine or cache_dir/jobs, not both "
+                "(the engine already carries its cache and job count)"
             )
         return engine
-    return Engine(cache=SolveCache(cache_dir), jobs=jobs, solver=solver or "exact")
+    return Engine(cache=SolveCache(cache_dir), jobs=jobs)
 
 
 def analyze_program(
@@ -75,10 +73,9 @@ def analyze_program(
     engine: Engine | None = None,
     cache_dir: str | None = None,
     jobs: int = 1,
-    solver: str | None = None,
 ) -> ProgramBound:
     """Derive the I/O lower bound of an IR program (Theorem 1)."""
-    return _engine(engine, cache_dir, jobs, solver).analyze(
+    return _engine(engine, cache_dir, jobs).analyze(
         program,
         policy=policy,
         max_subgraph_size=max_subgraph_size,
@@ -92,7 +89,6 @@ def analyze_kernel(
     engine: Engine | None = None,
     cache_dir: str | None = None,
     jobs: int = 1,
-    solver: str | None = None,
 ) -> KernelResult:
     """Analyze a registered Table 2 kernel and compare with the paper."""
     from repro.kernels import get_kernel
@@ -107,7 +103,6 @@ def analyze_kernel(
         engine=engine,
         cache_dir=cache_dir,
         jobs=jobs,
-        solver=solver,
     )
     bound = result.combined if spec.use_floor else result.bound
     bound = leading_term(sp.sympify(bound)) if bound.free_symbols else bound
@@ -139,7 +134,6 @@ def analyze_source(
     engine: Engine | None = None,
     cache_dir: str | None = None,
     jobs: int = 1,
-    solver: str | None = None,
 ) -> ProgramBound:
     """Parse loop-nest source code and derive its I/O lower bound."""
     if language == "python":
@@ -160,5 +154,4 @@ def analyze_source(
         engine=engine,
         cache_dir=cache_dir,
         jobs=jobs,
-        solver=solver,
     )

@@ -10,8 +10,8 @@ Independent lower-bound backends on the materialized
 * ``visit`` -- Bilardi-style DAG-visit bound via the post-order boundary
   argument on Hong--Kung segments (full pebbling model).
 
-Engines register through :mod:`repro.bounds.registry` (mirroring
-``opt/backends``); :mod:`repro.bounds.combine` evaluates every applicable
+Engines register through :mod:`repro.bounds.registry`;
+:mod:`repro.bounds.combine` evaluates every applicable
 engine at a (kernel, params, S) point and certifies their maximum, which
 is what tightness gaps, ``repro bounds``, and ``POST /bounds`` report.
 """

@@ -10,9 +10,8 @@ one :class:`CombinedBounds` per S) and is what ``repro bounds``, the
 
 The *winning* engine of a point is the first engine, in registration
 order, attaining the certified max (strict improvement claims the win, so
-the KKT engine wins exact ties).  ``bound_disagreement`` -- the relative
-spread across engine values, from
-:mod:`repro.opt.backends.crosscheck` -- is carried alongside as a
+the KKT engine wins exact ties).  :func:`bound_disagreement` -- the
+relative spread across engine values -- is carried alongside as a
 diagnostic: a large spread means one engine is far looser than another.
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.bounds.registry import (
     BoundProblem,
@@ -29,7 +28,28 @@ from repro.bounds.registry import (
     available_bound_engines,
     get_bound_engine,
 )
-from repro.opt.backends.crosscheck import bound_disagreement
+
+
+def bound_disagreement(values: Iterable[float]) -> float:
+    """Relative spread ``(max - min) / max`` across bound-engine values.
+
+    Non-finite values are ignored.  0.0 means every engine agrees (or fewer
+    than two produced a value).  Engines bound the *same* quantity, so a
+    large spread is diagnostic signal -- one bound is far looser than
+    another -- surfaced per kernel in ``repro status`` and the Table-2
+    report rather than an error (the engines are not expected to coincide).
+    """
+    finite = [
+        float(v)
+        for v in values
+        if v == v and v not in (float("inf"), float("-inf"))
+    ]
+    if len(finite) < 2:
+        return 0.0
+    top = max(finite)
+    if top <= 0:
+        return 0.0
+    return (top - min(finite)) / top
 
 
 @dataclass(frozen=True)
@@ -185,7 +205,6 @@ def kernel_bounds(
     engine=None,
     cache_dir: str | None = None,
     jobs: int = 1,
-    solver: str | None = None,
     max_vertices: int | None = None,
 ) -> KernelBounds:
     """Evaluate all bound engines for one kernel across an S sweep.
@@ -210,9 +229,7 @@ def kernel_bounds(
     sweep = tuple(int(s) for s in (s_values or DEFAULT_S_VALUES))
     limit = int(max_vertices) if max_vertices is not None else DEFAULT_MAX_VERTICES
     if result is None:
-        result = analyze_kernel(
-            name, engine=engine, cache_dir=cache_dir, jobs=jobs, solver=solver
-        )
+        result = analyze_kernel(name, engine=engine, cache_dir=cache_dir, jobs=jobs)
     program = _built_program(name)
     merged = _merged_params(name, program, params)
     cdag = cached_cdag(name, merged, program=program)

@@ -1,9 +1,8 @@
 """Registry of concrete-CDAG lower-bound engines.
 
-Mirrors :mod:`repro.opt.backends`: every engine consumes the same
-:class:`BoundProblem` -- a concrete CDAG, a fast-memory size ``S``, and
-(for the symbolic engine) the evaluated KKT bound -- and produces a
-:class:`BoundResult`.  Engines register themselves via
+Every engine consumes the same :class:`BoundProblem` -- a concrete CDAG,
+a fast-memory size ``S``, and (for the symbolic engine) the evaluated KKT
+bound -- and produces a :class:`BoundResult`.  Engines register themselves via
 :func:`register_bound_engine`; resolve one with :func:`get_bound_engine`.
 
 Two capability flags keep engines honest about their reach:

@@ -48,10 +48,7 @@ from pathlib import Path
 
 def main(argv: list[str] | None = None) -> int:
     from repro import __version__
-    from repro.opt.backends import available_backends
     from repro.sdg.subgraphs import DEFAULT_MAX_SIZE
-
-    backends = available_backends()
 
     parser = argparse.ArgumentParser(
         prog="soap-analyze",
@@ -75,11 +72,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--json", action="store_true",
             help="emit a machine-readable JSON report",
-        )
-        p.add_argument(
-            "--solver", choices=backends, default="exact", metavar="BACKEND",
-            help="problem (8) solver backend: one of "
-            f"{', '.join(backends)} (default: exact)",
         )
         p.add_argument(
             "--trace", type=Path, default=None, metavar="FILE",
@@ -218,10 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--no-coalesce", action="store_true",
         help="disable request coalescing (for benchmarking)",
-    )
-    p_serve.add_argument(
-        "--solver", choices=backends, default="exact", metavar="BACKEND",
-        help="problem (8) solver backend the daemon's engine uses",
     )
     p_serve.add_argument(
         "--warm", action="store_true",
@@ -376,7 +364,6 @@ def _cmd_analyze(args) -> int:
             allow_pinning=args.allow_pinning,
             cache_dir=_cache_dir(args),
             jobs=args.jobs,
-            solver=args.solver,
         )
     if args.json:
         print(json.dumps(
@@ -403,9 +390,7 @@ def _cmd_kernel(args) -> int:
     from repro.symbolic.printing import bound_str
 
     with _traced(args, "cli.kernel", kernel=args.name):
-        result = analyze_kernel(
-            args.name, cache_dir=_cache_dir(args), jobs=args.jobs, solver=args.solver
-        )
+        result = analyze_kernel(args.name, cache_dir=_cache_dir(args), jobs=args.jobs)
     if args.json:
         print(json.dumps(kernel_report(result), indent=2))
         return 0
@@ -430,7 +415,7 @@ def _cmd_table2(args) -> int:
     with _traced(args, "cli.table2", category=args.category or "all"):
         rows = table2_rows(
             args.category, jobs=args.jobs, cache_dir=_cache_dir(args),
-            solver=args.solver, bounds=args.bounds,
+            bounds=args.bounds,
         )
     elapsed = time.perf_counter() - started
     if args.json:
@@ -493,7 +478,6 @@ def _cmd_bounds(args) -> int:
             engines=_parse_engines(args.engines),
             cache_dir=_cache_dir(args),
             jobs=args.jobs,
-            solver=args.solver,
             max_vertices=args.max_vertices,
         )
     if args.json:
@@ -572,7 +556,6 @@ def _cmd_tightness(args) -> int:
             params=_parse_params(args.params) or None,
             jobs=args.jobs,
             cache_dir=_cache_dir(args),
-            solver=args.solver,
             max_vertices=(
                 args.max_vertices
                 if args.max_vertices is not None
@@ -669,7 +652,6 @@ def _cmd_serve(args) -> int:
         cache_dir=_cache_dir(args),
         max_cache_entries=args.max_cache_entries,
         coalesce=not args.no_coalesce,
-        solver=args.solver,
         warm=args.warm,
     )
     print(

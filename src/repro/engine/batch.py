@@ -29,12 +29,12 @@ from repro.obs import attach, trace_context
 
 def _kernel_task(task: tuple):
     """Analyze one kernel in a worker process (top-level for pickling)."""
-    name, store_path, solver, tctx = task
+    name, store_path, tctx = task
     from repro.analysis import analyze_kernel
 
     # stitch this worker's spans under the driver's trace (no-op untraced)
     with attach(tctx), closing(SharedSolveStore(store_path)) as store:
-        engine = Engine(cache=SolveCache(store=store), solver=solver)
+        engine = Engine(cache=SolveCache(store=store))
         return analyze_kernel(name, engine=engine)
 
 
@@ -44,7 +44,6 @@ def analyze_many(
     jobs: int = 1,
     cache_dir: str | None = None,
     engine: Engine | None = None,
-    solver: str | None = None,
 ) -> list:
     """Analyze ``names`` (default: every registered kernel); returns
     :class:`~repro.analysis.KernelResult` objects in input order."""
@@ -53,20 +52,13 @@ def analyze_many(
 
     if engine is not None and cache_dir is not None:
         raise ValueError("pass either engine or cache_dir, not both")
-    if engine is not None and solver is not None:
-        raise ValueError(
-            "pass either engine or solver, not both "
-            "(the engine already carries its backend)"
-        )
     selected: Sequence[str] = (
         list(names) if names is not None else kernel_names()
     )
     jobs = max(1, int(jobs))
     if jobs == 1 or len(selected) <= 1:
         if engine is None:
-            engine = Engine(
-                cache=SolveCache(cache_dir), solver=solver or "exact"
-            )
+            engine = Engine(cache=SolveCache(cache_dir))
         return [analyze_kernel(name, engine=engine) for name in selected]
     with ExitStack() as stack:
         # The parent opens the store before the pool forks and holds it for
@@ -78,8 +70,7 @@ def analyze_many(
                     tempfile.TemporaryDirectory(prefix="soap-engine-cache-")
                 )
             store = stack.enter_context(closing(SolveCache(cache_dir).store))
-        solver = (engine.solver if engine is not None else solver) or "exact"
         tctx = trace_context()
-        tasks = [(name, str(store.path), solver, tctx) for name in selected]
+        tasks = [(name, str(store.path), tctx) for name in selected]
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(_kernel_task, tasks))

@@ -6,14 +6,13 @@ Tier 1 is an in-process LRU (shared across every kernel analyzed by one
 opens ``<cache_dir>/solves.sqlite``, the file ``repro serve --cache-dir``
 uses too, and ``SolveCache(store=...)`` takes an open handle (service
 workers pass one to set the claim lease).  Keys are composed by the engine
-as ``<canonical signature>-<backend>-r<SOLVER_REVISION>``
+as ``<canonical signature>-exact-r<SOLVER_REVISION>``
 (:meth:`~repro.opt.backends.SolverBackend.cache_tag`), so results produced
-by different solver backends -- or different solver generations -- are
-namespaced and never alias.  Values are either a serialized
-:class:`~repro.opt.kkt.ChiSolution` or a *negative* entry recording the
-:class:`~repro.util.errors.SolverError` message -- warm runs must skip the
-same subgraphs the cold run skipped, or the per-array maxima (and hence the
-bounds) could drift.
+by different solver generations are namespaced and never alias.  Values are
+either a serialized :class:`~repro.opt.kkt.ChiSolution` or a *negative*
+entry recording the :class:`~repro.util.errors.SolverError` message -- warm
+runs must skip the same subgraphs the cold run skipped, or the per-array
+maxima (and hence the bounds) could drift.
 
 The memory tier is unbounded by default (a suite run holds a few hundred
 signatures at most), but a long-lived daemon serving arbitrary sources must

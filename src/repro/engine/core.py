@@ -16,14 +16,15 @@ canonicalize/dedup/memoize funnel:
 * distinct signatures are resolved through the two-tier
   :class:`~repro.engine.cache.SolveCache` (in-process dict + optional
   sqlite :class:`~repro.engine.store.SharedSolveStore`), with negative
-  entries for solver failures.  Entries are namespaced by **solver
-  backend** and :data:`~repro.opt.kkt.SOLVER_REVISION`, so different
-  solving strategies (or solver generations) never alias.  With a store,
-  missing signatures are *claimed* first, so concurrent processes solve
-  each one once;
-* signatures missing from the cache are solved by the selected
-  :mod:`~repro.opt.backends` backend (``exact`` by default; ``numeric-first``
-  for the fast path; ``cross-check`` to run both), optionally in parallel via
+  entries for solver failures.  Entries are namespaced by the solver's
+  :meth:`~repro.opt.backends.SolverBackend.cache_tag` (its name and
+  :data:`~repro.opt.kkt.SOLVER_REVISION`), so solver generations never
+  alias.  With a store, missing signatures are *claimed* first, so
+  concurrent processes solve each one once;
+* signatures missing from the cache go through the solver's
+  :meth:`~repro.opt.backends.SolverBackend.solve_batch` (deadline checks,
+  the ``solver.solve`` fault site and the batch span for every problem),
+  optionally in parallel via
   :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``); results
   are merged back **in enumeration order**, so the produced
   :class:`~repro.sdg.bounds.ProgramBound` is bit-identical regardless of
@@ -58,8 +59,8 @@ from repro.engine.signature import (
 from repro.engine.store import SolveOutcome
 from repro.ir.program import Program
 from repro.obs import span as obs_span
-from repro.opt.backends import DEFAULT_BACKEND, get_backend
-from repro.opt.backends.crosscheck import COVERAGE_MARKER, MISMATCH_PREFIX
+from repro.opt.backends import get_backend
+from repro.opt.problem import ProblemIR
 from repro.opt.rho import compare_intensity, intensity_from_chi
 from repro.sdg.graph import SDG
 from repro.sdg.merge import FusedStatement, fuse_statements
@@ -80,24 +81,30 @@ class EngineOptions:
     max_subgraph_size: int = DEFAULT_MAX_SIZE
     unify_same_names: bool = True
     allow_pinning: bool = False
-    solver: str = DEFAULT_BACKEND
+
+
+def _solve_problems(
+    problems: list[ProblemIR], allow_pinning: bool
+) -> list[SolveOutcome]:
+    """One outcome per problem, through the solver's batch loop."""
+    results = get_backend().solve_batch(
+        problems, allow_pinning=allow_pinning, allow_caps=allow_pinning
+    )
+    return [
+        SolveOutcome(error=str(result))
+        if isinstance(result, SolverError)
+        else SolveOutcome(solution=result)
+        for result in results
+    ]
 
 
 def _solve_signature(
-    task: tuple[str, CanonicalProblem, bool, str]
+    task: tuple[str, CanonicalProblem, bool]
 ) -> tuple[str, SolveOutcome]:
     """Solve one canonical problem (8); top-level so process pools can pickle it."""
-    key, canonical, allow_pinning, solver = task
-    backend = get_backend(solver)
-    try:
-        solution = backend.solve(
-            canonical.problem,
-            allow_pinning=allow_pinning,
-            allow_caps=allow_pinning,
-        )
-        return key, SolveOutcome(solution=solution)
-    except SolverError as err:
-        return key, SolveOutcome(error=str(err))
+    key, canonical, allow_pinning = task
+    (outcome,) = _solve_problems([canonical.problem], allow_pinning)
+    return key, outcome
 
 
 def classify_outcome(outcome: SolveOutcome) -> str:
@@ -105,64 +112,52 @@ def classify_outcome(outcome: SolveOutcome) -> str:
 
     ``exact``    -- verified closed form;
     ``fitted``   -- rational fit of the numeric solution (``exact=False``);
-    ``mismatch`` -- cross-check rho disagreement between backends;
     ``negative`` -- solver rejected the problem.
     """
     if outcome.ok:
         return "exact" if outcome.solution.exact else "fitted"
-    if outcome.error and outcome.error.startswith(MISMATCH_PREFIX):
-        return "mismatch"
     return "negative"
-
-
-def _has_coverage_marker(outcome: SolveOutcome) -> bool:
-    """Did cross-check see exactly one backend solve this problem?"""
-    if outcome.ok:
-        return any(COVERAGE_MARKER in note for note in outcome.solution.notes)
-    return bool(outcome.error) and COVERAGE_MARKER in outcome.error
 
 
 class Engine:
     """Composable analysis pipeline with memoized, parallel problem solving.
 
-    One engine holds one :class:`SolveCache` and one default solver backend;
-    analyzing many programs through the same engine shares solved problems
-    between them (``analyze_many`` relies on this for the cross-kernel dedup
-    of the Table 2 suite).
+    One engine holds one :class:`SolveCache`; analyzing many programs
+    through the same engine shares solved problems between them
+    (``analyze_many`` relies on this for the cross-kernel dedup of the
+    Table 2 suite).  ``solver`` names the problem-(8) solver: ``"exact"`` is
+    the only one, and any other name raises
+    :class:`~repro.util.errors.SolverError`.
     """
 
     def __init__(
         self,
         cache: SolveCache | None = None,
         jobs: int = 1,
-        solver: str = DEFAULT_BACKEND,
+        solver: str = "exact",
     ):
+        get_backend(solver)  # a bad name is a configuration error
         self.cache = cache if cache is not None else SolveCache()
         self.jobs = max(1, int(jobs))
-        get_backend(solver)  # validate eagerly: a bad name is a config error
-        self.solver = solver
-        # Per-backend solve-health counters (fresh solves only, not cache
-        # hits), keyed backend -> {exact, fitted, negative, mismatch}.
+        # Solve-health counters (fresh solves only, not cache hits), keyed
+        # solver name -> {exact, fitted, negative}.
         self._solver_stats: dict[str, dict[str, int]] = {}
         self._solver_stats_lock = threading.Lock()
 
     def solver_stats_snapshot(self) -> dict[str, dict[str, int]]:
-        """Per-backend counters of every fresh solve this engine performed."""
+        """Counters of every fresh solve this engine performed, by solver name."""
         with self._solver_stats_lock:
             return {name: dict(counts) for name, counts in self._solver_stats.items()}
 
-    def _count_solves(self, solver: str, outcomes: list[SolveOutcome]) -> None:
+    def _count_solves(self, outcomes: list[SolveOutcome]) -> None:
         if not outcomes:
             return
         with self._solver_stats_lock:
             counts = self._solver_stats.setdefault(
-                solver,
-                {"exact": 0, "fitted": 0, "negative": 0, "mismatch": 0, "coverage": 0},
+                get_backend().name, {"exact": 0, "fitted": 0, "negative": 0}
             )
             for outcome in outcomes:
                 counts[classify_outcome(outcome)] += 1
-                if _has_coverage_marker(outcome):
-                    counts["coverage"] += 1
 
     # ------------------------------------------------------------------
     # pipeline
@@ -177,7 +172,6 @@ class Engine:
         unify_same_names: bool = True,
         allow_pinning: bool = False,
         jobs: int | None = None,
-        solver: str | None = None,
     ):
         """Run the staged pipeline; returns a :class:`ProgramBound`."""
         with obs_span("engine.analyze", kernel=program.name):
@@ -188,7 +182,6 @@ class Engine:
                 unify_same_names=unify_same_names,
                 allow_pinning=allow_pinning,
                 jobs=jobs,
-                solver=solver,
             )
 
     def _analyze(
@@ -200,7 +193,6 @@ class Engine:
         unify_same_names: bool,
         allow_pinning: bool,
         jobs: int | None,
-        solver: str | None,
     ):
         from repro.sdg.bounds import ProgramBound, SubgraphAnalysis, io_footprint_floor
 
@@ -209,14 +201,13 @@ class Engine:
             max_subgraph_size=max_subgraph_size,
             unify_same_names=unify_same_names,
             allow_pinning=allow_pinning,
-            solver=solver if solver is not None else self.solver,
         )
-        get_backend(options.solver)  # fail fast on unknown backends
         jobs = self.jobs if jobs is None else max(1, int(jobs))
         stages: list[StageRecord] = []
         notes: list[str] = []
         stats_before = replace(self.cache.stats)
-        solver_before = self.solver_stats_snapshot().get(options.solver, {})
+        solver_name = get_backend().name
+        solver_before = self.solver_stats_snapshot().get(solver_name, {})
 
         with _stage("build-sdg", stages) as counts:
             sdg = SDG.from_program(program)
@@ -274,7 +265,6 @@ class Engine:
                 [c for c in canonicals if c is not None],
                 allow_pinning=options.allow_pinning,
                 jobs=jobs,
-                solver=options.solver,
             )
 
             analyses: list[SubgraphAnalysis] = []
@@ -305,7 +295,7 @@ class Engine:
                 analyses.append(SubgraphAnalysis(subset, fused, intensity))
             cache_delta = _stats_delta(stats_before, self.cache.stats)
             solver_delta = _solver_delta(
-                solver_before, self.solver_stats_snapshot().get(options.solver, {})
+                solver_before, self.solver_stats_snapshot().get(solver_name, {})
             )
             counts.extend((
                 ("problems", len(fused_items) - fuse_failures),
@@ -352,7 +342,6 @@ class Engine:
             stages=tuple(stages),
             cache=cache_delta,
             jobs=jobs,
-            solver=options.solver,
         )
         return ProgramBound(
             program=program,
@@ -376,17 +365,14 @@ class Engine:
         *,
         allow_pinning: bool,
         jobs: int,
-        solver: str | None = None,
     ) -> dict[str, SolveOutcome]:
         """Outcome per signature: cache first, then (parallel) fresh solves.
 
-        Cache entries are keyed ``<signature>-<backend>-r<revision>``
+        Cache entries are keyed ``<signature>-exact-r<revision>``
         (:meth:`~repro.opt.backends.SolverBackend.cache_tag`): a signature
-        solved by one backend is re-solved -- not replayed -- under another.
+        solved by an older solver generation is re-solved, not replayed.
         """
-        solver = solver if solver is not None else self.solver
-        backend = get_backend(solver)
-        tag = backend.cache_tag()
+        tag = get_backend().cache_tag()
         outcomes: dict[str, SolveOutcome] = {}
         pending: dict[str, CanonicalProblem] = {}
         for canonical in canonicals:
@@ -431,25 +417,19 @@ class Engine:
         try:
             if jobs > 1 and len(pending) > 1:
                 tasks = [
-                    (signature, canonical, allow_pinning, solver)
+                    (signature, canonical, allow_pinning)
                     for signature, canonical in pending.items()
                 ]
                 with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
                     fresh = list(pool.map(_solve_signature, tasks))
             elif pending:
-                # In-process: let the backend see the whole batch at once (the
-                # numeric-first backend chains warm starts across it).
-                signatures = list(pending)
-                results = backend.solve_batch(
-                    [pending[s].problem for s in signatures],
-                    allow_pinning=allow_pinning,
-                    allow_caps=allow_pinning,
-                )
-                for signature, result in zip(signatures, results):
-                    if isinstance(result, SolverError):
-                        fresh.append((signature, SolveOutcome(error=str(result))))
-                    else:
-                        fresh.append((signature, SolveOutcome(solution=result)))
+                fresh = list(zip(
+                    pending,
+                    _solve_problems(
+                        [canonical.problem for canonical in pending.values()],
+                        allow_pinning,
+                    ),
+                ))
         except BaseException:
             if store is not None:
                 for signature in pending:  # don't wedge the fleet on our crash
@@ -458,7 +438,7 @@ class Engine:
         for signature, outcome in fresh:
             self.cache.put(f"{signature}-{tag}", outcome)
             outcomes[signature] = outcome
-        self._count_solves(solver, [outcome for _, outcome in fresh])
+        self._count_solves([outcome for _, outcome in fresh])
 
         if store is not None and waiting:
             # Block on the other processes' claims.  If a claim's lease
@@ -467,16 +447,14 @@ class Engine:
             reclaimed: list[SolveOutcome] = []
             for signature, canonical in waiting.items():
                 def _solo(signature=signature, canonical=canonical):
-                    return _solve_signature(
-                        (signature, canonical, allow_pinning, solver)
-                    )[1]
+                    return _solve_signature((signature, canonical, allow_pinning))[1]
 
                 outcome, how = store.wait_for(f"{signature}-{tag}", solve=_solo)
                 if how == "solved":
                     reclaimed.append(outcome)
                 self.cache.memorize(f"{signature}-{tag}", outcome)
                 outcomes[signature] = outcome
-            self._count_solves(solver, reclaimed)
+            self._count_solves(reclaimed)
         return outcomes
 
 
@@ -525,18 +503,17 @@ def program_fingerprint(
     max_subgraph_size: int = DEFAULT_MAX_SIZE,
     unify_same_names: bool = True,
     allow_pinning: bool = False,
-    solver: str = DEFAULT_BACKEND,
 ) -> str:
     """Canonical identity of an analysis request, before any solving.
 
     Runs the cheap pipeline prefix (build-sdg -> enumerate -> fuse ->
     canonicalize) and hashes the sorted multiset of canonical problem (8)
-    signatures together with the analysis options (including the solver
-    backend, whose results are not interchangeable).  Two programs share a
-    fingerprint exactly when the solve stage would process the same canonical
-    problems -- renamed loop variables, reordered statements, and permuted
-    variable roles all collapse, which is what lets the analysis service
-    coalesce isomorphic in-flight requests onto one computation.
+    signatures together with the analysis options and the solver's name.
+    Two programs share a fingerprint exactly when the solve stage would
+    process the same canonical problems -- renamed loop variables, reordered
+    statements, and permuted variable roles all collapse, which is what lets
+    the analysis service coalesce isomorphic in-flight requests onto one
+    computation.
 
     Subgraphs that fail to fuse contribute a marker keyed by their array
     subset, so a program where fusion fails never aliases one where it
@@ -566,7 +543,7 @@ def program_fingerprint(
             "max_subgraph_size": int(max_subgraph_size),
             "unify_same_names": bool(unify_same_names),
             "allow_pinning": bool(allow_pinning),
-            "solver": solver,
+            "solver": get_backend().name,
             "signatures": sorted(tokens),
         },
         sort_keys=True,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.cache import CacheStats
+from repro.opt.backends import get_backend
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class EngineDiagnostics:
     stages: tuple[StageRecord, ...] = ()
     cache: CacheStats = field(default_factory=CacheStats)
     jobs: int = 1
-    solver: str = "exact"  #: solver backend the solve stage ran with
 
     @property
     def total_seconds(self) -> float:
@@ -63,6 +63,6 @@ class EngineDiagnostics:
             "stages": [stage.as_dict() for stage in self.stages],
             "cache": self.cache.as_dict(),
             "jobs": self.jobs,
-            "solver": self.solver,
+            "solver": get_backend().name,
             "total_seconds": self.total_seconds,
         }

@@ -4,7 +4,7 @@ Across the Table 2 suite the same problem (8) is solved over and over: every
 gemm-shaped contraction, every streaming copy, every ping-pong stencil pair
 produces a fused statement whose objective/constraint posynomials differ only
 in *loop-variable names* and term order.  This module computes a **canonical
-form** of the backend-neutral :class:`~repro.opt.problem.ProblemIR` so that
+form** of the :class:`~repro.opt.problem.ProblemIR` so that
 all such instances share one cache entry:
 
 1. Loop variables are ranked by a name-free structural fingerprint (their
@@ -50,7 +50,7 @@ class CanonicalProblem:
     """A fused problem (8) in canonical form, ready for the solver/cache."""
 
     signature: str  #: SHA-256 hex digest of the canonical content
-    problem: ProblemIR  #: the canonical IR every backend consumes
+    problem: ProblemIR  #: the canonical IR the solver consumes
     rename: dict[str, str]  #: original loop var -> canonical loop var
     inverse: dict[str, str]  #: canonical loop var -> original loop var
 

@@ -7,7 +7,7 @@ analysis service opens under ``repro serve --cache-dir``, so the CLI, the
 library, ``analyze_many``'s workers and the daemon's fleet all share one
 store.  Every process opens the same sqlite file (WAL mode, so N readers
 and one writer coexist without blocking each other), keyed by the engine's
-canonical problem identity ``<signature>-<backend>-r<SOLVER_REVISION>``.
+canonical problem identity ``<signature>-exact-r<SOLVER_REVISION>``.
 Three guarantees:
 
 * **solve-once across processes** -- a ``claims`` protocol layered on the

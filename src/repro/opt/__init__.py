@@ -3,24 +3,16 @@
 The paper's pipeline (Section 4.5) is:
 
 1. ``chi(X) = max prod_t |D_t|  s.t.  sum_j |A_j| <= X,  |D_t| >= 1``
-   -- a geometric program represented backend-neutrally by
-   :class:`repro.opt.problem.ProblemIR` and solved by a pluggable backend
-   (:mod:`repro.opt.backends`): the ``exact`` symbolic KKT solver
-   (:mod:`repro.opt.kkt`, guided by the scipy probe in
-   :mod:`repro.opt.numeric`), the warm-started ``numeric-first`` fast path,
-   or the ``cross-check`` mode that runs both;
+   -- a geometric program represented by
+   :class:`repro.opt.problem.ProblemIR` and solved by the symbolic KKT
+   solver (:mod:`repro.opt.kkt`, guided by the scipy probe in
+   :mod:`repro.opt.numeric`) behind :class:`repro.opt.backends.SolverBackend`;
 2. ``X0 = argmin_X chi(X)/(X-S)`` and the computational intensity
    ``rho = chi(X0)/(X0-S)`` -- :mod:`repro.opt.rho`;
 3. the optimal tile sizes ``|D_t|(X0)`` -- :mod:`repro.opt.tiling`.
 """
 
-from repro.opt.backends import (
-    DEFAULT_BACKEND,
-    SolverBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.opt.backends import SolverBackend, available_backends, get_backend
 from repro.opt.kkt import ChiSolution, solve_chi
 from repro.opt.numeric import NumericSolution, solve_numeric
 from repro.opt.problem import ProblemIR
@@ -34,10 +26,8 @@ __all__ = [
     "solve_numeric",
     "ProblemIR",
     "SolverBackend",
-    "DEFAULT_BACKEND",
     "available_backends",
     "get_backend",
-    "register_backend",
     "IntensityResult",
     "intensity_from_chi",
     "compare_intensity",

@@ -41,7 +41,7 @@ independent ``X``).
 
 One class needs no probe at all: when the objective monomial is itself a
 constraint term that dominates every other one, ``chi = (c/k)*X`` in closed
-form (:func:`bandwidth_bound_chi`, shared with the numeric-first backend).
+form (:func:`bandwidth_bound_chi`).
 
 Variables absent from every constraint term are unconstrained by the
 dominator budget and are capped at their full loop extents beforehand.
@@ -71,9 +71,9 @@ from repro.symbolic.symbols import X_SYM, tile, tile_name
 from repro.util.errors import SolverError
 
 #: Bump when the solver's *capabilities* change (new reconstruction paths,
-#: relaxed rejection rules, new backends, ...): persistent caches namespace
-#: every entry by backend + revision, so older-generation results are never
-#: replayed by a newer solver.
+#: relaxed rejection rules, ...): persistent caches namespace every entry by
+#: solver name + revision, so older-generation results are never replayed by
+#: a newer solver.
 SOLVER_REVISION = 3
 
 _PIN_TOLERANCE = 1.2  #: numeric tile value below this counts as pinned to 1
@@ -141,7 +141,6 @@ def solve_chi(
     probe_x: float = _PROBE_X,
     allow_pinning: bool = True,
     allow_caps: bool = True,
-    guidance: NumericSolution | None = None,
 ) -> ChiSolution:
     """Solve problem (8) symbolically; see module docstring for the method.
 
@@ -157,11 +156,6 @@ def solve_chi(
     streaming-update subcomputations that the paper's interior-only solver
     never reports (see DESIGN.md §4.5); rejecting them reproduces the
     paper's behaviour.
-
-    ``guidance`` supplies a precomputed numeric solution of the
-    parameter-substituted problem at ``probe_x`` (the numeric-first backend
-    passes its warm-started probe when it defers to this solver), skipping
-    the internal scipy solve.
     """
     extents = dict(extents or {})
     notes: list[str] = []
@@ -210,12 +204,11 @@ def solve_chi(
     # numeric probe substitutes a large common value -- the probe only guides
     # active-set selection, the exact algebra below keeps parameters symbolic.
     param_subs = _parameter_substitution(objective, constraint)
-    if guidance is not None:
-        numeric = guidance
-    else:
-        numeric_obj = _substituted(objective, param_subs)
-        numeric_con = _substituted(constraint, param_subs)
-        numeric = solve_numeric(numeric_obj, numeric_con, probe_x)
+    numeric = solve_numeric(
+        _substituted(objective, param_subs),
+        _substituted(constraint, param_subs),
+        probe_x,
+    )
     pinned = tuple(
         tile_name(v) for v, val in numeric.tile_values.items() if val < _PIN_TOLERANCE
     )

@@ -8,18 +8,11 @@ Solved in log space, where the problem is convex:
 
 The numeric solution serves two purposes:
 
-* it *guides* the symbolic KKT solvers (:mod:`repro.opt.kkt` and the
-  numeric-first backend): which constraint terms are active at the optimum
-  and the approximate dual weights ``y_r = lambda * m_r``, which the
-  symbolic side rationalizes and then verifies exactly;
+* it *guides* the symbolic KKT solver (:mod:`repro.opt.kkt`): which
+  constraint terms are active at the optimum and the approximate dual
+  weights ``y_r = lambda * m_r``, which the symbolic side rationalizes and
+  then verifies exactly;
 * it *cross-checks* every closed-form ``chi(X)`` in the test suite.
-
-Two entry points share the optimizer: :func:`solve_numeric` takes
-posynomials (coefficients must be numeric: callers substitute program
-parameters first), while :func:`probe_arrays` takes prebuilt coefficient /
-exponent arrays -- the path the :class:`~repro.opt.problem.ProblemIR`
-backends use, with optional **warm starts** (``x0_seed``) seeded from the
-nearest previously-solved problem class.
 """
 
 from __future__ import annotations
@@ -34,20 +27,8 @@ from repro.obs import current_registry
 from repro.symbolic.posynomial import Posynomial
 from repro.util.errors import SolverError
 
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Numeric optimum of one concrete-``X`` instance, in array form."""
-
-    x_log: np.ndarray  #: log tile sizes at the optimum
-    objective_value: float
-    m_values: np.ndarray  #: values m_r of each constraint monomial
-    active: tuple[bool, ...]  #: m_r / X above the activity threshold
-    dual_weights: tuple[float, ...]  #: y_r = m_r / sum(active m)
-
-    @property
-    def tile_values_array(self) -> np.ndarray:
-        return np.exp(self.x_log)
+_ACTIVITY_THRESHOLD = 1e-4  #: m_r / X above this counts as an active term
+_RESTARTS = 4  #: SLSQP attempts before the best converged one is taken
 
 
 @dataclass(frozen=True)
@@ -60,9 +41,6 @@ class NumericSolution:
     constraint_terms: tuple[float, ...]  #: values m_r of each constraint monomial
     active: tuple[bool, ...]  #: m_r / X above the activity threshold
     dual_weights: tuple[float, ...]  #: y_r = m_r / sum(active m), ~ lambda*m_r/lambda*X
-
-    def tiles_by_name(self) -> dict[str, float]:
-        return {v.name: val for v, val in self.tile_values.items()}
 
 
 def _matrix_form(posy: Posynomial, variables: list[sp.Symbol]):
@@ -77,39 +55,34 @@ def _matrix_form(posy: Posynomial, variables: list[sp.Symbol]):
     return np.asarray(coeffs), np.asarray(exps)
 
 
-def probe_arrays(
-    c_obj: np.ndarray,
-    a_obj: np.ndarray,
-    k_con: np.ndarray,
-    e_con: np.ndarray,
+def solve_numeric(
+    objective: Posynomial,
+    constraint: Posynomial,
     x_value: float,
-    *,
-    activity_threshold: float = 1e-4,
-    restarts: int = 4,
-    x0_seed: np.ndarray | None = None,
-    rescue: bool = True,
-    ftol: float = 1e-12,
-) -> ProbeResult:
-    """Solve problem (8) numerically from prebuilt arrays.
+) -> NumericSolution:
+    """Solve problem (8) numerically for ``X = x_value``.
 
-    ``x0_seed`` (log tile sizes) warm-starts the first attempt; a converged
-    warm start returns immediately, so a good seed costs one SLSQP call
-    instead of ``restarts`` cold attempts.  ``rescue=False`` skips the slow
-    trust-constr fallback when every SLSQP attempt stalls -- callers that
-    will retry with more restarts anyway (the numeric-first fast path) must
-    not pay for the rescue twice.  ``ftol`` is SLSQP's convergence tolerance:
-    the reference schedule keeps the historical 1e-12, while the fast path
-    passes 1e-9 -- on nearly-linear (degenerate) log-space objectives SLSQP
-    stalls below double-precision noise at 1e-12 and would needlessly force
-    the slow rescue.
+    Coefficients must be numeric (callers substitute program parameters
+    first).  SLSQP runs from a default start, then from seeded random
+    starts; the best converged attempt wins once ``_RESTARTS`` attempts have
+    run, and at most ``2 * _RESTARTS`` run.  When none converges, one
+    counted ``trust-constr`` rescue runs.  Raises :class:`SolverError` when
+    the optimizer fails to converge or the constraint contains a
+    variable-free structure it cannot handle.
     """
+    variables = list(
+        dict.fromkeys(list(objective.variables()) + list(constraint.variables()))
+    )
+    if not variables:
+        raise SolverError("no tile variables in problem (8)")
+    if len(constraint) == 0:
+        raise SolverError("empty constraint: chi is unbounded (cap extents first)")
+
+    c_obj, a_obj = _matrix_form(objective, variables)
+    k_con, e_con = _matrix_form(constraint, variables)
     if np.any(c_obj <= 0) or np.any(k_con <= 0):
         raise SolverError("non-positive coefficient in posynomial")
     n = a_obj.shape[1]
-    if n == 0:
-        raise SolverError("no tile variables in problem (8)")
-    if k_con.size == 0:
-        raise SolverError("empty constraint: chi is unbounded (cap extents first)")
     log_x = np.log(x_value)
     log_c, log_k = np.log(c_obj), np.log(k_con)
 
@@ -131,14 +104,8 @@ def probe_arrays(
     default_x0 = np.full(n, min(log_x / max(2.0, n), upper / 2))
     best = None
     rng = np.random.default_rng(1234)
-    seeded = x0_seed is not None and len(x0_seed) == n
-    for trial in range(restarts * 2 + (1 if seeded else 0)):
-        if seeded and trial == 0:
-            x0 = np.clip(np.asarray(x0_seed, dtype=float), 0.0, upper)
-        elif (not seeded and trial == 0) or (seeded and trial == 1):
-            x0 = default_x0
-        else:
-            x0 = rng.uniform(0.0, upper * 0.6, size=n)
+    for trial in range(_RESTARTS * 2):
+        x0 = default_x0 if trial == 0 else rng.uniform(0.0, upper * 0.6, size=n)
         result = optimize.minimize(
             neg_log_objective,
             x0,
@@ -148,13 +115,13 @@ def probe_arrays(
                 {"type": "ineq", "fun": constraint_slack, "jac": constraint_slack_grad}
             ],
             method="SLSQP",
-            options={"maxiter": 500, "ftol": ftol},
+            options={"maxiter": 500, "ftol": 1e-12},
         )
         if result.success and (best is None or result.fun < best.fun):
             best = result
-        if best is not None and (seeded or trial >= restarts - 1):
+        if best is not None and trial >= _RESTARTS - 1:
             break
-    if best is None and rescue:
+    if best is None:
         # SLSQP can stall on nearly-degenerate geometries; trust-constr is
         # slower but markedly more robust.  No corpus problem gets here (the
         # degenerate class is solved in closed form before any probe), so
@@ -180,56 +147,15 @@ def probe_arrays(
 
     x_star = best.x
     m_values = k_con * np.exp(e_con @ x_star)
-    active = tuple(bool(m / x_value > activity_threshold) for m in m_values)
+    active = tuple(bool(m / x_value > _ACTIVITY_THRESHOLD) for m in m_values)
     active_mass = float(np.sum(m_values[np.asarray(active)])) or 1.0
-    duals = tuple(float(m / active_mass) for m in m_values)
-    return ProbeResult(
-        x_log=x_star,
-        objective_value=float(np.exp(-best.fun)),
-        m_values=m_values,
-        active=active,
-        dual_weights=duals,
-    )
-
-
-def solve_numeric(
-    objective: Posynomial,
-    constraint: Posynomial,
-    x_value: float,
-    *,
-    activity_threshold: float = 1e-4,
-    restarts: int = 4,
-) -> NumericSolution:
-    """Solve problem (8) numerically for ``X = x_value``.
-
-    Raises :class:`SolverError` when the optimizer fails to converge or the
-    constraint contains a variable-free structure it cannot handle.
-    """
-    variables = list(
-        dict.fromkeys(list(objective.variables()) + list(constraint.variables()))
-    )
-    if not variables:
-        raise SolverError("no tile variables in problem (8)")
-    if len(constraint) == 0:
-        raise SolverError("empty constraint: chi is unbounded (cap extents first)")
-
-    c_obj, a_obj = _matrix_form(objective, variables)
-    k_con, e_con = _matrix_form(constraint, variables)
-    probe = probe_arrays(
-        c_obj, a_obj, k_con, e_con, x_value,
-        activity_threshold=activity_threshold,
-        restarts=restarts,
-    )
-    tile_values = {
-        v: float(val) for v, val in zip(variables, probe.tile_values_array)
-    }
     return NumericSolution(
         variables=tuple(variables),
-        tile_values=tile_values,
-        objective_value=probe.objective_value,
-        constraint_terms=tuple(float(m) for m in probe.m_values),
-        active=probe.active,
-        dual_weights=probe.dual_weights,
+        tile_values={v: float(val) for v, val in zip(variables, np.exp(x_star))},
+        objective_value=float(np.exp(-best.fun)),
+        constraint_terms=tuple(float(m) for m in m_values),
+        active=active,
+        dual_weights=tuple(float(m / active_mass) for m in m_values),
     )
 
 

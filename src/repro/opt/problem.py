@@ -1,11 +1,11 @@
-"""Backend-neutral representation of optimization problem (8).
+"""Exponent-row representation of optimization problem (8).
 
-Every solver backend (:mod:`repro.opt.backends`) consumes the same problem:
-maximize a posynomial objective over a posynomial dominator budget.  Before
-this module existed, each consumer -- signature canonicalization, the cache
-key, the numeric probe, the exact KKT reconstruction -- re-derived its own
-view by traversing sympy expressions.  :class:`ProblemIR` computes the
-shared structure **once**, at fusion time:
+The solver (:mod:`repro.opt.backends`) consumes this problem: maximize a
+posynomial objective over a posynomial dominator budget.  Before this module
+existed, each consumer -- signature canonicalization, the cache key, the
+numeric probe, the exact KKT reconstruction -- re-derived its own view by
+traversing sympy expressions.  :class:`ProblemIR` computes the shared
+structure **once**, at fusion time:
 
 * the tile variables, by *name* (loop-variable names, not ``b_`` symbols),
   in deterministic appearance order (objective first);
@@ -20,9 +20,9 @@ Conversion to/from :class:`~repro.symbolic.posynomial.Posynomial` is
 lossless (:meth:`ProblemIR.from_posynomials` / :meth:`ProblemIR.objective`).
 
 The module also provides exact linear algebra over the rationals
-(:func:`solve_rational`, :func:`nullspace_rational`): plain Gaussian
-elimination on ``Fraction`` entries, with which the exact and numeric-first
-backends run the KKT reconstruction without sympy's ``linsolve``/``simplify``.
+(:func:`solve_rational`): plain Gaussian elimination on ``Fraction``
+entries, with which the KKT reconstruction runs without sympy's
+``linsolve``/``simplify``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class TermIR:
 
 @dataclass(frozen=True)
 class ProblemIR:
-    """One fused problem (8), shared by every solver backend and the cache."""
+    """One fused problem (8), shared by the solver and the cache."""
 
     variables: tuple[str, ...]  #: loop-variable names, appearance order
     coeffs: tuple[sp.Expr, ...]  #: interned distinct coefficient expressions
@@ -156,32 +156,6 @@ class ProblemIR:
 
     def extents_dict(self) -> dict[str, sp.Expr]:
         return dict(self.extents)
-
-    # ------------------------------------------------------------------
-    # structure helpers
-    # ------------------------------------------------------------------
-
-    def constrained_columns(self) -> tuple[bool, ...]:
-        """Per variable: does it appear in any constraint term?"""
-        flags = [False] * len(self.variables)
-        for term in self.constraint:
-            for idx, exp in enumerate(term.exponents):
-                if exp != 0:
-                    flags[idx] = True
-        return tuple(flags)
-
-    def structure_key(self) -> tuple:
-        """Coefficient-free shape of the problem (exponent matrices only).
-
-        Problems sharing a structure key differ at most in coefficients and
-        extents, so a numeric optimum of one is a good warm start for the
-        scipy probe of another.
-        """
-        return (
-            len(self.variables),
-            tuple(sorted(term.exponents for term in self.objective)),
-            tuple(sorted(term.exponents for term in self.constraint)),
-        )
 
     def renamed(self, mapping: Mapping[str, str]) -> "ProblemIR":
         """Rename loop variables (columns keep their order)."""
@@ -288,25 +262,6 @@ def solve_rational(
             total -= aug[row][free] * values[free]
         values[col] = total
     return values
-
-
-def nullspace_rational(
-    rows: Sequence[Sequence[Fraction]],
-) -> list[list[Fraction]]:
-    """Basis of the nullspace of ``rows`` (exact, possibly empty)."""
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivot_cols, rank = _row_reduce(mat, n_cols)
-
-    basis: list[list[Fraction]] = []
-    for free in (c for c in range(n_cols) if c not in pivot_cols):
-        vector = [Fraction(0)] * n_cols
-        vector[free] = Fraction(1)
-        for row, col in zip(range(rank), pivot_cols):
-            vector[col] = -mat[row][free]
-        basis.append(vector)
-    return basis
 
 
 def rationalize(value: float, max_denominator: int = 1000) -> Fraction:

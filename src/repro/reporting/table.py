@@ -37,7 +37,6 @@ def table2_rows(
     names: list[str] | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    solver: str | None = None,
     bounds: bool = False,
 ) -> list[Table2Row]:
     """Analyze the requested kernels and build comparison rows.
@@ -50,7 +49,7 @@ def table2_rows(
     from repro.kernels import get_kernel, kernel_names
 
     selected = names if names is not None else kernel_names(category)
-    results = analyze_many(selected, jobs=jobs, cache_dir=cache_dir, solver=solver)
+    results = analyze_many(selected, jobs=jobs, cache_dir=cache_dir)
     rows: list[Table2Row] = []
     for name, result in zip(selected, results):
         spec = get_kernel(name)

@@ -312,7 +312,6 @@ def audit_corpus(
     jobs: int = 1,
     cache_dir: str | None = None,
     engine=None,
-    solver: str | None = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     chunk_size: int | None = None,
     bounds_engines: Sequence[str] | None = None,
@@ -346,8 +345,7 @@ def audit_corpus(
     with obs_span("tightness.audit", jobs=jobs) as sweep_span:
         sweep_span.add("kernels", len(selected))
         results = analyze_many(
-            selected, jobs=jobs, cache_dir=cache_dir, engine=engine,
-            solver=solver,
+            selected, jobs=jobs, cache_dir=cache_dir, engine=engine
         )
         kernel_specs: list[tuple] = []
         for name, result in zip(selected, results):

@@ -64,7 +64,7 @@ class FusedStatement:
     extents: dict[str, sp.Expr]
     objective: Posynomial
     constraint: Posynomial
-    problem: ProblemIR  #: solver-backend view, built once for all consumers
+    problem: ProblemIR  #: solver view, built once for all consumers
     groups: tuple[SimpleOverlapGroup, ...]
     input_arrays: tuple[str, ...]  #: In(St_H)
     notes: tuple[str, ...] = ()

@@ -5,7 +5,7 @@
 * a **worker fleet**: N forked processes (:mod:`repro.service.workers`),
   each with a full engine, all sharing one persistent
   :class:`~repro.engine.store.SharedSolveStore` (sqlite, WAL) keyed by the
-  canonical ``sig-backend-rSOLVER_REVISION`` problem signature -- a problem
+  canonical ``sig-exact-rSOLVER_REVISION`` problem signature -- a problem
   solved by any worker, in any previous run, is a store hit everywhere;
 * a **priority job queue** (``high`` < ``normal`` < ``low``, FIFO within a
   rank) drained by one asyncio dispatcher task per worker; the sympy work
@@ -44,6 +44,7 @@ from repro.engine import program_fingerprint
 from repro.engine.cache import CacheStats
 from repro.engine.core import STAGES
 from repro.engine.store import STORE_FILE
+from repro.opt.backends import get_backend
 from repro.service.jobs import (
     DEFAULT_PRIORITY,
     DONE,
@@ -72,7 +73,9 @@ class ServiceConfig:
     cache_dir: str | None = None  #: shared store location (None = ephemeral)
     max_cache_entries: int | None = None  #: per-worker memory-tier cap
     coalesce: bool = True
-    solver: str = "exact"  #: problem (8) solver backend for every worker
+    #: problem (8) solver: ``"exact"`` is the only one; any other name raises
+    #: :class:`~repro.util.errors.SolverError`
+    solver: str = "exact"
     max_retained_jobs: int = MAX_RETAINED_JOBS
     #: corpus warm-up at boot: ``True`` queues every registered kernel,
     #: a tuple of names queues that subset, ``False`` skips warm-up
@@ -84,6 +87,9 @@ class ServiceConfig:
     #: cache finished report artifacts in the shared store (warm requests
     #: skip the whole analysis pipeline, not just the solves)
     report_cache: bool = True
+
+    def __post_init__(self) -> None:
+        get_backend(self.solver)
 
 
 class AnalysisService:
@@ -115,7 +121,6 @@ class AnalysisService:
         self._bounds_kernels: dict[str, dict] = {}
         # degradation ledger: everything /healthz reports under "degraded"
         self._bounds_errors: dict[str, int] = {}
-        self._solver_fallbacks: dict[str, int] = {}
         self._deadline_totals: dict[str, int] = {}
         self._requeued_jobs = 0
         self._shm_orphans_swept = 0
@@ -181,7 +186,6 @@ class AnalysisService:
             self.config.workers,
             worker_settings(
                 store_path=str(path),
-                solver=self.config.solver,
                 max_cache_entries=self.config.max_cache_entries,
                 lease_seconds=self.config.claim_lease_seconds,
                 poll_seconds=self.config.claim_poll_seconds,
@@ -353,7 +357,6 @@ class AnalysisService:
                 policy=policy,
                 max_subgraph_size=max_subgraph_size,
                 allow_pinning=allow_pinning,
-                solver=self.config.solver,
             )
 
         loop = asyncio.get_running_loop()
@@ -742,13 +745,6 @@ class AnalysisService:
                 float(value),
                 engine=engine_name,
             )
-        for backend, value in (stats.get("solver_fallbacks") or {}).items():
-            self._solver_fallbacks[backend] = self._solver_fallbacks.get(
-                backend, 0
-            ) + int(value)
-            registry.inc(
-                "service_solver_fallbacks_total", float(value), backend=backend
-            )
         for backend, value in (stats.get("solver_closed_form") or {}).items():
             registry.inc(
                 "service_solver_closed_form_total", float(value), backend=backend
@@ -852,10 +848,6 @@ class AnalysisService:
                 name: int(count)
                 for name, count in sorted(self._bounds_errors.items())
             },
-            "solver_fallbacks": {
-                name: int(count)
-                for name, count in sorted(self._solver_fallbacks.items())
-            },
             "deadline_expirations": {
                 stage: int(count)
                 for stage, count in sorted(self._deadline_totals.items())
@@ -895,10 +887,6 @@ class AnalysisService:
             "requeued_jobs": int(self._requeued_jobs),
             "store_quarantines": int(self._store_totals.get("quarantines", 0)),
             "store_errors": int(self._store_totals.get("errors", 0)),
-            "solver_fallbacks": {
-                name: int(count)
-                for name, count in sorted(self._solver_fallbacks.items())
-            },
             "bound_engine_errors": {
                 name: int(count)
                 for name, count in sorted(self._bounds_errors.items())

@@ -47,7 +47,6 @@ _SLOW_SPANS_PER_JOB = 3
 def worker_settings(
     *,
     store_path: str,
-    solver: str = "exact",
     max_cache_entries: int | None = None,
     lease_seconds: float | None = None,
     poll_seconds: float | None = None,
@@ -56,7 +55,6 @@ def worker_settings(
     """Picklable worker configuration (one dict, shipped at fork time)."""
     return {
         "store_path": str(store_path),
-        "solver": solver,
         "max_cache_entries": max_cache_entries,
         "lease_seconds": lease_seconds,
         "poll_seconds": poll_seconds,
@@ -87,16 +85,15 @@ def _build_engine(settings: dict):
             store=store,
             max_memory_entries=settings.get("max_cache_entries"),
         ),
-        solver=settings.get("solver", "exact"),
     )
     return engine, store
 
 
-def _report_key(kind: str, identity: str, solver: str) -> str:
+def _report_key(kind: str, identity: str) -> str:
     from repro import __version__
-    from repro.opt.kkt import SOLVER_REVISION
+    from repro.opt.backends import get_backend
 
-    return f"{kind}:{identity}:{solver}-r{SOLVER_REVISION}:v{__version__}"
+    return f"{kind}:{identity}:{get_backend().cache_tag()}:v{__version__}"
 
 
 def _execute(engine, store, descriptor: dict, report_cache: bool):
@@ -110,7 +107,7 @@ def _execute(engine, store, descriptor: dict, report_cache: bool):
         from repro.reporting.serialize import kernel_report
 
         name = descriptor["name"]
-        key = _report_key("kernel", name, engine.solver)
+        key = _report_key("kernel", name)
         if cacheable:
             cached = store.get_report(key)
             if cached is not None:
@@ -124,7 +121,7 @@ def _execute(engine, store, descriptor: dict, report_cache: bool):
         from repro.frontend.python_frontend import parse_python
         from repro.reporting.serialize import program_bound_report
 
-        key = _report_key("analyze", descriptor["fingerprint"], engine.solver)
+        key = _report_key("analyze", descriptor["fingerprint"])
         if cacheable:
             cached = store.get_report(key)
             if cached is not None:
@@ -156,7 +153,7 @@ def _execute(engine, store, descriptor: dict, report_cache: bool):
 
         # identity = CDAG signature + sweep + engine selection (computed by
         # the front-end), so a warm repeat skips graph construction entirely
-        key = _report_key("bounds", descriptor["identity"], engine.solver)
+        key = _report_key("bounds", descriptor["identity"])
         if cacheable:
             cached = store.get_report(key)
             if cached is not None:
@@ -277,9 +274,6 @@ def _run_job(engine, store, descriptor: dict, report_cache: bool) -> dict:
         "bounds": registry.counter_by_label("bound_engine_evals_total", "engine"),
         "bounds_errors": registry.counter_by_label(
             "bound_engine_errors_total", "engine"
-        ),
-        "solver_fallbacks": registry.counter_by_label(
-            "solver_fallbacks_total", "backend"
         ),
         "solver_closed_form": registry.counter_by_label(
             "solver_closed_form_total", "backend"

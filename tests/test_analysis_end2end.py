@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from repro.analysis import analyze_kernel, analyze_source
+from repro.analysis import analyze_kernel, analyze_program, analyze_source
 from repro.kernels import get_kernel
 from repro.pebbling.validate import validate_bound
 from repro.symbolic.symbols import S_SYM
@@ -100,3 +100,16 @@ class TestValidationSandwich:
     def test_gap_reported(self):
         report = validate_bound(get_kernel("gemm").build(), {"N": 3}, 8)
         assert report.gap >= 1.0
+
+
+def test_ablation_overlap_policy():
+    """Section 5.1 ablation: 'sum' (paper) vs conservative 'max' on LU.
+
+    The disjointness assumption is what gives LU its sqrt(S)/2 intensity;
+    the conservative mode must never *exceed* the paper-mode bound.
+    """
+    program = get_kernel("lu").build()
+    paper_mode = analyze_program(program, policy="sum")
+    conservative = analyze_program(program, policy="max")
+    ratio = sp.simplify(conservative.bound / paper_mode.bound)
+    assert float(ratio.subs({N: 1e9, S_SYM: 1e4})) <= 1.0 + 1e-9

@@ -1,18 +1,22 @@
-"""Solver backends: registry, equivalence, cross-check, engine threading."""
+"""The problem-(8) solver: its name, batch loop, engine threading, pinned keys."""
 
 import time
 
 import pytest
 import sympy as sp
 
-from repro import faults
+from repro import __version__, faults
 from repro.analysis import analyze_kernel
-from repro.engine import Engine, analyze_many
+from repro.engine import Engine, classify_outcome, program_fingerprint
+from repro.engine.core import _solve_signature
+from repro.engine.signature import canonicalize_ir
 from repro.faults import FaultPlan, FaultSpec
+from repro.kernels import get_kernel
 from repro.obs import MetricsRegistry, Tracer
 from repro.opt import ProblemIR, available_backends, get_backend
-from repro.opt.kkt import ChiSolution
-from repro.opt.backends.crosscheck import MISMATCH_PREFIX, _leading_mismatch
+from repro.opt.kkt import SOLVER_REVISION, ChiSolution
+from repro.service import ServiceConfig
+from repro.service.workers import _report_key
 from repro.symbolic.posynomial import Posynomial
 from repro.symbolic.symbols import X_SYM, tile
 from repro.util.errors import SolverError
@@ -31,17 +35,43 @@ def _ir(obj, con, variables, extents=None):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(available_backends()) >= {"exact", "numeric-first", "cross-check"}
+        assert available_backends() == ("exact",)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SolverError):
             get_backend("annealing")
         with pytest.raises(SolverError):
             Engine(solver="annealing")
+        with pytest.raises(SolverError):
+            ServiceConfig(solver="annealing")
 
     def test_cache_tags_namespace_backends(self):
-        tags = {get_backend(name).cache_tag() for name in available_backends()}
-        assert len(tags) == len(available_backends())
+        # store entries are keyed <signature>-<cache tag>: a changed tag
+        # re-keys every solve store already written
+        assert get_backend().cache_tag() == f"exact-r{SOLVER_REVISION}"
+
+
+class TestPinnedKeys:
+    """Names that deployed solve stores, report tables and coalescing use.
+
+    A change to any of them re-keys every store and report table already
+    written, so each one moves only on purpose.
+    """
+
+    def test_report_key(self):
+        assert _report_key("kernel", "gemm") == f"kernel:gemm:exact-r3:v{__version__}"
+
+    def test_gemm_fingerprint(self):
+        # ROADMAP item 1 (a request identity that also covers iteration
+        # domains) will change this value on purpose.
+        assert program_fingerprint(get_kernel("gemm").build()) == (
+            "4ecb6a8c4c5ccc26e2c378cd41e9ec3dae8ec0e586c075d6d34ab4561660a345"
+        )
+
+    def test_removed_backends_are_rejected(self):
+        for name in ("numeric-first", "cross-check"):
+            with pytest.raises(SolverError, match="unknown solver backend"):
+                Engine(solver=name)
 
 
 SOLVE_CASES = [
@@ -54,8 +84,10 @@ SOLVE_CASES = [
 
 
 class TestBackendEquivalence:
+    """The solver on canonical problems, caps and rejections."""
+
     @pytest.mark.parametrize("obj,con,expected", SOLVE_CASES)
-    @pytest.mark.parametrize("backend", ["exact", "numeric-first", "cross-check"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_canonical_problems(self, backend, obj, con, expected):
         variables = [bi, bj, bk, bl]
         solution = get_backend(backend).solve(
@@ -65,72 +97,25 @@ class TestBackendEquivalence:
 
     def test_capping_matches_exact(self):
         ir = _ir(bi * bj, bi, [bi, bj], {"j": N, "i": N})
-        for backend in ("exact", "numeric-first"):
-            solution = get_backend(backend).solve(
-                ir, allow_pinning=True, allow_caps=True
-            )
-            assert sp.simplify(solution.chi - N * X_SYM) == 0
-            assert solution.capped == ("j",)
+        solution = get_backend().solve(ir, allow_pinning=True, allow_caps=True)
+        assert sp.simplify(solution.chi - N * X_SYM) == 0
+        assert solution.capped == ("j",)
 
     def test_missing_extent_rejected_by_both(self):
         ir = _ir(bi * bj, bi, [bi, bj], {})
-        for backend in ("exact", "numeric-first"):
-            with pytest.raises(SolverError, match="no extent cap"):
-                get_backend(backend).solve(ir, allow_pinning=True, allow_caps=True)
+        with pytest.raises(SolverError, match="no extent cap"):
+            get_backend().solve(ir, allow_pinning=True, allow_caps=True)
 
     def test_interior_only_cap_rejection_matches(self):
         ir = _ir(bi * bj, bi, [bi, bj], {"j": N})
-        for backend in ("exact", "numeric-first"):
-            with pytest.raises(SolverError, match="interior-only"):
-                get_backend(backend).solve(ir, allow_pinning=False, allow_caps=False)
-
-    def test_numeric_first_defers_tile_closed_forms(self):
-        solution = get_backend("numeric-first").solve(
-            _ir(bi * bj * bk, bi * bk + bk * bj + bi * bj, [bi, bj, bk]),
-            allow_pinning=False,
-            allow_caps=False,
-        )
-        assert solution.exact
-        assert solution.tiles == {}  # deferred: nothing downstream needs them
-        assert any("numeric-first" in note for note in solution.notes)
-
-
-class TestCrossCheck:
-    def test_agreement_returns_exact_solution_with_note(self):
-        solution = get_backend("cross-check").solve(
-            _ir(bi * bj * bk, bi * bk + bk * bj + bi * bj, [bi, bj, bk]),
-            allow_pinning=False,
-            allow_caps=False,
-        )
-        assert any("cross-check" in note for note in solution.notes)
-        assert solution.tiles  # exact's verified tile closed forms survive
-
-    def test_leading_mismatch_detection(self):
-        assert _leading_mismatch(2 * X_SYM, 2 * X_SYM) is None
-        # equivalent forms of the same constant agree
-        assert (
-            _leading_mismatch(
-                sp.sqrt(3) / 9 * X_SYM ** sp.Rational(3, 2),
-                sp.Integer(3) ** sp.Rational(-3, 2) * X_SYM ** sp.Rational(3, 2),
-            )
-            is None
-        )
-        # lower-order differences are ignored
-        assert _leading_mismatch(2 * X_SYM**2 + X_SYM, 2 * X_SYM**2) is None
-        assert "alpha differs" in _leading_mismatch(X_SYM**2, X_SYM)
-        assert "coefficient differs" in _leading_mismatch(3 * X_SYM, 2 * X_SYM)
-
-    def test_consistent_rejection_reports_reference_error(self):
-        ir = _ir(bi * bj, bi, [bi, bj], {})
-        with pytest.raises(SolverError) as excinfo:
-            get_backend("cross-check").solve(ir, allow_pinning=True, allow_caps=True)
-        assert not str(excinfo.value).startswith(MISMATCH_PREFIX)
+        with pytest.raises(SolverError, match="interior-only"):
+            get_backend().solve(ir, allow_pinning=False, allow_caps=False)
 
 
 class TestBatchLoop:
-    """Every backend's batch goes through the same deadline/fault/span loop."""
+    """Every solve goes through the same deadline/fault/span loop."""
 
-    @pytest.mark.parametrize("backend", ["exact", "numeric-first"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_expired_deadline_stops_batch_before_second_problem(
         self, backend, monkeypatch
     ):
@@ -151,7 +136,7 @@ class TestBatchLoop:
         assert err.value.stage == "solve"
         assert len(solved) == 1
 
-    @pytest.mark.parametrize("backend", ["exact", "numeric-first"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_solver_solve_fault_site_fires(self, backend):
         plan = FaultPlan(
             seed=1,
@@ -167,6 +152,23 @@ class TestBatchLoop:
         assert sum(isinstance(r, SolverError) for r in results) == 1
         assert sum(isinstance(r, ChiSolution) for r in results) == 1
 
+    def test_solve_signature_goes_through_the_batch_loop(self):
+        # the pooled solves of analyze(jobs>1) and the solo solve after a
+        # reclaimed claim: the fault site fires and its error is a negative
+        # outcome, as in the in-process batch
+        canonical = canonicalize_ir(
+            _ir(2 * bi * bj, bi * bj, [bi, bj]), allow_pinning=False, allow_caps=False
+        )
+        plan = FaultPlan(
+            seed=1,
+            specs=[FaultSpec(site="solver.solve", error="solver", at=(1,))],
+        )
+        with faults.plan_scope(plan):
+            key, outcome = _solve_signature(("sig", canonical, False))
+        assert key == "sig"
+        assert classify_outcome(outcome) == "negative"
+        assert outcome.error == "injected fault at solver.solve"
+
     def test_span_and_registry_count_closed_forms(self):
         registry = MetricsRegistry()
         tracer = Tracer(keep_spans=True, registry=registry)
@@ -175,47 +177,31 @@ class TestBatchLoop:
             _ir(bi * bj * bk, bi * bk + bk * bj + bi * bj, [bi, bj, bk]),
         ]
         with tracer:
-            get_backend("numeric-first").solve_batch(
-                problems, allow_pinning=False, allow_caps=False
-            )
+            get_backend().solve_batch(problems, allow_pinning=False, allow_caps=False)
         (batch,) = [s for s in tracer.spans if s["name"] == "solver.solve-batch"]
+        assert batch["attrs"]["backend"] == "exact"
         assert batch["counters"]["solved"] == 2
         assert batch["counters"]["closed_form"] == 1
         assert batch["counters"]["rescues"] == 0
-        assert "fallbacks" in batch["counters"]
         assert registry.counter_by_label("solver_closed_form_total", "backend") == {
-            "numeric-first": 1
+            "exact": 1
         }
 
 
 class TestEngineThreading:
     def test_engine_solver_selection(self):
-        exact = analyze_kernel("gemm", solver="exact")
-        fast = analyze_kernel("gemm", solver="numeric-first")
-        assert sp.simplify(exact.bound - fast.bound) == 0
-        assert fast.diagnostics.solver == "numeric-first"
-        assert exact.diagnostics.solver == "exact"
-
-    def test_cache_entries_namespaced_per_backend(self):
-        engine = Engine(solver="exact")
-        engine.analyze(_gemm_program())
-        hits_after_exact = engine.cache.stats.hits
-        # same problems under another backend must MISS (no aliasing)
-        engine.analyze(_gemm_program(), solver="numeric-first")
-        assert engine.cache.stats.hits == hits_after_exact
-        stats = engine.solver_stats_snapshot()
-        assert stats["exact"]["exact"] >= 1
-        assert stats["numeric-first"]["exact"] >= 1
+        result = analyze_kernel("gemm", engine=Engine(solver="exact"))
+        assert result.diagnostics.as_dict()["solver"] == "exact"
 
     def test_solver_stats_buckets(self):
-        engine = Engine(solver="cross-check")
+        engine = Engine()
         engine.analyze(_gemm_program())
-        counts = engine.solver_stats_snapshot()["cross-check"]
-        assert set(counts) == {"exact", "fitted", "negative", "mismatch", "coverage"}
-        assert counts["mismatch"] == 0
+        counts = engine.solver_stats_snapshot()["exact"]
+        assert set(counts) == {"exact", "fitted", "negative"}
+        assert counts["exact"] >= 1
 
     def test_solve_stage_reports_solver_buckets(self):
-        result = Engine(solver="exact").analyze(_gemm_program())
+        result = Engine().analyze(_gemm_program())
         solve = result.diagnostics.stage("solve")
         assert solve.count("solver_exact") >= 1
 
@@ -237,25 +223,3 @@ def _gemm_program():
             )
         ],
     )
-
-
-@pytest.mark.slow
-def test_backend_equivalence_full_corpus():
-    """Every fused problem of the 38-kernel suite: zero rho mismatches.
-
-    One cross-check sweep runs both backends on every distinct canonical
-    problem (8) of the corpus; the engine counters must show no leading-order
-    disagreement, and the resulting bounds must equal the exact backend's.
-    """
-    from repro.kernels import kernel_names
-
-    names = kernel_names()
-    engine = Engine(solver="cross-check")
-    checked = analyze_many(names, engine=engine)
-    counts = engine.solver_stats_snapshot()["cross-check"]
-    assert counts["mismatch"] == 0, counts
-    exact = analyze_many(names, engine=Engine(solver="exact"))
-    assert [r.bound for r in checked] == [r.bound for r in exact]
-    # Coverage differences (problems only one backend closes) are a handful
-    # of boundary-degenerate cases; anything more means the fast path drifted.
-    assert counts["coverage"] <= 8, counts

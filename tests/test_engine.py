@@ -289,9 +289,7 @@ class TestCacheCorrectness:
         )
         from repro.engine.core import _solve_signature
 
-        _, outcome = _solve_signature(
-            (canonical.signature, canonical, False, "exact")
-        )
+        _, outcome = _solve_signature((canonical.signature, canonical, False))
         store = SolveCache(tmp_path / "cache")
         store.put(canonical.signature, outcome)
         fresh = SolveCache(tmp_path / "cache")  # new in-process tier

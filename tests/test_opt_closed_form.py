@@ -17,7 +17,7 @@ import repro.opt.numeric as numeric
 from repro.analysis import analyze_kernel
 from repro.engine import Engine
 from repro.obs import MetricsRegistry, Tracer
-from repro.opt import ProblemIR, get_backend
+from repro.opt import ProblemIR, available_backends, get_backend
 from repro.opt.kkt import CLOSED_FORM_NOTE, bandwidth_bound_chi, solve_chi
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import X_SYM, tile
@@ -42,7 +42,7 @@ class _NoScipy:
 
 
 @pytest.mark.parametrize("obj,con,expected", DERICHE_RESCUES)
-@pytest.mark.parametrize("backend", ["exact", "numeric-first", "cross-check"])
+@pytest.mark.parametrize("backend", available_backends())
 def test_deriche_problems_need_no_scipy(backend, obj, con, expected, monkeypatch):
     monkeypatch.setattr(numeric, "optimize", _NoScipy())
     problem = ProblemIR.from_posynomials(

@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from repro.opt.problem import (
-    ProblemIR,
-    nullspace_rational,
-    rationalize,
-    solve_rational,
-)
+from repro.opt.problem import ProblemIR, rationalize, solve_rational
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import tile
 
@@ -83,21 +78,6 @@ class TestProblemIR:
         assert by_key[sp.srepr(sp.sympify(N))] is None
         assert by_key[sp.srepr(sp.Integer(2))] == 2.0
 
-    def test_structure_key_ignores_coefficients(self):
-        obj = _posy(bi * bj, [bi, bj])
-        a = ProblemIR.from_posynomials(obj, _posy(bi + bj, [bi, bj]), {})
-        b = ProblemIR.from_posynomials(obj, _posy(5 * bi + N * bj, [bi, bj]), {})
-        assert a.structure_key() == b.structure_key()
-        c = ProblemIR.from_posynomials(obj, _posy(bi * bj + bj, [bi, bj]), {})
-        assert a.structure_key() != c.structure_key()
-
-    def test_constrained_columns(self):
-        ir = ProblemIR.from_posynomials(
-            _posy(bi * bj * bk, [bi, bj, bk]), _posy(bi + bk, [bi, bk]), {}
-        )
-        flags = dict(zip(ir.variables, ir.constrained_columns()))
-        assert flags == {"i": True, "j": False, "k": True}
-
     def test_renamed_and_permuted(self):
         ir = ProblemIR.from_posynomials(
             _posy(bi * bj, [bi, bj]), _posy(bi + 2 * bj, [bi, bj]), {"i": N}
@@ -135,15 +115,6 @@ class TestRationalLinearAlgebra:
     def test_inconsistent_returns_none(self):
         rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
         assert solve_rational(rows, [Fraction(1), Fraction(3)]) is None
-
-    def test_nullspace(self):
-        rows = [[Fraction(1), Fraction(1)]]
-        basis = nullspace_rational(rows)
-        assert len(basis) == 1
-        z = basis[0]
-        assert z[0] + z[1] == 0 and z != [0, 0]
-        full_rank = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        assert nullspace_rational(full_rank) == []
 
     def test_rationalize(self):
         assert rationalize(0.3333333333) == Fraction(1, 3)

@@ -285,24 +285,24 @@ def _assert_matches_reference(
         probes.append(solve_numeric(*args, **kwargs))
         return probes[-1]
 
-    def solve(guidance=None):
+    def solve():
         return solve_chi(
             objective, constraint, extents,
-            allow_pinning=allow_pinning, allow_caps=allow_caps, guidance=guidance,
+            allow_pinning=allow_pinning, allow_caps=allow_caps,
         )
 
     def replaying(*args, **kwargs):
-        """The numeric fit's probes, as the rational run recorded them."""
+        """The guiding probe and the numeric fit's probes, in the order the
+        rational run recorded them."""
         return probes.pop(0) if probes else solve_numeric(*args, **kwargs)
 
     with patch.object(kkt, "solve_numeric", recording):
         rational = _outcome(solve)
-    guidance = probes.pop(0) if probes else None
     with (
         patch.object(kkt, "_exact_from_guidance", reference_exact_from_guidance),
         patch.object(kkt, "solve_numeric", replaying),
     ):
-        reference = _outcome(lambda: solve(guidance))
+        reference = _outcome(solve)
     assert rational == reference
     return rational
 
