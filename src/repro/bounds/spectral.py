@@ -39,9 +39,17 @@ computed vertices, greedily grouped up to ``BAND_CAP`` vertices):
 and power-iteration Rayleigh quotients only *upper*-bound it.  So power
 iteration merely screens bands -- ranking them by estimated
 ``n_B * lambda2`` -- and the top ``CERT_BANDS`` candidates are certified
-with a dense ``numpy.linalg.eigvalsh`` minus a conservative margin.  Band
-spectra are S-independent and cached per graph; per-S evaluation is just
-the quadratic above.
+with a dense ``numpy.linalg.eigvalsh`` minus a conservative margin.  A
+candidate whose undirected graph is disconnected has ``lambda2 = 0``
+exactly, so a union-find pass answers it without an eigensolve (the margin
+exceeds eigvalsh's rounding, so the dense path also returns 0.0 there);
+the ``bounds.engine`` span counts ``eigensolves`` and
+``disconnected_bands``.  Band spectra are S-independent and cached per
+graph; per-S evaluation is just the quadratic above.
+
+Bands come from :func:`~repro.bounds.structure.graph_facts`, whose
+topological numbering keeps levels non-decreasing, so every band is a
+range of vertex numbers and its edges are one slice of the successor CSR.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from repro.bounds.registry import (
     register_bound_engine,
 )
 from repro.bounds.structure import GraphFacts, graph_facts
+from repro.obs import current_span
 
 #: below this many vertices the structural term is skipped entirely --
 #: small graphs are the exact pebbler's (recomputing) territory
@@ -85,36 +94,36 @@ class BandSpectrum:
     lambda2: float | None  #: certified lambda2; None = not certified
 
 
-def _level_bands(facts: GraphFacts) -> list[list[int]]:
-    """Group computed vertices into bands of consecutive levels."""
-    by_level: dict[int, list[int]] = {}
-    for v in facts.computed:
-        by_level.setdefault(facts.level[v], []).append(v)
-    bands: list[list[int]] = []
-    current: list[int] = []
-    for lvl in sorted(by_level):
-        vertices = by_level[lvl]
-        if current and len(current) + len(vertices) > BAND_CAP:
-            bands.append(current)
-            current = []
-        current.extend(vertices)
-    if current:
-        bands.append(current)
+def _level_bands(facts: GraphFacts) -> list[tuple[int, int]]:
+    """Group computed vertices into bands of consecutive levels.
+
+    Each band is a range ``[lo, hi)`` of vertex numbers: the computed
+    vertices are a trailing range, ordered by level.
+    """
+    if not len(facts.computed):
+        return []
+    _, sizes = np.unique(facts.level[facts.computed], return_counts=True)
+    bands: list[tuple[int, int]] = []
+    lo = hi = int(facts.computed[0])
+    for size in sizes.tolist():
+        if hi > lo and hi - lo + size > BAND_CAP:
+            bands.append((lo, hi))
+            lo = hi
+        hi += size
+    bands.append((lo, hi))
     return bands
 
 
-def _band_edges(facts: GraphFacts, members: list[int]) -> np.ndarray:
-    """Within-band directed edges as local-index pairs, shape (m, 2)."""
-    local = {v: i for i, v in enumerate(members)}
-    rows = [
-        (local[v], local[c])
-        for v in members
-        for c in facts.succs[v]
-        if c in local
-    ]
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+def _band_edges(facts: GraphFacts, lo: int, hi: int) -> np.ndarray:
+    """Within-band directed edges as local-index pairs, shape (m, 2).
+
+    Rows run by source vertex, then by successor: a successor of ``v``
+    comes after ``v``, so it is in the band iff it is below ``hi``.
+    """
+    sources = np.repeat(np.arange(lo, hi, dtype=np.int64), facts.out_deg[lo:hi])
+    targets = facts.succ_ids[facts.succ_offsets[lo]:facts.succ_offsets[hi]]
+    inside = targets < hi
+    return np.stack((sources[inside], targets[inside]), axis=1) - lo
 
 
 def _screen_lambda2(n: int, edges: np.ndarray) -> float:
@@ -149,68 +158,87 @@ def _screen_lambda2(n: int, edges: np.ndarray) -> float:
     return float(x @ laplacian(x))
 
 
-def _certified_lambda2(n: int, edges: np.ndarray) -> float:
-    """Dense eigensolve with a conservative down-shift.
+def _connected(n: int, edges: np.ndarray) -> bool:
+    """Is the undirected graph on ``n`` vertices with ``edges`` connected?"""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    components = n
+    for u, v in edges.tolist():
+        u, v = find(u), find(v)
+        if u != v:
+            root[u] = v
+            components -= 1
+    return components == 1
+
+
+def _certified_lambda2(n: int, edges: np.ndarray) -> tuple[float, bool]:
+    """``(lambda2, eigensolved)``: a dense eigensolve with a conservative
+    down-shift, or 0.0 without one when the band is disconnected.
 
     Rounding the result *down* is the safe direction: a smaller lambda2
     widens ``m_lo`` and weakens (never falsifies) the bound.
     """
-    if n < 2 or edges.shape[0] == 0:
-        return 0.0
+    if n < 2 or not _connected(n, edges):
+        return 0.0, False
+    sources, targets = edges[:, 0], edges[:, 1]
     lap = np.zeros((n, n))
-    for u, v in edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
+    np.add.at(lap, (sources, targets), -1.0)
+    np.add.at(lap, (targets, sources), -1.0)
+    lap[np.diag_indices(n)] += np.bincount(edges.ravel(), minlength=n)
     eigenvalues = np.linalg.eigvalsh(lap)
     max_degree = float(lap.diagonal().max())
     margin = 1e-8 * (1.0 + 2.0 * max_degree)
-    return max(0.0, float(eigenvalues[1]) - margin)
+    return max(0.0, float(eigenvalues[1]) - margin), True
 
 
 def _band_spectra(graph) -> tuple[BandSpectrum, ...]:
-    """Certified band data for ``graph``, computed once and cached."""
+    """Certified band data for ``graph``, computed once and cached.
+
+    Computing them adds the ``eigensolves`` and ``disconnected_bands``
+    counts to the open span.
+    """
     with _LOCK:
         cached = _SPECTRA.get(graph)
     if cached is not None:
         return cached
     facts = graph_facts(graph)
-    bands = _level_bands(facts)
     screened = []
-    for members in bands:
-        edges = _band_edges(facts, members)
-        estimate = _screen_lambda2(len(members), edges)
-        screened.append((len(members) * estimate, members, edges))
+    for lo, hi in _level_bands(facts):
+        edges = _band_edges(facts, lo, hi)
+        estimate = _screen_lambda2(hi - lo, edges)
+        screened.append(((hi - lo) * estimate, lo, hi, edges))
     screened.sort(key=lambda item: item[0], reverse=True)
     certify = {
-        id(members)
-        for score, members, _ in screened[:CERT_BANDS]
-        if score > 0.0 and len(members) <= BAND_CAP
+        lo
+        for score, lo, hi, _ in screened[:CERT_BANDS]
+        if score > 0.0 and hi - lo <= BAND_CAP
     }
+    eigensolves = disconnected = 0
     spectra = []
-    for _, members, edges in screened:
-        lambda2 = (
-            _certified_lambda2(len(members), edges)
-            if id(members) in certify
-            else None
-        )
-        inputs = {
-            p
-            for v in members
-            for p in facts.preds[v]
-            if facts.in_deg[p] == 0
-        }
-        lo = min(facts.level[v] for v in members)
-        hi = max(facts.level[v] for v in members)
+    for _, lo, hi, edges in screened:
+        lambda2 = None
+        if lo in certify:
+            lambda2, eigensolved = _certified_lambda2(hi - lo, edges)
+            eigensolves += eigensolved
+            disconnected += not eigensolved
+        parents = facts.pred_ids[facts.pred_offsets[lo]:facts.pred_offsets[hi]]
         spectra.append(
             BandSpectrum(
-                levels=(lo, hi),
-                n_vertices=len(members),
-                n_inputs=len(inputs),
+                levels=(int(facts.level[lo]), int(facts.level[hi - 1])),
+                n_vertices=hi - lo,
+                n_inputs=len(np.unique(parents[facts.in_deg[parents] == 0])),
                 lambda2=lambda2,
             )
         )
+    span = current_span()
+    span.add("eigensolves", eigensolves)
+    span.add("disconnected_bands", disconnected)
     result = tuple(spectra)
     with _LOCK:
         _SPECTRA[graph] = result
@@ -248,7 +276,7 @@ class SpectralBound(BoundEngine):
     def _value(self, problem: BoundProblem) -> tuple[float, tuple[str, ...]]:
         facts = graph_facts(problem.graph)
         s = int(problem.s)
-        if s <= 0 or not facts.computed:
+        if s <= 0 or not len(facts.computed):
             return float(facts.floor), ("no computed vertices; floor only",)
         if facts.n_vertices < MIN_STRUCTURAL_VERTICES:
             return float(facts.floor), (

@@ -1,13 +1,19 @@
-"""Shared structural facts about a concrete CDAG, cached per graph.
+"""Shared structural facts about a concrete CDAG, memoized on its index.
 
-Every graph engine needs the same skeleton -- topological order,
-predecessor/successor index lists, degrees, the longest-path level of each
-computed vertex, and the cold input/output floor.  Computing it once per
-graph (not once per engine per S) is what keeps a multi-engine tightness
-sweep within the benchmark gate, so the facts live in a
-:class:`weakref.WeakKeyDictionary` keyed by the ``networkx.DiGraph``
-itself (``ConcreteCDAG`` is an unhashable dataclass; its graph is the
-stable identity).
+Every graph engine needs the same skeleton -- predecessor/successor index
+lists, degrees, the longest-path level of each computed vertex, and the
+cold input/output floor.  Computing it once per graph (not once per engine
+per S) is what keeps a multi-engine tightness sweep within the benchmark
+gate.  The facts are array operations over the graph's
+:class:`~repro.cdag.index.GraphIndex` and are memoized on it, so they live
+exactly as long as the ``networkx.DiGraph`` and nothing here walks it.
+
+Vertices are numbered in ``networkx.topological_sort`` order
+(:attr:`~repro.cdag.index.GraphIndex.topo_order`), the numbering the
+spectral engine's float output depends on.  That order runs generation by
+generation, so levels never decrease along it, and the in-degree-0
+vertices (generation 0) come first: the computed vertices are the
+trailing range of indices.
 
 The floor is the one bound every engine can always fall back to::
 
@@ -24,90 +30,77 @@ vertices and store exactly at out-degree-0 vertices.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
+
+from repro.cdag.index import GraphIndex, graph_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphFacts:
-    """S-independent skeleton of one CDAG, shared by all bound engines."""
+    """S-independent skeleton of one CDAG, shared by all bound engines.
+
+    All vertex numbers are topological (see the module docstring).
+    """
 
     n_vertices: int
-    #: vertex indices in topological order
-    topo: tuple[int, ...]
-    #: predecessor / successor indices per vertex
-    preds: tuple[tuple[int, ...], ...]
-    succs: tuple[tuple[int, ...], ...]
-    in_deg: tuple[int, ...]
-    out_deg: tuple[int, ...]
+    #: ``pred_ids[pred_offsets[v]:pred_offsets[v + 1]]`` are the
+    #: predecessors of ``v``, ascending; likewise the successors
+    pred_offsets: np.ndarray
+    pred_ids: np.ndarray
+    succ_offsets: np.ndarray
+    succ_ids: np.ndarray
+    in_deg: np.ndarray
+    out_deg: np.ndarray
     max_in_degree: int
     max_out_degree: int
     #: cold input/output floor (recomputation-safe)
     floor: int
-    #: indices of computed vertices (in-degree > 0), topologically ordered
-    computed: tuple[int, ...]
-    #: longest-path level of each vertex (inputs at 0)
-    level: tuple[int, ...]
+    #: the computed vertices (in-degree > 0), ascending
+    computed: np.ndarray
+    #: longest-path level of each vertex (inputs at 0), non-decreasing
+    level: np.ndarray
     #: number of distinct levels holding at least one computed vertex
     n_levels: int
 
 
-_FACTS: "weakref.WeakKeyDictionary[nx.DiGraph, GraphFacts]" = (
-    weakref.WeakKeyDictionary()
-)
-_LOCK = threading.Lock()
-
-
 def graph_facts(graph: nx.DiGraph) -> GraphFacts:
     """Structural facts for ``graph``, computed once per graph object."""
-    with _LOCK:
-        facts = _FACTS.get(graph)
-    if facts is not None:
-        return facts
-    facts = _build_facts(graph)
-    with _LOCK:
-        _FACTS[graph] = facts
-    return facts
+    index = graph_index(graph)
+    if index.facts is None:
+        index.facts = _facts_of(index)
+    return index.facts
 
 
-def _build_facts(graph: nx.DiGraph) -> GraphFacts:
-    nodes = list(nx.topological_sort(graph))
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    preds = tuple(
-        tuple(sorted(index[p] for p in graph.predecessors(node)))
-        for node in nodes
-    )
-    succs = tuple(
-        tuple(sorted(index[s] for s in graph.successors(node)))
-        for node in nodes
-    )
-    in_deg = tuple(len(p) for p in preds)
-    out_deg = tuple(len(s) for s in succs)
-    floor = sum(1 for i in range(n) if in_deg[i] == 0 and out_deg[i] > 0)
-    floor += sum(1 for i in range(n) if in_deg[i] > 0 and out_deg[i] == 0)
-    level = [0] * n
-    for i in range(n):  # topo order: parents already leveled
-        if preds[i]:
-            level[i] = 1 + max(level[p] for p in preds[i])
-    computed = tuple(i for i in range(n) if in_deg[i] > 0)
-    n_levels = len({level[i] for i in computed})
+def _facts_of(index: GraphIndex) -> GraphFacts:
+    order = index.topo_order
+    n = index.n_vertices
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    # every edge as (parent, child) in topological numbering
+    parent = rank[index.parent_ids]
+    child = np.repeat(rank, index.in_degree)
+    in_deg = index.in_degree[order]
+    out_deg = index.out_degree[order]
+    level = index.level[order]
+    computed = np.flatnonzero(in_deg > 0)
     return GraphFacts(
         n_vertices=n,
-        topo=tuple(range(n)),
-        preds=preds,
-        succs=succs,
+        pred_offsets=np.concatenate(([0], np.cumsum(in_deg))),
+        pred_ids=parent[np.lexsort((parent, child))],
+        succ_offsets=np.concatenate(([0], np.cumsum(out_deg))),
+        succ_ids=child[np.lexsort((child, parent))],
         in_deg=in_deg,
         out_deg=out_deg,
-        max_in_degree=max(in_deg, default=0),
-        max_out_degree=max(out_deg, default=0),
-        floor=floor,
+        max_in_degree=int(in_deg.max(initial=0)),
+        max_out_degree=int(out_deg.max(initial=0)),
+        floor=int(np.count_nonzero((in_deg == 0) & (out_deg > 0)))
+        + int(np.count_nonzero((in_deg > 0) & (out_deg == 0))),
         computed=computed,
-        level=tuple(level),
-        n_levels=n_levels,
+        level=level,
+        n_levels=len(np.unique(level[computed])),
     )
 
 

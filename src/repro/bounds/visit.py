@@ -61,11 +61,13 @@ def _reach_counts(graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = facts.n_vertices
     # Bit i of a set is vertex i; only computed vertices get a bit when
     # counted, but every vertex carries a (possibly empty) reach set.
-    is_computed = [deg > 0 for deg in facts.in_deg]
+    is_computed = (facts.in_deg > 0).tolist()
+    preds, pred_at = facts.pred_ids.tolist(), facts.pred_offsets.tolist()
+    succs, succ_at = facts.succ_ids.tolist(), facts.succ_offsets.tolist()
     anc_bits = [0] * n
     for v in range(n):  # topological order by construction
         acc = 0
-        for p in facts.preds[v]:
+        for p in preds[pred_at[v]:pred_at[v + 1]]:
             acc |= anc_bits[p]
             if is_computed[p]:
                 acc |= 1 << p
@@ -74,7 +76,7 @@ def _reach_counts(graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     desc_bits = [0] * n
     for v in range(n - 1, -1, -1):
         acc = 0
-        for c in facts.succs[v]:
+        for c in succs[succ_at[v]:succ_at[v + 1]]:
             # every successor has in-degree >= 1, hence is computed
             acc |= desc_bits[c] | (1 << c)
         desc_bits[v] = acc

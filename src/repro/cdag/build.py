@@ -23,8 +23,10 @@ from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 import networkx as nx
+import numpy as np
 import sympy as sp
 
+from repro.cdag.index import index_built_graph
 from repro.ir.access import AccessComponent
 from repro.ir.program import Program
 from repro.ir.statement import Statement
@@ -140,15 +142,18 @@ def build_cdag(
     vertex on the result, enabling generic blocked-schedule derivation; pass
     ``False`` to save memory when only the graph structure is needed.
     """
-    # Vertices in creation order and edges in insertion order; the graph is
-    # built from both at the end, so its node, predecessor and successor
-    # orders are those of the execution.
+    # Vertices in creation order and edges (as positions in ``nodes``) in
+    # insertion order; the graph is built from both at the end, so its node,
+    # predecessor and successor orders are those of the execution, and its
+    # index comes from the same lists.
     nodes: list[Vertex] = []
-    edges: list[tuple[Vertex, Vertex]] = []
-    latest: dict[tuple[str, tuple[int, ...]], Vertex] = {}
+    edge_parents: list[int] = []
+    edge_children: list[int] = []
+    # element -> position of its latest version, or of its input vertex
+    latest: dict[tuple[str, tuple[int, ...]], int] = {}
     version_counter: dict[tuple[str, tuple[int, ...]], int] = {}
     by_array: dict[str, list[Vertex]] = {}
-    input_vertices: dict[Vertex, None] = {}
+    input_ids: list[int] = []
     points: dict[Vertex, tuple[str, dict[str, int]]] = {}
 
     computed_arrays = set(program.computed_arrays())
@@ -193,25 +198,27 @@ def build_cdag(
         reads, written = plans[st.name]
         out_array = st.output.array
         for point in _iteration_points(st, fixed, extents_per_stmt[st.name], params):
-            parents: dict[Vertex, None] = {}
+            parents: dict[int, None] = {}
             for array, element_of, computed in reads:
                 element = element_of(point)
                 parent = latest.get((array, element))
                 if parent is None:
                     if computed:
                         continue  # read before first write: initial value
-                    parent = ("in", array, element)
-                    if parent not in input_vertices:
-                        input_vertices[parent] = None
-                        nodes.append(parent)
+                    # input arrays are never written, so their entries in
+                    # ``latest`` stay the input vertices
+                    parent = latest[array, element] = len(nodes)
+                    input_ids.append(parent)
+                    nodes.append(("in", array, element))
                 parents[parent] = None
             key = (out_array, written(point))
             version = version_counter.get(key, 0)
             version_counter[key] = version + 1
             vertex = ("v", out_array, key[1], version)
+            latest[key] = len(nodes)
+            edge_parents.extend(parents)
+            edge_children.extend([len(nodes)] * len(parents))
             nodes.append(vertex)
-            edges.extend((parent, vertex) for parent in parents)
-            latest[key] = vertex
             by_array.setdefault(out_array, []).append(vertex)
             if record_points:
                 points[vertex] = (st.name, point)
@@ -234,12 +241,24 @@ def build_cdag(
 
     graph = nx.DiGraph()
     graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    has_child = {parent for parent, _ in edges}
+    graph.add_edges_from(
+        zip(
+            map(nodes.__getitem__, edge_parents),
+            map(nodes.__getitem__, edge_children),
+        )
+    )
+    index = index_built_graph(
+        graph,
+        nodes,
+        np.array(edge_parents, dtype=np.int64),
+        np.array(edge_children, dtype=np.int64),
+    )
     return ConcreteCDAG(
         graph=graph,
-        inputs=tuple(input_vertices),
-        outputs=tuple(v for v in nodes if v not in has_child),
+        inputs=tuple(nodes[i] for i in input_ids),
+        outputs=tuple(
+            nodes[i] for i in np.flatnonzero(index.out_degree == 0).tolist()
+        ),
         by_array={a: tuple(vs) for a, vs in by_array.items()},
         points=points,
     )

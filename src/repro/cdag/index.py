@@ -1,18 +1,25 @@
 """Integer index of a concrete CDAG, built once per graph.
 
 The :class:`GraphIndex` numbers the vertices ``0 .. n-1`` in ``graph.nodes``
-order and keeps the predecessor lists as CSR arrays (in
-``graph.predecessors`` order, which fixes stream ids and eviction
-tie-breaks).  The blocked order (:func:`repro.schedule.derive.blocked_order`)
-and the graph-stream builder (:func:`repro.schedule.stream.stream_from_graph`)
-are array operations over it, so no derived schedule walks the
-``networkx.DiGraph`` vertex by vertex.
+order and keeps the predecessor and successor lists as CSR arrays (in
+``graph.predecessors`` and ``graph.successors`` order; the first fixes
+stream ids and eviction tie-breaks).  It also holds the topological order
+``networkx.topological_sort`` yields and each vertex's level.  The default
+and blocked orders (:func:`repro.pebbling.greedy.default_order`,
+:func:`repro.schedule.derive.blocked_order`), the graph-stream builder
+(:func:`repro.schedule.stream.stream_from_graph`) and the bound engines'
+:func:`repro.bounds.structure.graph_facts` are array operations over it, so
+nothing on the audit path walks the ``networkx.DiGraph`` vertex by vertex.
 
-Like :func:`repro.bounds.structure.graph_facts`, the index lives in a
-:class:`weakref.WeakKeyDictionary` keyed by the graph object, so every
-consumer of one CDAG shares it and it dies with the graph.  It keeps its
-own vertex numbering: ``GraphFacts`` numbers vertices topologically, and
-the spectral engine's float output depends on that numbering.
+:func:`repro.cdag.build.build_cdag` indexes its graph from the vertex and
+edge lists it built the graph from (:func:`index_built_graph`); any other
+graph is indexed from ``graph.pred`` and ``graph.succ`` on first use.  The
+index lives in a :class:`weakref.WeakKeyDictionary` keyed by the graph
+object, so every consumer of one CDAG shares it and it dies with the graph.
+Its own numbering is ``graph.nodes`` order.  ``GraphFacts`` numbers
+vertices by :attr:`GraphIndex.topo_order` instead, because the spectral
+engine's float output depends on that numbering; the facts are memoized on
+the index.
 """
 
 from __future__ import annotations
@@ -39,8 +46,20 @@ class GraphIndex:
     #: predecessors of ``v`` in ``graph.predecessors`` order
     parent_offsets: np.ndarray
     parent_ids: np.ndarray
+    #: ``child_ids[child_offsets[v]:child_offsets[v + 1]]`` are the
+    #: successors of ``v`` in ``graph.successors`` order
+    child_offsets: np.ndarray
+    child_ids: np.ndarray
     in_degree: np.ndarray
     out_degree: np.ndarray
+    #: every vertex in ``networkx.topological_sort`` order: Kahn's algorithm
+    #: by generations, in-degree-0 vertices in ``graph.nodes`` order first
+    topo_order: np.ndarray
+    #: generation of each vertex in that pass: the longest path to it from
+    #: an in-degree-0 vertex, which sits at level 0
+    level: np.ndarray
+    #: :func:`repro.bounds.structure.graph_facts` memo
+    facts: object = field(default=None, repr=False)
     #: ``(points, statement_rank, columns)`` -- see :meth:`point_columns`
     _points: tuple | None = field(default=None, repr=False)
 
@@ -51,6 +70,11 @@ class GraphIndex:
     @property
     def max_in_degree(self) -> int:
         return int(self.in_degree.max(initial=0))
+
+    def computed_order(self) -> np.ndarray:
+        """The in-degree > 0 vertices in :attr:`topo_order` -- the default
+        schedule.  In-degree-0 vertices form generation 0, so they lead."""
+        return self.topo_order[np.count_nonzero(self.in_degree == 0):]
 
     def _child_of_slots(self) -> np.ndarray:
         """The vertex owning each entry of :attr:`parent_ids`."""
@@ -181,37 +205,124 @@ _LOCK = threading.Lock()
 
 
 def graph_index(graph: nx.DiGraph) -> GraphIndex:
-    """The :class:`GraphIndex` of ``graph``, built once per graph object."""
+    """The :class:`GraphIndex` of ``graph``, built once per graph object.
+
+    A graph :func:`index_built_graph` did not index is read through
+    ``graph.pred`` and ``graph.succ``.  A cyclic graph has no topological
+    order and raises :class:`PebblingError`.
+    """
     with _LOCK:
         index = _INDEX.get(graph)
     if index is not None:
         return index
-    index = _build_index(graph)
+    labels = list(graph.nodes)
+    position = {vertex: i for i, vertex in enumerate(labels)}
+    parent_ids, in_degree = _adjacency(graph.pred, labels, position)
+    child_ids, out_degree = _adjacency(graph.succ, labels, position)
+    return _register(
+        graph, labels, position, parent_ids, in_degree, child_ids, out_degree
+    )
+
+
+def index_built_graph(
+    graph: nx.DiGraph,
+    labels: list,
+    parents: np.ndarray,
+    children: np.ndarray,
+) -> GraphIndex:
+    """Index ``graph`` from the vertex and edge lists it was built from.
+
+    ``labels`` lists the vertices in ``graph.nodes`` order, and edge ``k``
+    runs ``parents[k] -> children[k]`` (positions in ``labels``) in the
+    order the edges were added.  A vertex's predecessors and successors
+    keep that order in the graph, so stable sorts of the edges by child and
+    by parent give both CSR arrays without walking the graph.
+    """
+    n = len(labels)
+    by_child = np.argsort(children, kind="stable")
+    by_parent = np.argsort(parents, kind="stable")
+    return _register(
+        graph,
+        labels,
+        {vertex: i for i, vertex in enumerate(labels)},
+        parents[by_child],
+        np.bincount(children, minlength=n),
+        children[by_parent],
+        np.bincount(parents, minlength=n),
+    )
+
+
+def _adjacency(adj, labels: list, position: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, degree)`` of one networkx adjacency (``pred`` or ``succ``)."""
+    degree = np.fromiter(
+        (len(adj[v]) for v in labels), dtype=np.int64, count=len(labels)
+    )
+    ids = np.fromiter(
+        (position[u] for v in labels for u in adj[v]),
+        dtype=np.int64,
+        count=int(degree.sum()),
+    )
+    return ids, degree
+
+
+def _register(
+    graph, labels, position, parent_ids, in_degree, child_ids, out_degree
+) -> GraphIndex:
+    child_offsets = _offsets(out_degree)
+    topo_order, level = _generations(in_degree, child_offsets, child_ids)
+    index = GraphIndex(
+        labels=labels,
+        position=position,
+        parent_offsets=_offsets(in_degree),
+        parent_ids=parent_ids,
+        child_offsets=child_offsets,
+        child_ids=child_ids,
+        in_degree=in_degree,
+        out_degree=out_degree,
+        topo_order=topo_order,
+        level=level,
+    )
     with _LOCK:
         _INDEX[graph] = index
     return index
 
 
-def _build_index(graph: nx.DiGraph) -> GraphIndex:
-    labels = list(graph.nodes)
-    n = len(labels)
-    position = {vertex: i for i, vertex in enumerate(labels)}
-    pred = graph.pred
-    in_degree = np.fromiter(
-        (len(pred[v]) for v in labels), dtype=np.int64, count=n
-    )
-    parent_ids = np.fromiter(
-        (position[p] for v in labels for p in pred[v]),
-        dtype=np.int64,
-        count=int(in_degree.sum()),
-    )
-    parent_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(in_degree, out=parent_offsets[1:])
-    return GraphIndex(
-        labels=labels,
-        position=position,
-        parent_offsets=parent_offsets,
-        parent_ids=parent_ids,
-        in_degree=in_degree,
-        out_degree=np.bincount(parent_ids, minlength=n).astype(np.int64),
-    )
+def _offsets(degree: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(degree) + 1, dtype=np.int64)
+    np.cumsum(degree, out=offsets[1:])
+    return offsets
+
+
+def _generations(
+    in_degree: np.ndarray, child_offsets: np.ndarray, child_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(topo_order, level)`` by ``networkx.topological_generations``' rule.
+
+    Generation 0 is the in-degree-0 vertices in index order.  Scanning a
+    generation in order, and each vertex's children in successor order, a
+    child joins the next generation when its last parent is scanned.  The
+    concatenated generations are ``networkx.topological_sort``'s order.
+    """
+    n = len(in_degree)
+    pending = in_degree.tolist()
+    offsets = child_offsets.tolist()
+    children = child_ids.tolist()
+    generation = [v for v in range(n) if not pending[v]]
+    order: list[int] = []
+    sizes: list[int] = []
+    while generation:
+        order.extend(generation)
+        sizes.append(len(generation))
+        released = []
+        for v in generation:
+            for child in children[offsets[v]:offsets[v + 1]]:
+                pending[child] -= 1
+                if not pending[child]:
+                    released.append(child)
+        generation = released
+    if len(order) != n:
+        raise PebblingError("cycle detected: the graph has no topological order")
+    topo_order = np.asarray(order, dtype=np.int64)
+    level = np.empty(n, dtype=np.int64)
+    level[topo_order] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    return topo_order, level

@@ -107,7 +107,6 @@ def canonicalize_ir(
             variables=problem.variables,
             coeffs=problem.coeffs,
             coeff_keys=problem.coeff_keys,
-            coeff_floats=problem.coeff_floats,
             objective=problem.objective,
             constraint=problem.constraint,
             extents=(),

@@ -65,7 +65,6 @@ class ProblemIR:
     variables: tuple[str, ...]  #: loop-variable names, appearance order
     coeffs: tuple[sp.Expr, ...]  #: interned distinct coefficient expressions
     coeff_keys: tuple[str, ...]  #: ``sp.srepr`` of each coefficient
-    coeff_floats: tuple[float | None, ...]  #: float value, None when symbolic
     objective: tuple[TermIR, ...]
     constraint: tuple[TermIR, ...]
     extents: tuple[tuple[str, sp.Expr], ...]  #: loop var -> full extent
@@ -92,7 +91,6 @@ class ProblemIR:
         interned: dict[str, int] = {}
         coeffs: list[sp.Expr] = []
         keys: list[str] = []
-        floats: list[float | None] = []
 
         def intern(coeff: sp.Expr) -> int:
             key = sp.srepr(coeff)
@@ -102,13 +100,6 @@ class ProblemIR:
                 interned[key] = index
                 coeffs.append(coeff)
                 keys.append(key)
-                if coeff.free_symbols:
-                    floats.append(None)
-                else:
-                    try:
-                        floats.append(float(coeff))
-                    except (TypeError, ValueError):  # pragma: no cover
-                        floats.append(None)
             return index
 
         def rows(posy: Posynomial) -> tuple[TermIR, ...]:
@@ -126,7 +117,6 @@ class ProblemIR:
             variables=names,
             coeffs=tuple(coeffs),
             coeff_keys=tuple(keys),
-            coeff_floats=tuple(floats),
             objective=obj_rows,
             constraint=con_rows,
             extents=extent_items,
@@ -163,7 +153,6 @@ class ProblemIR:
             variables=tuple(mapping.get(name, name) for name in self.variables),
             coeffs=self.coeffs,
             coeff_keys=self.coeff_keys,
-            coeff_floats=self.coeff_floats,
             objective=self.objective,
             constraint=self.constraint,
             extents=tuple(
@@ -190,7 +179,6 @@ class ProblemIR:
             variables=tuple(self.variables[idx] for idx in column_order),
             coeffs=self.coeffs,
             coeff_keys=self.coeff_keys,
-            coeff_floats=self.coeff_floats,
             objective=tuple(sorted(map(remap, self.objective), key=sort_key)),
             constraint=tuple(sorted(map(remap, self.constraint), key=sort_key)),
             extents=self.extents,

@@ -25,6 +25,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import networkx as nx
 
+from repro.cdag.index import graph_index
 from repro.pebbling.game import Move, replay
 from repro.util.errors import PebblingError
 
@@ -33,9 +34,15 @@ NEVER = 1 << 60
 
 
 def default_order(graph: nx.DiGraph) -> list[Hashable]:
-    """The schedule used when none is given: topological, inputs excluded."""
-    inputs = {v for v in graph.nodes if graph.in_degree(v) == 0}
-    return [v for v in nx.topological_sort(graph) if v not in inputs]
+    """The schedule used when none is given: topological, inputs excluded.
+
+    The order is ``networkx.topological_sort``'s without the in-degree-0
+    vertices, read off the graph's index
+    (:meth:`~repro.cdag.index.GraphIndex.computed_order`); a cyclic graph
+    raises :class:`PebblingError`.
+    """
+    index = graph_index(graph)
+    return [index.labels[i] for i in index.computed_order().tolist()]
 
 
 def stream_vertex_ids(

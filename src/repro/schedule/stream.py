@@ -45,7 +45,6 @@ import numpy as np
 from repro.cdag.index import graph_index
 from repro.ir.program import Program
 from repro.obs import span as obs_span
-from repro.pebbling.greedy import default_order
 from repro.util.errors import SoapError
 
 #: default positions per chunk for the IR-direct builder, the next-use scan
@@ -195,17 +194,20 @@ def stream_from_graph(
 ) -> AccessStream:
     """Flatten a CDAG + topological order into an :class:`AccessStream`.
 
-    ``order`` defaults to :func:`~repro.pebbling.greedy.default_order`.  It
-    must compute every in-degree > 0 vertex exactly once, parents first;
-    otherwise :class:`PebblingError` is raised.  Built from the graph's
-    :class:`~repro.cdag.index.GraphIndex`: the parents of each position are
-    gathered from the CSR arrays, and ids come from one first-appearance
-    factorization of the interleaved ``[parents..., vertex]`` sequence --
-    the numbering of :func:`~repro.pebbling.greedy.stream_vertex_ids`.
+    ``order`` defaults to :func:`~repro.pebbling.greedy.default_order`, taken
+    from the index as ids.  A given order must compute every in-degree > 0
+    vertex exactly once, parents first; otherwise :class:`PebblingError` is
+    raised.  Built from the graph's :class:`~repro.cdag.index.GraphIndex`:
+    the parents of each position are gathered from the CSR arrays, and ids
+    come from one first-appearance factorization of the interleaved
+    ``[parents..., vertex]`` sequence -- the numbering of
+    :func:`~repro.pebbling.greedy.stream_vertex_ids`.
     """
     index = graph_index(graph)
-    vertices = index.schedule_positions(
-        default_order(graph) if order is None else list(order)
+    vertices = (
+        index.computed_order()
+        if order is None
+        else index.schedule_positions(list(order))
     )
     m = len(vertices)
     counts = index.in_degree[vertices]

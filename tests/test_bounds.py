@@ -1,9 +1,11 @@
 """Concrete-CDAG bound engines: registry, combine, soundness, service."""
 
+import hashlib
 import json
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,12 +16,19 @@ from repro.bounds import (
     kernel_bounds,
 )
 from repro.bounds.registry import BoundProblem
+from repro.bounds.spectral import _band_spectra, _certified_lambda2
 from repro.bounds.structure import graph_facts, io_floor
+from repro.cdag.build import build_cdag
 from repro.cdag.cache import cached_cdag, cdag_signature, clear_cdag_cache
+from repro.cdag.index import graph_index, index_built_graph
 from repro.cli import main
+from repro.kernels import get_kernel, kernel_names
+from repro.obs import MetricsRegistry, Tracer
+from repro.pebbling.greedy import default_order
 from repro.pebbling.optimal import optimal_pebbling_cost
 from repro.schedule.simulator import simulate_io
 from repro.schedule.stream import stream_from_graph
+from repro.schedule.tightness import audit_params
 from repro.util.errors import PebblingError
 
 
@@ -147,6 +156,283 @@ class TestSpectralEngine:
         assert result.ok
         assert math.isfinite(result.value)
         assert result.value >= io_floor(cdag.graph)
+
+
+def networkx_facts(graph: nx.DiGraph) -> dict:
+    """The networkx walk ``graph_facts`` replaced, kept as its oracle."""
+    nodes = list(nx.topological_sort(graph))
+    index = {node: i for i, node in enumerate(nodes)}
+    n = len(nodes)
+    preds = tuple(
+        tuple(sorted(index[p] for p in graph.predecessors(node)))
+        for node in nodes
+    )
+    succs = tuple(
+        tuple(sorted(index[s] for s in graph.successors(node)))
+        for node in nodes
+    )
+    in_deg = tuple(len(p) for p in preds)
+    out_deg = tuple(len(s) for s in succs)
+    floor = sum(1 for i in range(n) if in_deg[i] == 0 and out_deg[i] > 0)
+    floor += sum(1 for i in range(n) if in_deg[i] > 0 and out_deg[i] == 0)
+    level = [0] * n
+    for i in range(n):  # topo order: parents already leveled
+        if preds[i]:
+            level[i] = 1 + max(level[p] for p in preds[i])
+    computed = tuple(i for i in range(n) if in_deg[i] > 0)
+    return {
+        "n_vertices": n,
+        "preds": preds,
+        "succs": succs,
+        "in_deg": in_deg,
+        "out_deg": out_deg,
+        "max_in_degree": max(in_deg, default=0),
+        "max_out_degree": max(out_deg, default=0),
+        "floor": floor,
+        "computed": computed,
+        "level": tuple(level),
+        "n_levels": len({level[i] for i in computed}),
+    }
+
+
+def facts_view(facts) -> dict:
+    """``GraphFacts`` in the oracle's shape: tuples of Python ints."""
+
+    def rows(offsets, ids):
+        ids, offsets = ids.tolist(), offsets.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(offsets, offsets[1:]))
+
+    view = {
+        "preds": rows(facts.pred_offsets, facts.pred_ids),
+        "succs": rows(facts.succ_offsets, facts.succ_ids),
+    }
+    for name in ("in_deg", "out_deg", "computed", "level"):
+        view[name] = tuple(getattr(facts, name).tolist())
+    for name in ("n_vertices", "max_in_degree", "max_out_degree", "floor", "n_levels"):
+        value = getattr(facts, name)
+        assert type(value) is int, name
+        view[name] = value
+    return view
+
+
+def networkx_default_order(graph: nx.DiGraph) -> list:
+    return [v for v in nx.topological_sort(graph) if graph.in_degree(v) > 0]
+
+
+def dense_lambda2(n: int, edges: np.ndarray) -> float:
+    """The certification ``_certified_lambda2`` replaced: a Laplacian filled
+    edge by edge and always eigensolved."""
+    if n < 2 or edges.shape[0] == 0:
+        return 0.0
+    lap = np.zeros((n, n))
+    for u, v in edges:
+        lap[u, u] += 1.0
+        lap[v, v] += 1.0
+        lap[u, v] -= 1.0
+        lap[v, u] -= 1.0
+    eigenvalues = np.linalg.eigvalsh(lap)
+    margin = 1e-8 * (1.0 + 2.0 * float(lap.diagonal().max()))
+    return max(0.0, float(eigenvalues[1]) - margin)
+
+
+#: sha256 prefix of ``repr([(levels, n_vertices, n_inputs, repr(lambda2))])``
+#: over ``_band_spectra`` of each corpus CDAG at its audit params, as the
+#: networkx facts and the always-eigensolving certification computed them
+SPECTRA_DIGESTS = {
+    "covariance": "1efc8cee8ba737f3",
+    "correlation": "d3d805dac324eff7",
+    "gemm": "270856de31cccdce",
+    "2mm": "dab1fd7b85267b3a",
+    "3mm": "7595e07c2e7fd902",
+    "atax": "29dc7ecc641f6196",
+    "bicg": "0d78caebe8d4977e",
+    "mvt": "0d78caebe8d4977e",
+    "gemver": "acbb2621867f013d",
+    "gesummv": "35994d08bfbb2c89",
+    "symm": "da3f1a753497bf75",
+    "syrk": "07072bfc5e11a911",
+    "syr2k": "270856de31cccdce",
+    "trmm": "e1c8ee9a072304b6",
+    "doitgen": "be383e2053384bbc",
+    "deriche": "c4f2ec263910fe18",
+    "floyd-warshall": "4a2eb9f84feb07d7",
+    "nussinov": "8212c19ba16407de",
+    "cholesky": "cc45ba0a85007a3e",
+    "lu": "36633299992641e8",
+    "ludcmp": "b277c74ffc930d11",
+    "trisolv": "3790cbe35e8361cd",
+    "durbin": "08a43d361daabd29",
+    "gramschmidt": "5d0e6b82581998d6",
+    "jacobi1d": "3da4ecbeabed7369",
+    "jacobi2d": "5db6ad930fe24ebe",
+    "heat3d": "a15b9a028e043b22",
+    "seidel2d": "afa98102e31b14bb",
+    "fdtd2d": "61a79b59dcc1d32b",
+    "adi": "24162eecdb479741",
+    "conv": "2c8010d231d05fbb",
+    "conv-unit-stride": "5bf812ca9d8e6314",
+    "softmax": "29f89ac298eafd75",
+    "mlp": "b2361e0045867211",
+    "lenet5": "e93f8b52ce09ca95",
+    "bert-encoder": "335af89bc5dac043",
+    "bert-ffn": "89485d2e6fdc7e3b",
+    "lulesh": "e78ba3d273e6fe07",
+    "horizontal-diffusion": "142970f4b68c2295",
+    "vertical-advection": "7235ffb4f4de9571",
+}
+
+
+@pytest.fixture(scope="module", params=kernel_names())
+def corpus_cdag(request):
+    """Each corpus CDAG at its audit params, built once for every test."""
+    program = get_kernel(request.param).build()
+    return request.param, build_cdag(program, audit_params(request.param, program))
+
+
+class TestCorpusFacts:
+    def test_facts_and_default_order_match_networkx(self, corpus_cdag):
+        _, cdag = corpus_cdag
+        assert facts_view(graph_facts(cdag.graph)) == networkx_facts(cdag.graph)
+        assert default_order(cdag.graph) == networkx_default_order(cdag.graph)
+
+    def test_band_spectra_are_pinned(self, corpus_cdag):
+        name, cdag = corpus_cdag
+        text = repr([
+            (band.levels, band.n_vertices, band.n_inputs, repr(band.lambda2))
+            for band in _band_spectra(cdag.graph)
+        ])
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == SPECTRA_DIGESTS[name]
+
+    def test_spectral_span_counts_eigensolves_and_disconnected_bands(self):
+        program = get_kernel("adi").build()
+        cdag = build_cdag(program, audit_params("adi", program))
+        tracer = Tracer(keep_spans=True, registry=MetricsRegistry())
+        with tracer:
+            get_bound_engine("spectral").evaluate(BoundProblem(s=8, graph=cdag.graph))
+            get_bound_engine("spectral").evaluate(BoundProblem(s=18, graph=cdag.graph))
+        first, second = [s for s in tracer.spans if s["name"] == "bounds.engine"]
+        # one of the two certified bands is disconnected; the second
+        # evaluation reads the cached spectra and counts nothing
+        assert first["counters"] == {"eigensolves": 1, "disconnected_bands": 1}
+        assert second["counters"] == {}
+
+
+@st.composite
+def insertion_ordered_dags(draw):
+    """A random DAG, its node order and its edges in insertion order.
+
+    Nodes are added in shuffled order, edges in shuffled order (so not
+    grouped by child), and some vertices have no edges at all.
+    """
+    n = draw(st.integers(1, 25))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+    )
+    edges = list(
+        dict.fromkeys(
+            (u, v) if rank[u] < rank[v] else (v, u) for u, v in pairs if u != v
+        )
+    )
+    edges = draw(st.permutations(edges))
+    isolated = [("isolated", k) for k in range(draw(st.integers(0, 3)))]
+    nodes = draw(st.permutations(list(range(n)) + isolated))
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(edges)
+    return graph, nodes, edges
+
+
+@given(dag=insertion_ordered_dags())
+@settings(max_examples=150, deadline=None)
+def test_index_facts_and_default_order_match_networkx_on_random_dags(dag):
+    graph, nodes, edges = dag
+    index = graph_index(graph)
+    labels = index.labels
+    assert [labels[i] for i in index.topo_order.tolist()] == list(
+        nx.topological_sort(graph)
+    )
+    for level, generation in enumerate(nx.topological_generations(graph)):
+        assert {int(index.level[index.position[v]]) for v in generation} == {level}
+    for v, vertex in enumerate(labels):
+        parents = index.parent_ids[index.parent_offsets[v]:index.parent_offsets[v + 1]]
+        children = index.child_ids[index.child_offsets[v]:index.child_offsets[v + 1]]
+        assert [labels[i] for i in parents] == list(graph.predecessors(vertex))
+        assert [labels[i] for i in children] == list(graph.successors(vertex))
+    # the build's path: the same graph indexed from its insertion lists
+    twin = nx.DiGraph()
+    twin.add_nodes_from(nodes)
+    twin.add_edges_from(edges)
+    position = {vertex: i for i, vertex in enumerate(nodes)}
+    built = index_built_graph(
+        twin,
+        nodes,
+        np.array([position[u] for u, _ in edges], dtype=np.int64),
+        np.array([position[v] for _, v in edges], dtype=np.int64),
+    )
+    assert built is graph_index(twin)
+    for name in (
+        "parent_offsets", "parent_ids", "child_offsets", "child_ids",
+        "in_degree", "out_degree", "topo_order", "level",
+    ):
+        assert np.array_equal(getattr(built, name), getattr(index, name)), name
+    assert facts_view(graph_facts(graph)) == networkx_facts(graph)
+    assert default_order(graph) == networkx_default_order(graph)
+
+
+@st.composite
+def band_graphs(draw):
+    """Undirected band edge arrays, connected or not, as ``(n, edges)``."""
+    n = draw(st.integers(2, 40))
+    pairs = set()
+    if draw(st.booleans()):  # a random spanning tree connects the band
+        order = draw(st.permutations(range(n)))
+        for k in range(1, n):
+            pairs.add((order[draw(st.integers(0, k - 1))], order[k]))
+    for u, v in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80)
+    ):
+        if u != v and (v, u) not in pairs:
+            pairs.add((u, v))
+    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return n, edges
+
+
+@given(band=band_graphs())
+@settings(max_examples=150, deadline=None)
+def test_certified_lambda2_matches_the_dense_reference_bit_for_bit(band):
+    n, edges = band
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges.tolist())
+    lambda2, eigensolved = _certified_lambda2(n, edges)
+    reference = dense_lambda2(n, edges)
+    assert eigensolved == nx.is_connected(graph)
+    assert repr(lambda2) == repr(reference)
+    if not eigensolved:
+        assert reference == 0.0
+
+
+class TestCyclicGraphs:
+    """A graph with a cycle has no topological order: every reader of the
+    index raises the typed :class:`PebblingError`, never networkx's."""
+
+    @pytest.fixture
+    def cyclic(self):
+        return nx.DiGraph([("x", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
+
+    def test_orders_streams_and_facts_raise_pebbling_error(self, cyclic):
+        for read in (default_order, stream_from_graph, graph_facts):
+            with pytest.raises(PebblingError, match="cycle"):
+                read(cyclic)
+
+    def test_graph_engines_record_a_typed_error(self, cyclic):
+        combined = evaluate_bounds(s=4, graph=cyclic)
+        assert {r.engine: r.error_class for r in combined.results} == {
+            "spectral": "PebblingError",
+            "visit": "PebblingError",
+        }
 
 
 class TestKernelBounds:

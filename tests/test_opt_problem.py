@@ -71,13 +71,6 @@ class TestProblemIR:
         assert len(ir.coeffs) == 2
         assert len({term.coeff for term in ir.constraint}) == 1
 
-    def test_coeff_floats_none_for_symbolic(self):
-        constraint = _posy(N * bi + 2 * bj, [bi, bj])
-        ir = ProblemIR.from_posynomials(_posy(bi * bj, [bi, bj]), constraint, {})
-        by_key = dict(zip(ir.coeff_keys, ir.coeff_floats))
-        assert by_key[sp.srepr(sp.sympify(N))] is None
-        assert by_key[sp.srepr(sp.Integer(2))] == 2.0
-
     def test_renamed_and_permuted(self):
         ir = ProblemIR.from_posynomials(
             _posy(bi * bj, [bi, bj]), _posy(bi + 2 * bj, [bi, bj]), {"i": N}
