@@ -126,12 +126,8 @@ class GraphIndex:
         return ranks, columns
 
     def schedule_positions(self, order: Sequence[Hashable]) -> np.ndarray:
-        """Indices of ``order``'s vertices, checked to form a legal schedule.
-
-        A legal schedule computes every in-degree > 0 vertex exactly once
-        and each computed parent before its child.  Anything else raises
-        :class:`PebblingError` with the pebble game's messages.
-        """
+        """Indices of ``order``'s vertices, checked to form a legal schedule
+        (:meth:`checked_schedule`)."""
         try:
             vertices = np.fromiter(
                 map(self.position.__getitem__, order),
@@ -142,6 +138,22 @@ class GraphIndex:
             raise PebblingError(
                 "order must cover every computed vertex exactly once"
             ) from None
+        return self.checked_schedule(vertices)
+
+    def checked_schedule(self, vertices: np.ndarray) -> np.ndarray:
+        """``vertices`` (indices into this index), checked to form a legal
+        schedule.
+
+        A legal schedule computes every in-degree > 0 vertex exactly once
+        and each computed parent before its child.  Anything else raises
+        :class:`PebblingError` with the pebble game's messages.
+        """
+        if len(vertices) and (
+            int(vertices.min()) < 0 or int(vertices.max()) >= self.n_vertices
+        ):
+            raise PebblingError(
+                "order must cover every computed vertex exactly once"
+            )
         computed = self.in_degree > 0
         covered = np.zeros(self.n_vertices, dtype=bool)
         covered[vertices] = True

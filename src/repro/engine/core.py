@@ -194,7 +194,7 @@ class Engine:
         allow_pinning: bool,
         jobs: int | None,
     ):
-        from repro.sdg.bounds import ProgramBound, SubgraphAnalysis, io_footprint_floor
+        from repro.sdg.bounds import ProgramBound, SubgraphAnalysis
 
         options = EngineOptions(
             policy=policy,
@@ -330,9 +330,7 @@ class Engine:
                     dropped += 1
                     continue
                 total += program.vertex_count(array) / best.rho
-            bound_full = sp.simplify(total)
-            bound = leading_term(bound_full) if bound_full != 0 else bound_full
-            io_floor = io_footprint_floor(program)
+            bound = leading_term(total) if total != 0 else total
             counts.extend((
                 ("arrays", len(program.computed_arrays())),
                 ("dropped", dropped),
@@ -346,12 +344,11 @@ class Engine:
         return ProgramBound(
             program=program,
             bound=bound,
-            bound_full=bound_full,
+            per_array_sum=total,
             per_array=per_array,
             subgraphs=tuple(analyses),
             skipped=tuple(skipped),
             notes=tuple(notes),
-            io_floor=io_floor,
             diagnostics=diagnostics,
         )
 

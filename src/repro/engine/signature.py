@@ -18,7 +18,11 @@ all such instances share one cache entry:
 
 The fingerprints come straight off the IR's ``Fraction`` exponent matrix
 and interned coefficient keys -- no sympy traversal on this path; the IR
-computed both once at fusion time.
+computed both once at fusion time.  Each problem's exponents are interned
+once more here (one object per value and problem, never process-wide), so
+sorting the fingerprints compares equal exponents by identity; the ranks
+still come from the fingerprints' repr strings, which interning leaves
+unchanged.
 
 The **signature** is a SHA-256 over the canonical content (including the
 solver flags, which change the feasible set).  Renaming is a bijection, so
@@ -37,6 +41,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import sympy as sp
 
@@ -75,8 +80,9 @@ def canonicalize_ir(
 ) -> CanonicalProblem:
     """Canonicalize a :class:`ProblemIR` and hash it."""
     variables = problem.variables
-    objective = _incidence(problem, problem.objective)
-    constraint = _incidence(problem, problem.constraint)
+    interned: dict[Fraction, _Exponent] = {}
+    objective = _incidence(problem, problem.objective, interned)
+    constraint = _incidence(problem, problem.constraint, interned)
     extents = problem.extents_dict()
     # Only extents of constraint-uncapped objective variables influence the
     # solution (the solver substitutes them); restricting the signature to
@@ -193,15 +199,43 @@ def rename_text(text: str, inverse: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _incidence(problem: ProblemIR, terms: tuple[TermIR, ...]) -> list[list[tuple]]:
+class _Exponent(Fraction):
+    """An interned exponent: a :class:`~fractions.Fraction` that keeps its
+    repr, computed once per distinct value and problem instead of once per
+    occurrence and refinement round.  The repr is the plain ``Fraction``'s,
+    so the fingerprints' repr strings -- and the ranks -- are unchanged."""
+
+    __slots__ = ("_repr",)
+
+    def __new__(cls, value: Fraction) -> _Exponent:
+        self = super().__new__(cls, value.numerator, value.denominator)
+        self._repr = repr(value)
+        return self
+
+    def __repr__(self) -> str:
+        return self._repr
+
+
+def _incidence(
+    problem: ProblemIR,
+    terms: tuple[TermIR, ...],
+    interned: dict[Fraction, _Exponent],
+) -> list[list[tuple]]:
     """Per column, ``(coefficient key, exponent, row)`` of every term using it.
 
     ``row`` holds the term's non-zero ``(column, exponent)`` pairs, read once
-    per problem instead of once per column and refinement round.
+    per problem instead of once per column and refinement round.  Exponents
+    go through ``interned``, one dict per problem: equal exponents become one
+    :class:`_Exponent`, so the fingerprint sorts compare them by identity
+    instead of by ``Fraction.__eq__``.
     """
     by_col: list[list[tuple]] = [[] for _ in problem.variables]
     for term in terms:
-        row = tuple((idx, e) for idx, e in enumerate(term.exponents) if e != 0)
+        row = tuple(
+            (idx, interned.get(e) or interned.setdefault(e, _Exponent(e)))
+            for idx, e in enumerate(term.exponents)
+            if e
+        )
         key = problem.coeff_keys[term.coeff]
         for idx, e in row:
             by_col[idx].append((key, e, row))

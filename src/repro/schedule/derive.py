@@ -26,7 +26,6 @@ from repro.cdag.build import ConcreteCDAG, extent_values
 from repro.cdag.index import GraphIndex, graph_index
 from repro.ir.program import Program
 from repro.opt.tiling import concrete_tiles_at_x0
-from repro.pebbling.greedy import default_order
 from repro.sdg.bounds import ProgramBound
 from repro.util import unique_in_order
 from repro.util.errors import SoapError
@@ -171,13 +170,21 @@ def blocked_order(cdag: ConcreteCDAG, schedule: TiledSchedule) -> list[Hashable]
     over (tile coordinates, statement rank, intra-tile point, vertex
     position) gives the preferred sequence, and
     :meth:`~repro.cdag.index.GraphIndex.min_rank_order` repairs it into a
-    topological order.
+    topological order.  The labels of :func:`blocked_ids`.
     """
-    if not schedule.tiled:
-        return default_order(cdag.graph)
     index = graph_index(cdag.graph)
-    order = index.min_rank_order(_preferred_order(index, cdag, schedule))
-    return [index.labels[i] for i in order.tolist()]
+    return [index.labels[i] for i in blocked_ids(cdag, schedule).tolist()]
+
+
+def blocked_ids(cdag: ConcreteCDAG, schedule: TiledSchedule) -> np.ndarray:
+    """:func:`blocked_order` as indices into the graph's
+    :class:`~repro.cdag.index.GraphIndex` -- the order
+    :func:`repro.schedule.stream.stream_from_ids` takes, with no label
+    built or hashed."""
+    index = graph_index(cdag.graph)
+    if not schedule.tiled:
+        return index.computed_order()
+    return index.min_rank_order(_preferred_order(index, cdag, schedule))
 
 
 def _preferred_order(

@@ -42,7 +42,7 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.cdag.index import graph_index
+from repro.cdag.index import GraphIndex, graph_index
 from repro.ir.program import Program
 from repro.obs import span as obs_span
 from repro.util.errors import SoapError
@@ -204,11 +204,25 @@ def stream_from_graph(
     :func:`~repro.pebbling.greedy.stream_vertex_ids`.
     """
     index = graph_index(graph)
-    vertices = (
-        index.computed_order()
-        if order is None
-        else index.schedule_positions(list(order))
+    if order is None:
+        return _stream_from_index(index, index.computed_order())
+    return _stream_from_index(index, index.schedule_positions(list(order)))
+
+
+def stream_from_ids(graph: nx.DiGraph, vertices: np.ndarray) -> AccessStream:
+    """:func:`stream_from_graph` for an order given as indices into the
+    graph's :class:`~repro.cdag.index.GraphIndex` (as
+    :func:`repro.schedule.derive.blocked_ids` returns it): no label is
+    hashed.  The order is checked like a label order
+    (:meth:`~repro.cdag.index.GraphIndex.checked_schedule`)."""
+    index = graph_index(graph)
+    return _stream_from_index(
+        index, index.checked_schedule(np.asarray(vertices, dtype=np.int64))
     )
+
+
+def _stream_from_index(index: GraphIndex, vertices: np.ndarray) -> AccessStream:
+    """The stream of the legal schedule ``vertices`` of ``index``'s graph."""
     m = len(vertices)
     counts = index.in_degree[vertices]
     parent_offsets = np.zeros(m + 1, dtype=np.int64)

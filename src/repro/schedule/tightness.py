@@ -46,9 +46,9 @@ from repro.cdag.index import graph_index
 from repro.obs import attach, trace_context
 from repro.obs import span as obs_span
 from repro.schedule import shared_streams
-from repro.schedule.derive import blocked_order, derive_schedule
+from repro.schedule.derive import blocked_ids, derive_schedule
 from repro.schedule.simulator import simulate_io
-from repro.schedule.stream import stream_from_graph
+from repro.schedule.stream import stream_from_graph, stream_from_ids
 from repro.util.errors import SoapError
 
 #: gap thresholds for the classification buckets
@@ -498,9 +498,9 @@ def _prepare_kernel_body(
                         tuple(sorted(schedule.tile_sizes.items())),
                     )
                     if stream_key not in schedules:
-                        order = blocked_order(cdag, schedule)
+                        order = blocked_ids(cdag, schedule)
                         schedules[stream_key] = handle(
-                            stream_from_graph(cdag.graph, order),
+                            stream_from_ids(cdag.graph, order),
                             "schedule", stream_key,
                         )
                     if baseline is None:

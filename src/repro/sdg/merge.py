@@ -45,7 +45,6 @@ from repro.opt.problem import ProblemIR
 from repro.soap.access_size import group_constraint_terms
 from repro.soap.classify import OverlapPolicy, SimpleOverlapGroup, classify_access
 from repro.soap.projections import version_output
-from repro.soap.statement_analysis import expand_versions
 from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import is_version_var, tile, version_components, version_var_name
 from repro.util import unique_in_order
@@ -113,7 +112,7 @@ def fuse_statements(
 
     # ---- dominator groups ----------------------------------------------------
     groups = _build_groups(renamed, h_set)
-    constraint = expand_versions(group_constraint_terms(groups, policy=policy))
+    constraint = group_constraint_terms(groups, policy=policy)
 
     input_arrays = unique_in_order(
         acc.array

@@ -13,6 +13,15 @@ group is at least
 A single-component group has every ``|t̂_i| = 0`` and the Lemma 3 form
 degenerates to ``prod_i |D_i|`` -- each accessed vertex counted once.
 
+Every extent ``|D_i|`` is an integer polynomial in the tile sizes, so the
+bound is computed on **exponent rows**: a polynomial is a dict from an
+integer exponent tuple over the group's variables
+(:attr:`~repro.soap.classify.SimpleOverlapGroup.variables`) to an integer
+coefficient, the two products above are polynomial multiplications of such
+dicts, and only the result becomes a
+:class:`~repro.symbolic.posynomial.Posynomial` (or, through
+:func:`access_size`, a sympy expression).
+
 Three structural subtleties, all needed for soundness:
 
 * **Repeated variables.**  After Section 5.2 versioning a component such as
@@ -26,7 +35,7 @@ Three structural subtleties, all needed for soundness:
   offsets the factor ``(1 - o)`` may go negative; the algebra still yields
   the correct ``(1 + o) * prod(rest)`` union for pure constant splits and
   remains a lower bound in mixed cases (property-tested against brute-force
-  enumeration in ``tests/soap/test_access_size.py``).
+  enumeration in ``tests/test_soap_access_size.py``).
 * **Non-injective dimensions** (Section 5.3) carry ``free_vars``.  The paper
   keeps a single variable's extent (``|g[H]| >= max_i |D_i|``); this
   implementation refines it with the Minkowski sumset bound: for a linear
@@ -47,15 +56,20 @@ from typing import Iterable, Sequence
 import sympy as sp
 
 from repro.soap.classify import DimIndex, OverlapPolicy, SimpleOverlapGroup
-from repro.symbolic.posynomial import Posynomial
+from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import is_version_var, tile, version_components
 
+#: an integer polynomial in the tile sizes: exponent row -> coefficient
+Rows = dict[tuple[int, ...], int]
 
-def effective_dims(group: SimpleOverlapGroup) -> list[tuple[sp.Expr, int]]:
+
+def effective_dims(group: SimpleOverlapGroup) -> list[tuple[Rows, int]]:
     """Collapse group dimensions to ``(extent, offset_count)`` pairs.
 
     One pair per *distinct* iteration variable (offsets merged by ``max``)
-    plus one pair per constant dimension.
+    plus one pair per constant dimension.  Each extent is a polynomial over
+    ``group.variables``: a tile, a Minkowski sumset ``b_r + b_w - 1``, a
+    product of version-component tiles, or 1.
 
     A *version* dimension (Section 5.2) has a composite extent: the product
     of the tiles of its tied loop variables -- but only of those **not
@@ -63,7 +77,7 @@ def effective_dims(group: SimpleOverlapGroup) -> list[tuple[sp.Expr, int]]:
     such as LU's ``A[i,k,version(k)]`` touches one version per ``k`` value,
     so its footprint is ``b_i * b_k``, not ``b_i * b_k^2``; counting the
     version extent again would overestimate the dominator and inflate the
-    bound (unsound).
+    bound (unsound).  A version tile therefore never appears in an extent.
     """
     per_var: dict[str, int] = {}
     order: list[str] = []
@@ -83,31 +97,78 @@ def effective_dims(group: SimpleOverlapGroup) -> list[tuple[sp.Expr, int]]:
                 per_var[dim.var] = dim.offsets
             else:
                 per_var[dim.var] = max(per_var[dim.var], dim.offsets)
-    dims: list[tuple[sp.Expr, int]] = [(tile(v), per_var[v]) for v in order]
+
+    column = {v: k for k, v in enumerate(group.variables)}
+    one = (0,) * len(column)
+
+    def product(names: Iterable[str]) -> tuple[int, ...]:
+        row = list(one)
+        for name in names:
+            row[column[name]] += 1
+        return tuple(row)
+
+    dims: list[tuple[Rows, int]] = [({product((v,)): 1}, per_var[v]) for v in order]
     for variables, offsets in sumsets:
         # Minkowski sumset refinement of Section 5.3 (module docstring).
-        extent = sp.Add(*(tile(v) for v in variables)) - (len(variables) - 1)
-        dims.append((extent, offsets))
+        extent: Rows = {}
+        for v in variables:
+            extent = _plus(extent, {product((v,)): 1})
+        dims.append((_plus(extent, {one: 1 - len(variables)}), offsets))
     for vname, offsets in versions:
-        extent = sp.Integer(1)
-        for component in version_components(vname):
-            if component not in per_var:
-                extent *= tile(component)
-        dims.append((extent, offsets))
-    dims.extend((sp.Integer(1), o) for o in constants)
+        tied = (c for c in version_components(vname) if c not in per_var)
+        dims.append(({product(tied): 1}, offsets))
+    dims.extend(({one: 1}, o) for o in constants)
     return dims
 
 
-def access_size(group: SimpleOverlapGroup) -> sp.Expr:
-    """Exact Lemma 3 / Corollary 1 expression in the tile symbols ``b_*``."""
-    prod_full = sp.Integer(1)
-    prod_reduced = sp.Integer(1)
+def _plus(a: Rows, b: Rows, scale: int = 1) -> Rows:
+    """``a + scale * b``, zero coefficients dropped."""
+    total = dict(a)
+    for row, coeff in b.items():
+        total[row] = total.get(row, 0) + scale * coeff
+    return {row: coeff for row, coeff in total.items() if coeff}
+
+
+def _times(a: Rows, b: Rows) -> Rows:
+    product: Rows = {}
+    for row_a, coeff_a in a.items():
+        for row_b, coeff_b in b.items():
+            row = tuple(x + y for x, y in zip(row_a, row_b))
+            product[row] = product.get(row, 0) + coeff_a * coeff_b
+    return {row: coeff for row, coeff in product.items() if coeff}
+
+
+def _size_rows(group: SimpleOverlapGroup) -> tuple[Rows, Rows]:
+    """``(prod_i |D_i|, Lemma 3 / Corollary 1 size)`` as polynomials."""
+    one = {(0,) * len(group.variables): 1}
+    full, reduced = one, one
     for extent, offsets in effective_dims(group):
-        prod_full *= extent
-        prod_reduced *= extent - sp.Integer(offsets)
-    if group.includes_output:
-        return sp.expand(prod_full - prod_reduced)
-    return sp.expand(2 * prod_full - prod_reduced)
+        full = _times(full, extent)
+        reduced = _times(reduced, _plus(extent, one, -offsets))
+    size = _plus({}, full, 1 if group.includes_output else 2)
+    return full, _plus(size, reduced, -1)
+
+
+def _posynomial(rows: Rows, variables: Sequence[str]) -> Posynomial:
+    """The posynomial of ``rows``, in :meth:`Monomial.make`'s normal form."""
+    symbols = [tile(v) for v in variables]
+    by_name = sorted(range(len(variables)), key=variables.__getitem__)
+    return Posynomial(
+        Monomial(
+            sp.Integer(coeff),
+            tuple((symbols[k], sp.Integer(row[k])) for k in by_name if row[k]),
+        )
+        for row, coeff in rows.items()
+    )
+
+
+def access_size(group: SimpleOverlapGroup) -> sp.Expr:
+    """Exact Lemma 3 / Corollary 1 expression in the tile symbols ``b_*``.
+
+    The sympy view of the rows :func:`access_size_leading` truncates.
+    """
+    _, size = _size_rows(group)
+    return _posynomial(size, group.variables).expr
 
 
 def access_size_leading(group: SimpleOverlapGroup) -> Posynomial:
@@ -116,7 +177,9 @@ def access_size_leading(group: SimpleOverlapGroup) -> Posynomial:
     Only the top-total-degree monomials matter for the asymptotic solution of
     optimization problem (8); lower-order terms perturb ``chi(X)`` below
     leading order.  For an input/output stencil group the leading part is the
-    *surface* posynomial ``sum_i |t̂_i| * prod_{k != i} |D_k|``.
+    *surface* posynomial ``sum_i |t̂_i| * prod_{k != i} |D_k|``.  A group
+    whose size cancels to zero (an input/output group without offsets)
+    contributes no term.
 
     Memoized on ``(group.dims, group.includes_output)``, the only fields it
     reads; the returned posynomial is immutable.
@@ -131,26 +194,21 @@ def _access_size_leading(
     group = SimpleOverlapGroup(
         array="", dims=dims, components=(), includes_output=includes_output
     )
-    expr = access_size(group)
-    variables = [tile(v) for v in group.variables]
-    posy = Posynomial.from_expr(expr, variables)
-    lead = posy.leading()
-    if not lead.is_positive():
+    full, size = _size_rows(group)
+    top = max((sum(row) for row in size), default=0)
+    lead = {row: coeff for row, coeff in size.items() if sum(row) == top}
+    if any(coeff < 0 for coeff in lead.values()):
         # Negative-coefficient leading terms can only arise from constant
         # dimensions with many offsets; fall back to the plain product bound
         # (always valid: at least one full tile is accessed).
-        full = sp.Integer(1)
-        for extent, _ in effective_dims(group):
-            full *= extent
-        return Posynomial.from_expr(full, variables)
-    return lead
+        return _posynomial(full, group.variables)
+    return _posynomial(lead, group.variables)
 
 
 def group_constraint_terms(
     groups: Sequence[SimpleOverlapGroup],
     *,
     policy: OverlapPolicy = "sum",
-    leading_only: bool = True,
 ) -> Posynomial:
     """Combine per-group access sizes into the dominator-size posynomial.
 
@@ -164,9 +222,10 @@ def group_constraint_terms(
       always counted.  "Largest" is resolved by comparing leading total
       degree, then term count, then string order -- the choice only matters
       when degrees tie, in which case either is a valid lower bound.
-    """
-    build = access_size_leading if leading_only else _exact_posynomial
 
+    Every term is over real loop tiles: version tiles never occur
+    (:func:`effective_dims`).
+    """
     per_array: dict[str, list[Posynomial]] = {}
     always: dict[str, list[Posynomial]] = {}
     order: list[str] = []
@@ -176,7 +235,7 @@ def group_constraint_terms(
             per_array[group.array] = []
             always[group.array] = []
         target = always if group.includes_output else per_array
-        target[group.array].append(build(group))
+        target[group.array].append(access_size_leading(group))
 
     total = Posynomial(())
     for array in order:
@@ -193,11 +252,6 @@ def group_constraint_terms(
         else:
             raise ValueError(f"unknown overlap policy {policy!r}")
     return total
-
-
-def _exact_posynomial(group: SimpleOverlapGroup) -> Posynomial:
-    variables = [tile(v) for v in group.variables]
-    return Posynomial.from_expr(access_size(group), variables)
 
 
 def _largest(parts: Iterable[Posynomial]) -> Posynomial:

@@ -4,8 +4,10 @@ Pipeline for one statement:
 
 1. Section 5.2 versioning (:func:`repro.soap.projections.apply_versioning`);
 2. simple-overlap classification (:mod:`repro.soap.classify`);
-3. dominator posynomial via Lemma 3 / Corollary 1
-   (:mod:`repro.soap.access_size`);
+3. dominator posynomial via Lemma 3 / Corollary 1, built on integer
+   exponent rows over the loop tiles (:mod:`repro.soap.access_size`; a
+   version dimension already counts as its tied loop tiles, so the
+   constraint holds no version tile);
 4. optimization problem (8) -> ``chi(X)`` (:mod:`repro.opt.kkt`);
 5. intensity ``rho`` and ``X0`` (:mod:`repro.opt.rho`);
 6. inequality (9):  ``Q >= |D| * (X0 - S) / chi(X0) = |D| / rho``.
@@ -26,7 +28,7 @@ from repro.soap.classify import OverlapPolicy, classify_statement
 from repro.soap.projections import apply_versioning
 from repro.symbolic.asymptotics import leading_term
 from repro.symbolic.posynomial import Monomial, Posynomial
-from repro.symbolic.symbols import expand_version_tiles, is_version_var, tile
+from repro.symbolic.symbols import is_version_var, tile
 
 
 @dataclass
@@ -63,13 +65,6 @@ def statement_extents(statement: Statement) -> dict[str, sp.Expr]:
     }
 
 
-def expand_versions(constraint: Posynomial) -> Posynomial:
-    """Substitute every version tile by its tied loop-tile product."""
-    expr = expand_version_tiles(constraint.expr)
-    variables = [s for s in expr.free_symbols if s.name.startswith("b_")]
-    return Posynomial.from_expr(expr, variables)
-
-
 def analyze_statement(
     statement: Statement,
     *,
@@ -78,7 +73,7 @@ def analyze_statement(
     """Derive the Section 4 I/O lower bound for one statement."""
     projected = apply_versioning(statement)
     groups = classify_statement(projected)
-    constraint = expand_versions(group_constraint_terms(groups, policy=policy))
+    constraint = group_constraint_terms(groups, policy=policy)
     objective = statement_objective(projected)
     extents = statement_extents(projected)
 

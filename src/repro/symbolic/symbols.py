@@ -59,9 +59,10 @@ def is_tile(symbol: sp.Symbol) -> bool:
 # When a statement's output access misses some loop variables, each execution
 # writes a new *version* of an element; the version index is modeled as one
 # extra array dimension whose extent is the product of the missing variables'
-# tiles.  The convention below encodes that tie in the variable name so that
-# every consumer (access-size builder, fusion) can expand
-# ``b_{__v.k}`` -> ``b_k`` (or a product for multiple missing variables).
+# tiles.  The convention below encodes that tie in the variable name: fusion
+# renames a version variable by its components, and the access-size builder
+# reads them to give a version dimension the extent ``b_k`` (or a product for
+# multiple missing variables), so no version tile ``b_{__v.k}`` is ever built.
 # ---------------------------------------------------------------------------
 
 _VERSION_PREFIX = "__v."
@@ -83,18 +84,3 @@ def version_components(name: str) -> tuple[str, ...]:
     if not is_version_var(name):
         raise ValueError(f"{name!r} is not a version variable")
     return tuple(name[len(_VERSION_PREFIX):].split("."))
-
-
-def expand_version_tiles(expr: sp.Expr) -> sp.Expr:
-    """Replace every version tile ``b_{__v.a.b}`` by ``b_a * b_b``."""
-    subs: dict[sp.Symbol, sp.Expr] = {}
-    for sym in expr.free_symbols:
-        if not isinstance(sym, sp.Symbol) or not is_tile(sym):
-            continue
-        name = sym.name[len(_TILE_PREFIX):]
-        if is_version_var(name):
-            product = sp.Integer(1)
-            for component in version_components(name):
-                product *= tile(component)
-            subs[sym] = product
-    return expr.subs(subs) if subs else expr

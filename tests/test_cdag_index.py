@@ -4,12 +4,15 @@
 ``stream_from_graph`` must number ids like ``stream_vertex_ids`` and read
 each vertex's parents in ``graph.predecessors`` order -- on corpus kernels
 whose preferred blocked sequence needs the topological repair, on kernels
-whose sequence is already topological, and on random DAGs.
+whose sequence is already topological, and on random DAGs.  The id path the
+audit takes (``blocked_ids`` into ``stream_from_ids``) must build the same
+stream and refuse the same illegal orders.
 """
 
 import dataclasses
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,11 +25,13 @@ from repro.pebbling.greedy import default_order, stream_vertex_ids, tiled_order
 from repro.schedule.derive import (
     TiledSchedule,
     _preferred_order,
+    blocked_ids,
     blocked_order,
     derive_schedule,
 )
-from repro.schedule.stream import stream_from_graph
+from repro.schedule.stream import stream_from_graph, stream_from_ids
 from repro.schedule.tightness import audit_params
+from repro.util.errors import PebblingError
 
 #: corpus kernels whose preferred blocked sequence is not topological
 REPAIRED = ("2mm", "cholesky", "lu", "trmm", "jacobi2d", "seidel2d")
@@ -51,6 +56,25 @@ def oracle_order(cdag: ConcreteCDAG, schedule: TiledSchedule) -> list:
         schedule.tile_sizes,
         schedule.variable_order,
         statement_rank=rank,
+    )
+
+
+def assert_same_stream(a, b) -> None:
+    assert (a.n_positions, a.n_ids, a.labels) == (b.n_positions, b.n_ids, b.labels)
+    for field in (
+        "parent_offsets", "parent_ids", "computed_ids", "starts_blue", "store_at_compute"
+    ):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def assert_ids_match_labels(cdag: ConcreteCDAG, schedule: TiledSchedule) -> None:
+    """The audit's id path builds the stream the label path builds."""
+    index = graph_index(cdag.graph)
+    ids = blocked_ids(cdag, schedule)
+    order = blocked_order(cdag, schedule)
+    assert [index.labels[i] for i in ids.tolist()] == order
+    assert_same_stream(
+        stream_from_ids(cdag.graph, ids), stream_from_graph(cdag.graph, order)
     )
 
 
@@ -92,6 +116,7 @@ def test_blocked_order_matches_tiled_order_on_corpus(name, engine):
     repaired = order != [index.labels[i] for i in preferred]
     assert repaired == (name in REPAIRED)
     assert_stream_matches_graph(cdag.graph, order)
+    assert_ids_match_labels(cdag, schedule)
 
 
 def test_index_is_built_once_per_graph():
@@ -108,6 +133,47 @@ def test_untiled_schedule_keeps_default_order():
         tile_sizes={"i": 1, "j": 1, "k": 1}, tiled=False, source_arrays=(),
     )
     assert blocked_order(cdag, schedule) == default_order(cdag.graph)
+    assert_ids_match_labels(cdag, schedule)
+
+
+class TestIdOrders:
+    """``x -> a -> b, y -> c``: an id order is refused where its labels are."""
+
+    @pytest.fixture
+    def graph(self):
+        return nx.DiGraph([("x", "a"), ("a", "b"), ("y", "c")])
+
+    def ids(self, graph, labels):
+        return np.array([graph_index(graph).position[v] for v in labels])
+
+    def test_legal_order_builds_the_label_stream(self, graph):
+        for order in (["a", "b", "c"], ["c", "a", "b"], ["a", "c", "b"]):
+            assert_same_stream(
+                stream_from_ids(graph, self.ids(graph, order)),
+                stream_from_graph(graph, order),
+            )
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (["a", "b", "b"], "exactly once"),
+            (["x", "a", "b"], "exactly once"),
+            (["a", "b"], "exactly once"),
+            (["b", "a", "c"], "order is not topological"),
+        ],
+    )
+    def test_illegal_order_rejected(self, graph, order, message):
+        with pytest.raises(PebblingError, match=message):
+            stream_from_graph(graph, order)
+        with pytest.raises(PebblingError, match=message):
+            stream_from_ids(graph, self.ids(graph, order))
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_id_rejected(self, graph, bad):
+        order = self.ids(graph, ["a", "b", "c"])
+        order[2] = bad
+        with pytest.raises(PebblingError, match="exactly once"):
+            stream_from_ids(graph, order)
 
 
 def test_point_columns_follow_a_new_points_mapping():
@@ -174,3 +240,4 @@ def test_blocked_order_and_streams_match_oracles_on_random_dags(instance):
     assert order == oracle_order(cdag, schedule)
     assert_stream_matches_graph(cdag.graph, order)
     assert_stream_matches_graph(cdag.graph, default_order(cdag.graph))
+    assert_ids_match_labels(cdag, schedule)

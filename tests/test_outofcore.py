@@ -289,24 +289,29 @@ class TestParallelSweepSharing:
     def test_workers_never_rebuild_streams(self, monkeypatch):
         """Every distinct stream is built once, total, across the pool.
 
-        ``stream_from_graph`` calls are counted in a fork-shared value;
-        phase A builds (once per distinct stream), phase B only attaches,
-        so the parallel count must match the serial sweep's -- where the
-        per-kernel context memo already guarantees build-once.
+        ``stream_from_graph`` and ``stream_from_ids`` calls are counted in
+        a fork-shared value; phase A builds (once per distinct stream),
+        phase B only attaches, so the parallel count must match the serial
+        sweep's -- where the per-kernel context memo already guarantees
+        build-once.
         """
         import multiprocessing
 
         from repro.schedule import tightness as tightness_mod
 
         counter = multiprocessing.Value("i", 0)
-        real = tightness_mod.stream_from_graph
 
-        def counting(*args, **kwargs):
-            with counter.get_lock():
-                counter.value += 1
-            return real(*args, **kwargs)
+        def counting(real):
+            def count(*args, **kwargs):
+                with counter.get_lock():
+                    counter.value += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(tightness_mod, "stream_from_graph", counting)
+            return count
+
+        for builder in ("stream_from_graph", "stream_from_ids"):
+            real = getattr(tightness_mod, builder)
+            monkeypatch.setattr(tightness_mod, builder, counting(real))
         kwargs = dict(s_values=(6, 10, 14), params={"N": 4})
         serial = tightness_mod.audit_corpus(["gemm"], jobs=1, **kwargs)
         serial_builds = counter.value

@@ -2,10 +2,14 @@
 
 import sympy as sp
 
+from repro.kernels import get_kernel, kernel_names
 from repro.kernels.common import ref, stmt
 from repro.ir.program import Program
+from repro.sdg.graph import SDG
 from repro.sdg.merge import fuse_statements
-from repro.symbolic.symbols import tile
+from repro.sdg.subgraphs import enumerate_subgraphs
+from repro.symbolic.symbols import is_version_var, tile, tile_name
+from repro.util.errors import SolverError
 
 bi, bj, bt = tile("i"), tile("j"), tile("t")
 
@@ -145,3 +149,23 @@ class Test2mmFusion:
         ]
         # tmp's Corollary-1 term b_i*b_j appears exactly once.
         assert len(tmp_terms) == 1
+
+
+def test_no_corpus_constraint_holds_a_version_tile():
+    """Access sizes replace a version dimension by its loop tiles, so every
+    fused constraint of the corpus is over real loop tiles only."""
+    fused_count = 0
+    for name in kernel_names():
+        spec = get_kernel(name)
+        program = spec.build()
+        sharing = SDG.from_program(program).sharing_graph()
+        for subset in enumerate_subgraphs(sharing, max_size=spec.max_subgraph_size):
+            try:
+                fused = fuse_statements(program, subset, policy=spec.policy)
+            except SolverError:
+                continue
+            fused_count += 1
+            tiles = {tile_name(sym) for t in fused.constraint.terms for sym in t.variables()}
+            assert not any(is_version_var(v) for v in tiles), (name, subset)
+            assert not any(is_version_var(v) for v in fused.problem.variables)
+    assert fused_count == 357

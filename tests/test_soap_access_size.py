@@ -1,17 +1,23 @@
-"""Lemma 3 / Corollary 1 access-size bounds, property-tested against brute force."""
+"""Lemma 3 / Corollary 1 access-size bounds, property-tested against brute force
+and against the sympy reference (``tests/access_size_reference.py``)."""
 
+import importlib
 import itertools
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from access_size_reference import reference_access_size, reference_access_size_leading
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cdag.counting import access_set_size_bruteforce, hyperrectangle_union_size
 from repro.ir.access import ArrayAccess
 from repro.kernels.common import ref
 from repro.soap.access_size import access_size, access_size_leading, group_constraint_terms
-from repro.soap.classify import classify_access
-from repro.symbolic.symbols import tile
+from repro.soap.classify import DimIndex, SimpleOverlapGroup, classify_access
+from repro.symbolic.symbols import tile, version_var_name
+
+# ``repro.soap`` re-exports a function named like this module
+access_size_module = importlib.import_module("repro.soap.access_size")
 
 
 def _eval(expr, sizes):
@@ -173,3 +179,89 @@ def test_lemma3_holds_for_noncontiguous_domains(values, offsets):
         [((1, o),) for o in offsets], [sorted(values)]
     )
     assert bound <= exact
+
+
+# ---------------------------------------------------------------------------
+# exponent rows against the sympy reference
+# ---------------------------------------------------------------------------
+
+_LOOP_VARS = ("i", "j", "k")
+
+
+@st.composite
+def _dim_tuples(draw):
+    """Group dimensions of every kind the classifier produces: loop variables
+    (repeats allowed), constant dimensions with up to three offsets,
+    Minkowski sumsets, and version dimensions whose components may or may
+    not index a loop dimension of the same group (``t`` never does)."""
+    dims = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("loop", "constant", "sumset", "version")))
+        offsets = draw(st.integers(0, 3))
+        if kind == "loop":
+            dims.append(DimIndex(draw(st.sampled_from(_LOOP_VARS)), offsets))
+        elif kind == "constant":
+            dims.append(DimIndex(None, offsets))
+        elif kind == "sumset":
+            names = draw(
+                st.lists(
+                    st.sampled_from(_LOOP_VARS + ("r", "w")),
+                    min_size=2, max_size=3, unique=True,
+                )
+            )
+            dims.append(DimIndex(names[0], offsets, tuple(names[1:])))
+        else:
+            components = draw(
+                st.lists(
+                    st.sampled_from(_LOOP_VARS + ("t",)),
+                    min_size=1, max_size=2, unique=True,
+                )
+            )
+            dims.append(DimIndex(version_var_name(components), offsets))
+    return tuple(dims)
+
+
+def _terms(posy):
+    return {t.powers: sp.srepr(t.coeff) for t in posy.terms}
+
+
+#: two constant dimensions whose ``(1 - o)`` factors multiply to more than 2:
+#: the leading coefficient goes negative and the product bound is returned
+_NEGATIVE_LEADING = (DimIndex("i", 0), DimIndex(None, 3), DimIndex(None, 3))
+
+
+@given(dims=_dim_tuples(), includes_output=st.booleans())
+@example(dims=_NEGATIVE_LEADING, includes_output=False)
+@example(
+    dims=(DimIndex("i", 1), DimIndex(None, 2), DimIndex(None, 3)), includes_output=True
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rows_match_the_sympy_reference(dims, includes_output):
+    """Same terms -- powers and coefficient srepr -- as the sympy build, and
+    the same exact expression."""
+    rows = access_size_module._access_size_leading.__wrapped__(dims, includes_output)
+    reference = reference_access_size_leading(dims, includes_output)
+    assert len(rows) == len(reference)
+    assert _terms(rows) == _terms(reference)
+    group = SimpleOverlapGroup("A", dims, (), includes_output)
+    assert sp.srepr(access_size(group)) == sp.srepr(reference_access_size(group))
+
+
+def test_negative_leading_falls_back_to_the_product():
+    group = SimpleOverlapGroup("A", _NEGATIVE_LEADING, ())
+    assert sp.expand(access_size(group)) == -2 * tile("i")
+    assert access_size_leading(group).expr == tile("i")
+
+
+def test_zero_size_input_output_group_adds_no_term():
+    """An input/output group without offsets reads only what it writes:
+    Corollary 1 gives 0, and the group contributes no constraint term (not
+    the product fallback)."""
+    out = ref("A", "i,j").components[0]
+    (group,) = classify_access(ref("A", "i,j"), out)
+    assert group.includes_output
+    assert access_size(group) == 0
+    assert len(access_size_leading(group)) == 0
+    assert len(reference_access_size_leading(group.dims, True)) == 0
+    reads = classify_access(ref("B", "i,j"))
+    assert group_constraint_terms([group, *reads]).expr == tile("i") * tile("j")

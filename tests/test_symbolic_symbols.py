@@ -1,11 +1,9 @@
 """Symbol factories and the version-variable convention."""
 
 import pytest
-import sympy as sp
 
 from repro.symbolic.symbols import (
     S_SYM,
-    expand_version_tiles,
     is_tile,
     is_version_var,
     param,
@@ -59,16 +57,3 @@ class TestVersionVars:
     def test_components_of_plain_name_rejected(self):
         with pytest.raises(ValueError):
             version_components("k")
-
-    def test_expand_single(self):
-        expr = tile(version_var_name(["k"])) * tile("i")
-        assert sp.simplify(expand_version_tiles(expr) - tile("k") * tile("i")) == 0
-
-    def test_expand_product(self):
-        expr = tile(version_var_name(["r", "s"]))
-        expanded = expand_version_tiles(expr)
-        assert sp.simplify(expanded - tile("r") * tile("s")) == 0
-
-    def test_expand_leaves_plain_tiles(self):
-        expr = tile("i") * tile("j")
-        assert expand_version_tiles(expr) == expr
