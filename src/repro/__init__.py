@@ -35,7 +35,6 @@ from repro.ir import (
     Statement,
 )
 from repro.sdg.bounds import ProgramBound
-from repro.soap.statement_analysis import StatementBound, analyze_statement
 from repro.symbolic.symbols import S_SYM, X_SYM, param, tile
 
 __version__ = "1.0.0"
@@ -45,12 +44,10 @@ __all__ = [
     "analyze_program",
     "analyze_kernel",
     "analyze_many",
-    "analyze_statement",
     "Engine",
     "SolveCache",
     "KernelResult",
     "ProgramBound",
-    "StatementBound",
     "AffineIndex",
     "Array",
     "ArrayAccess",

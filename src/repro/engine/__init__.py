@@ -16,7 +16,6 @@ from repro.engine.diagnostics import EngineDiagnostics, StageRecord
 from repro.engine.signature import (
     CanonicalProblem,
     canonicalize_ir,
-    canonicalize_problem,
     rename_solution,
     rename_text,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "CacheStats",
     "CanonicalProblem",
     "canonicalize_ir",
-    "canonicalize_problem",
     "classify_outcome",
     "rename_solution",
     "rename_text",

@@ -2,8 +2,8 @@
 
 Across the Table 2 suite the same problem (8) is solved over and over: every
 gemm-shaped contraction, every streaming copy, every ping-pong stencil pair
-produces a fused statement whose objective/constraint posynomials differ only
-in *loop-variable names* and term order.  This module computes a **canonical
+produces a fused statement whose objective/constraint rows differ only in
+*loop-variable names*, column order and term order.  This module computes a **canonical
 form** of the :class:`~repro.opt.problem.ProblemIR` so that
 all such instances share one cache entry:
 
@@ -14,7 +14,7 @@ all such instances share one cache entry:
    variables until stable.
 2. Variables are renamed ``c0, c1, ...`` in rank order (ties broken by
    original appearance order, which keeps the map deterministic).
-3. Monomials are re-sorted by their canonical exponent vectors.
+3. Terms are re-sorted by their canonical exponent vectors.
 
 The fingerprints come straight off the IR's ``Fraction`` exponent matrix
 and interned coefficient keys -- no sympy traversal on this path; the IR
@@ -47,7 +47,6 @@ import sympy as sp
 
 from repro.opt.kkt import ChiSolution
 from repro.opt.problem import ProblemIR, TermIR
-from repro.symbolic.posynomial import Posynomial
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,6 @@ class CanonicalProblem:
     problem: ProblemIR  #: the canonical IR the solver consumes
     rename: dict[str, str]  #: original loop var -> canonical loop var
     inverse: dict[str, str]  #: canonical loop var -> original loop var
-
-    @property
-    def objective(self) -> Posynomial:
-        return self.problem.objective_posynomial()
-
-    @property
-    def constraint(self) -> Posynomial:
-        return self.problem.constraint_posynomial()
-
-    @property
-    def extents(self) -> dict[str, sp.Expr]:
-        return self.problem.extents_dict()
 
 
 def canonicalize_ir(
@@ -138,22 +125,6 @@ def canonicalize_ir(
         problem=canonical_ir,
         rename=rename,
         inverse=inverse,
-    )
-
-
-def canonicalize_problem(
-    objective: Posynomial,
-    constraint: Posynomial,
-    extents: dict[str, sp.Expr],
-    *,
-    allow_pinning: bool = False,
-    allow_caps: bool = False,
-) -> CanonicalProblem:
-    """Posynomial-level convenience wrapper around :func:`canonicalize_ir`."""
-    return canonicalize_ir(
-        ProblemIR.from_posynomials(objective, constraint, extents),
-        allow_pinning=allow_pinning,
-        allow_caps=allow_caps,
     )
 
 

@@ -1,8 +1,8 @@
 """The problem-(8) solver the engine, the cache and the service share.
 
-:class:`SolverBackend` consumes a :class:`~repro.opt.problem.ProblemIR` and
-produces a :class:`~repro.opt.kkt.ChiSolution` through the numerically
-guided KKT solver :func:`repro.opt.kkt.solve_chi`: one scipy probe picks the
+:class:`SolverBackend` hands a :class:`~repro.opt.problem.ProblemIR`, as it
+is, to the numerically guided KKT solver :func:`repro.opt.kkt.solve_chi` and
+returns its :class:`~repro.opt.kkt.ChiSolution`: one scipy probe picks the
 active set; the stationarity system, the ``mu`` decompositions, the softmax
 and saturation checks and the tile system are then solved and decided
 exactly over :class:`fractions.Fraction`, and sympy is built only for an
@@ -43,11 +43,7 @@ class SolverBackend:
     ) -> ChiSolution:
         """Solve one problem; closed forms count in ``solver_closed_form_total``."""
         solution = solve_chi(
-            problem.objective_posynomial(),
-            problem.constraint_posynomial(),
-            problem.extents_dict(),
-            allow_pinning=allow_pinning,
-            allow_caps=allow_caps,
+            problem, allow_pinning=allow_pinning, allow_caps=allow_caps
         )
         if CLOSED_FORM_NOTE in solution.notes:
             current_registry().inc("solver_closed_form_total", backend=self.name)

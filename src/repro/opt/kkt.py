@@ -22,6 +22,11 @@ optimum value follows without solving for the tiles themselves: expressing
 which is independent of the particular ``mu`` chosen because every
 consistent ``log(m_r/k_r)`` lies in the row space of ``e``.
 
+The problem arrives as a :class:`~repro.opt.problem.ProblemIR` and stays
+one: capping, the probe, the reconstruction and its checks all read the
+exponent rows; sympy enters only through coefficients (a capped extent such
+as ``N``) and the accepted ``chi`` and tiles.
+
 The solver is *numerically guided*: a scipy solve of the same program (at a
 large concrete ``X``, :mod:`repro.opt.numeric`) identifies the active
 constraint terms, the surviving objective monomials, any variables pinned at
@@ -44,7 +49,9 @@ constraint term that dominates every other one, ``chi = (c/k)*X`` in closed
 form (:func:`bandwidth_bound_chi`).
 
 Variables absent from every constraint term are unconstrained by the
-dominator budget and are capped at their full loop extents beforehand.
+dominator budget and are capped at their full loop extents beforehand: the
+objective's coefficients absorb the extents, and terms left over the same
+tiles merge in first-appearance order.
 """
 
 from __future__ import annotations
@@ -56,18 +63,16 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from repro.opt.numeric import NumericSolution, solve_numeric
+from repro.opt.numeric import NumericSolution, at_probe_parameters, solve_numeric
 from repro.opt.problem import (
     _ZERO,
     ProblemIR,
     _row_reduce,
-    exponent_row,
     fraction,
     rationalize,
     solve_rational,
 )
-from repro.symbolic.posynomial import Monomial, Posynomial
-from repro.symbolic.symbols import X_SYM, tile, tile_name
+from repro.symbolic.symbols import X_SYM
 from repro.util.errors import SolverError
 
 #: Bump when the solver's *capabilities* change (new reconstruction paths,
@@ -134,11 +139,8 @@ def leading_in_x(expr: sp.Expr) -> sp.Expr:
 
 
 def solve_chi(
-    objective: Posynomial,
-    constraint: Posynomial,
-    extents: Mapping[str, sp.Expr] | None = None,
+    problem: ProblemIR,
     *,
-    probe_x: float = _PROBE_X,
     allow_pinning: bool = True,
     allow_caps: bool = True,
 ) -> ChiSolution:
@@ -157,44 +159,41 @@ def solve_chi(
     never reports (see DESIGN.md §4.5); rejecting them reproduces the
     paper's behaviour.
     """
-    extents = dict(extents or {})
+    extents = problem.extents_dict()
     notes: list[str] = []
 
     # ---- cap variables the constraint cannot bound -------------------------
-    constraint_vars = set(constraint.variables())
+    constrained = {
+        name for term in problem.constraint for name, _ in problem.powers(term)
+    }
     capped: list[str] = []
-    substitutions: dict[sp.Symbol, sp.Expr] = {}
-    for var in objective.variables():
-        if var not in constraint_vars:
-            name = tile_name(var)
-            cap = extents.get(name)
-            if cap is None:
+    for name in problem.first_appearance(problem.objective):
+        if name not in constrained:
+            if extents.get(name) is None:
                 raise SolverError(
                     f"variable {name} is unconstrained and has no extent cap"
                 )
-            substitutions[var] = sp.sympify(cap)
             capped.append(name)
-    if substitutions:
+    caps = {name: sp.sympify(extents[name]) for name in capped}
+    if capped:
         if not allow_caps:
             raise SolverError(
                 f"optimum requires capping tiles {capped} at full extents; "
                 "interior-only solve requested"
             )
-        remaining = [v for v in objective.variables() if v not in substitutions]
-        objective = Posynomial.from_expr(objective.expr.subs(substitutions), remaining)
+        problem = _capped(problem, caps)
         notes.append(f"capped {capped} at full extents")
 
-    if len(constraint) == 0:
-        chi = sp.simplify(objective.expr)
-        tiles = {name: sp.sympify(extents[name]) for name in capped}
-        return ChiSolution(chi, tiles, tuple(capped), (), True, tuple(notes))
+    if not problem.constraint:
+        # every objective tile is capped: each term is its coefficient
+        chi = sp.simplify(sp.Add(*(problem.coeffs[t.coeff] for t in problem.objective)))
+        return ChiSolution(chi, caps, tuple(capped), (), True, tuple(notes))
 
-    rows = ProblemIR.from_posynomials(objective, constraint)
     closed = bandwidth_bound_chi(
-        rows.variables,
-        [(rows.coeffs[term.coeff], term.exponents) for term in rows.objective],
-        [(rows.coeffs[term.coeff], term.exponents) for term in rows.constraint],
-        capped={name: sp.sympify(extents[name]) for name in capped},
+        problem.variables,
+        [(problem.coeffs[term.coeff], term.exponents) for term in problem.objective],
+        [(problem.coeffs[term.coeff], term.exponents) for term in problem.constraint],
+        capped=caps,
         notes=notes,
     )
     if closed is not None:
@@ -203,55 +202,72 @@ def solve_chi(
     # Program parameters may appear in coefficients (capped extents); the
     # numeric probe substitutes a large common value -- the probe only guides
     # active-set selection, the exact algebra below keeps parameters symbolic.
-    param_subs = _parameter_substitution(objective, constraint)
-    numeric = solve_numeric(
-        _substituted(objective, param_subs),
-        _substituted(constraint, param_subs),
-        probe_x,
-    )
+    numeric = solve_numeric(problem, _PROBE_X)
     pinned = tuple(
-        tile_name(v) for v, val in numeric.tile_values.items() if val < _PIN_TOLERANCE
+        name for name, val in numeric.tile_values.items() if val < _PIN_TOLERANCE
     )
     if pinned and not allow_pinning:
         # A pinned tile may be a degenerate optimum (any budget split optimal,
         # SLSQP parked a tile at the boundary): accept iff an equivalent
         # interior stationary point reconstructs and verifies exactly.
-        interior = _exact_from_guidance(objective, constraint, numeric, (), param_subs)
+        interior = _exact_from_guidance(problem, numeric, ())
         if interior is None:
             raise SolverError(
                 f"optimum pins tiles {pinned} to the boundary; "
                 "interior-only solve requested"
             )
-        tiles = dict(interior.tiles)
-        for name in capped:
-            tiles[name] = sp.sympify(extents[name])
+        tiles = {**interior.tiles, **caps}
         notes.append(f"degenerate boundary point at {pinned}; interior optimum used")
         return ChiSolution(interior.chi, tiles, tuple(capped), (), True, tuple(notes))
 
     part: _PartSolution | None = None
     try:
-        part = _exact_from_guidance(objective, constraint, numeric, pinned, param_subs)
+        part = _exact_from_guidance(problem, numeric, pinned)
         if part is None:
             notes.append("KKT reconstruction failed; using numeric fit")
     except SolverError as err:
         notes.append(f"{err}; using numeric fit")
     if part is None:
-        if param_subs:
+        if any(coeff.free_symbols for coeff in problem.coeffs):
             raise SolverError(
                 "numeric-fit fallback unavailable with symbolic coefficients"
             )
-        part = _fit_from_numeric(objective, constraint, probe_x)
+        part = _fit_from_numeric(problem)
 
-    tiles = dict(part.tiles)
-    for name in capped:
-        tiles[name] = sp.sympify(extents[name])
     return ChiSolution(
         part.chi,
-        tiles,
+        {**part.tiles, **caps},
         tuple(capped),
         part.pinned,
         part.exact,
         tuple(notes),
+    )
+
+
+def _capped(problem: ProblemIR, caps: Mapping[str, sp.Expr]) -> ProblemIR:
+    """``problem`` with each tile of ``caps`` fixed at its extent.
+
+    A capped tile's power moves into the objective term's coefficient; terms
+    left over the same tiles merge in first-appearance order, their
+    coefficients multiplied out and summed by ``sp.expand``.
+    """
+    merged: dict[tuple, sp.Expr] = {}
+    for term in problem.objective:
+        coeff = problem.coeffs[term.coeff]
+        powers = []
+        for name, exp in problem.powers(term):
+            if name in caps:
+                coeff *= caps[name] ** sp.Rational(exp.numerator, exp.denominator)
+            else:
+                powers.append((name, exp))
+        merged[tuple(powers)] = merged.get(tuple(powers), 0) + coeff
+    return ProblemIR.from_terms(
+        [(powers, sp.expand(coeff)) for powers, coeff in merged.items()],
+        [
+            (problem.powers(term), problem.coeffs[term.coeff])
+            for term in problem.constraint
+        ],
+        problem.extents,
     )
 
 
@@ -309,71 +325,54 @@ class _PartSolution:
     exact: bool
 
 
-_NUMERIC_PARAM = sp.Float(1.0e5)
-
-
-def _parameter_substitution(*posys: Posynomial) -> dict[sp.Symbol, sp.Expr]:
-    symbols: set[sp.Symbol] = set()
-    for posy in posys:
-        for term in posy.terms:
-            symbols |= sp.sympify(term.coeff).free_symbols
-    return {s: _NUMERIC_PARAM for s in symbols}
-
-
-def _substituted(posy: Posynomial, subs: Mapping[sp.Symbol, sp.Expr]) -> Posynomial:
-    if not subs:
-        return posy
-    return Posynomial(
-        [Monomial.make(t.coeff.subs(subs), t.powers_dict) for t in posy.terms]
-    )
-
-
 def _exact_from_guidance(
-    objective: Posynomial,
-    constraint: Posynomial,
+    problem: ProblemIR,
     numeric: NumericSolution,
     pinned: Sequence[str],
-    param_subs: Mapping[sp.Symbol, sp.Expr] | None = None,
 ) -> _PartSolution | None:
     """Rebuild the optimum the probe found, exactly; ``None`` when it fails.
 
     Every decision is taken over :class:`~fractions.Fraction` and log-vectors
     (see the section after this function); sympy is built once, for an
-    accepted ``chi`` and its tiles.
+    accepted ``chi`` and its tiles.  Live objective terms and active
+    constraint terms keep their row order, and the free tiles come in name
+    order: :func:`~repro.opt.problem.solve_rational` pivots left to right,
+    so the probe's hints fill the same free unknowns on every run.
     """
-    pinned_syms = {tile(name) for name in pinned}
-    param_subs = dict(param_subs or {})
-
-    active_terms = [term for term, act in zip(constraint.terms, numeric.active) if act]
+    coeffs = problem.coeffs
+    active_terms = [
+        term for term, act in zip(problem.constraint, numeric.active) if act
+    ]
     active_hints = [w for w, act in zip(numeric.dual_weights, numeric.active) if act]
     if not active_terms:
         return None
 
     # Keep only the objective monomials that survive at the optimum.
     obj_values = []
-    for term in objective.terms:
-        value = float(term.coeff.subs(param_subs)) * math.prod(
-            numeric.tile_values[v] ** float(term.exponent(v))
-            for v in term.variables()
-            if v in numeric.tile_values
+    for term in problem.objective:
+        value = float(at_probe_parameters(coeffs[term.coeff])) * math.prod(
+            numeric.tile_values[name] ** float(exp)
+            for name, exp in problem.powers(term)
+            if name in numeric.tile_values
         )
         obj_values.append(value)
     total_obj = sum(obj_values) or 1.0
     live = [val / total_obj > _OBJ_TOLERANCE for val in obj_values]
-    live_monos = [t for t, keep in zip(objective.terms, live) if keep]
+    live_monos = [t for t, keep in zip(problem.objective, live) if keep]
     live_hints = [val / total_obj for val, keep in zip(obj_values, live) if keep]
     if not live_monos:
         return None
 
     # Pinned tiles sit at 1 and drop out of every row.
     free_vars = sorted(
-        {v for t in live_monos + active_terms for v in t.variables()} - pinned_syms,
-        key=lambda s: s.name,
+        {name for t in live_monos + active_terms for name, _ in problem.powers(t)}
+        - set(pinned)
     )
     if not free_vars:
         return None
-    obj_rows = [exponent_row(t, free_vars) for t in live_monos]
-    con_rows = [exponent_row(t, free_vars) for t in active_terms]
+    columns = [problem.variables.index(name) for name in free_vars]
+    obj_rows = [[t.exponents[col] for col in columns] for t in live_monos]
+    con_rows = [[t.exponents[col] for col in columns] for t in active_terms]
 
     # Joint stationarity system over (w_p, y_r):
     #   per variable t:  sum_p a_pt w_p - sum_r e_rt y_r = 0
@@ -395,7 +394,7 @@ def _exact_from_guidance(
     # m_r / k_r with m_r = q_r * X, q_r = y_r / sum(y)
     total_y = sum(y)
     m_over_k = [
-        sp.Rational(value / total_y) * X_SYM / term.coeff
+        sp.Rational(value / total_y) * X_SYM / coeffs[term.coeff]
         for value, term in zip(y, active_terms)
     ]
     ratios = [_log_terms(value) for value in m_over_k]
@@ -411,7 +410,9 @@ def _exact_from_guidance(
         if mu is None:
             return None
         mus.append(mu)
-        u_parts.append(_split(_combine(_log_terms(mono.coeff), *zip(ratios, mu))))
+        u_parts.append(
+            _split(_combine(_log_terms(coeffs[mono.coeff]), *zip(ratios, mu)))
+        )
 
     # Softmax identity w_p * chi == u_p: with every w_p rational, all u_p
     # share one class and their rational parts are the w_p shares.
@@ -427,14 +428,14 @@ def _exact_from_guidance(
         # assignment (inconsistent log-linear system): reject -- accepting it
         # would report a chi no feasible point attains.
         return None
-    tile_logs = {tile_name(v): log for v, log in zip(free_vars, logs) if log is not None}
+    tile_logs = {name: log for name, log in zip(free_vars, logs) if log is not None}
     for name in pinned:
         tile_logs[name] = {}
 
     # When every tile has a closed form, verify the constraint saturates X at
     # leading order.
-    if all(tile_name(v) in tile_logs for v in free_vars) and not _saturates(
-        constraint, tile_logs
+    if all(name in tile_logs for name in free_vars) and not _saturates(
+        problem, tile_logs
     ):
         return None
 
@@ -443,7 +444,7 @@ def _exact_from_guidance(
     # and ``50**(1/7)`` are both left as they are).
     u_values = []
     for mono, mu in zip(live_monos, mus):
-        u = mono.coeff
+        u = coeffs[mono.coeff]
         for ratio, mu_r in zip(m_over_k, mu):
             if mu_r:
                 u *= ratio ** sp.Rational(mu_r)
@@ -586,19 +587,21 @@ def _recover_tile_logs(
     return logs
 
 
-def _saturates(constraint: Posynomial, tile_logs: Mapping[str, _LogVector]) -> bool:
+def _saturates(problem: ProblemIR, tile_logs: Mapping[str, _LogVector]) -> bool:
     """Does the full constraint equal ``X`` at leading order under the tiles?
 
-    A term whose tile is not determined keeps that tile as an opaque
+    A term whose tile is not determined keeps that tile's name as an opaque
     generator, so it never counts towards ``X``.
     """
     parts = []
-    for term in constraint.terms:
+    for term in problem.constraint:
         scaled = [
-            (tile_logs.get(tile_name(var), {var: Fraction(1)}), fraction(e))
-            for var, e in term.powers
+            (tile_logs.get(name, {name: Fraction(1)}), exp)
+            for name, exp in problem.powers(term)
         ]
-        parts.append(_split(_combine(_log_terms(term.coeff), *scaled)))
+        parts.append(
+            _split(_combine(_log_terms(problem.coeffs[term.coeff]), *scaled))
+        )
     degree = {cls: dict(cls).get(X_SYM, _ZERO) for _, cls in parts}
     top = max(degree.values())
     leading = [(part, cls) for part, cls in parts if degree[cls] == top]
@@ -608,15 +611,11 @@ def _saturates(constraint: Posynomial, tile_logs: Mapping[str, _LogVector]) -> b
     ) == 1
 
 
-def _fit_from_numeric(
-    objective: Posynomial,
-    constraint: Posynomial,
-    probe_x: float,
-) -> _PartSolution:
+def _fit_from_numeric(problem: ProblemIR) -> _PartSolution:
     """Rational-exponent fit ``chi = C * X^alpha`` from two numeric solves."""
-    x1, x2, x3 = probe_x, probe_x * 64.0, probe_x * 8.0
-    s1 = solve_numeric(objective, constraint, x1)
-    s2 = solve_numeric(objective, constraint, x2)
+    x1, x2, x3 = _PROBE_X, _PROBE_X * 64.0, _PROBE_X * 8.0
+    s1 = solve_numeric(problem, x1)
+    s2 = solve_numeric(problem, x2)
     alpha_f = (math.log(s2.objective_value) - math.log(s1.objective_value)) / (
         math.log(x2) - math.log(x1)
     )
@@ -644,7 +643,7 @@ def _fit_from_numeric(
         except (TypeError, ValueError):  # mpmath.identify can crash on edge inputs
             coeff = sp.nsimplify(coeff_f, rational=True, tolerance=1e-4)
     chi = coeff * X_SYM ** sp.Rational(alpha)
-    s3 = solve_numeric(objective, constraint, x3)
+    s3 = solve_numeric(problem, x3)
     predicted = float(coeff) * x3 ** float(alpha)
     if abs(predicted - s3.objective_value) > 0.05 * abs(s3.objective_value):
         raise SolverError("numeric chi fit failed cross-validation")

@@ -13,6 +13,14 @@ The numeric solution serves two purposes:
   weights ``y_r = lambda * m_r``, which the symbolic side rationalizes and
   then verifies exactly;
 * it *cross-checks* every closed-form ``chi(X)`` in the test suite.
+
+The probe reads a :class:`~repro.opt.problem.ProblemIR`.  Its inputs are
+part of its contract, because SLSQP's answer -- and with it the pinned
+tiles, their order and the free tiles the reconstruction fills from the
+weights -- depends on them: the columns come in first appearance over the
+objective's terms, then the constraint's, each term's tiles in name order
+(not the IR's column order), and each coefficient is
+``float(sympy.nsimplify(c))`` with every program parameter at ``1e5``.
 """
 
 from __future__ import annotations
@@ -24,62 +32,67 @@ import sympy as sp
 from scipy import optimize
 
 from repro.obs import current_registry
-from repro.symbolic.posynomial import Posynomial
+from repro.opt.problem import ProblemIR
 from repro.util.errors import SolverError
 
 _ACTIVITY_THRESHOLD = 1e-4  #: m_r / X above this counts as an active term
 _RESTARTS = 4  #: SLSQP attempts before the best converged one is taken
+_NUMERIC_PARAM = sp.Float(1.0e5)  #: the probe's value of a program parameter
 
 
 @dataclass(frozen=True)
 class NumericSolution:
     """Numeric optimum of problem (8) for one concrete ``X``."""
 
-    variables: tuple[sp.Symbol, ...]
-    tile_values: dict[sp.Symbol, float]
+    variables: tuple[str, ...]  #: the probe's columns, by loop-variable name
+    tile_values: dict[str, float]
     objective_value: float
     constraint_terms: tuple[float, ...]  #: values m_r of each constraint monomial
     active: tuple[bool, ...]  #: m_r / X above the activity threshold
     dual_weights: tuple[float, ...]  #: y_r = m_r / sum(active m), ~ lambda*m_r/lambda*X
 
 
-def _matrix_form(posy: Posynomial, variables: list[sp.Symbol]):
-    """(coeffs, exponent matrix) of a posynomial over ``variables``."""
-    coeffs = []
-    exps = []
-    for term in posy.terms:
-        coeff = sp.nsimplify(term.coeff)
-        value = float(coeff)
-        coeffs.append(value)
-        exps.append([float(term.exponent(v)) for v in variables])
-    return np.asarray(coeffs), np.asarray(exps)
+def at_probe_parameters(coeff: sp.Expr) -> sp.Expr:
+    """``coeff`` with every program parameter at the probe's value."""
+    return coeff.subs({sym: _NUMERIC_PARAM for sym in coeff.free_symbols})
 
 
-def solve_numeric(
-    objective: Posynomial,
-    constraint: Posynomial,
-    x_value: float,
-) -> NumericSolution:
-    """Solve problem (8) numerically for ``X = x_value``.
-
-    Coefficients must be numeric (callers substitute program parameters
-    first).  SLSQP runs from a default start, then from seeded random
-    starts; the best converged attempt wins once ``_RESTARTS`` attempts have
-    run, and at most ``2 * _RESTARTS`` run.  When none converges, one
-    counted ``trust-constr`` rescue runs.  Raises :class:`SolverError` when
-    the optimizer fails to converge or the constraint contains a
-    variable-free structure it cannot handle.
-    """
-    variables = list(
-        dict.fromkeys(list(objective.variables()) + list(constraint.variables()))
-    )
+def _probe_inputs(problem: ProblemIR):
+    """``(columns, c, a, k, e)``: the probe's columns by name, and the
+    coefficients and exponent matrices of the objective and the constraint
+    (module docstring)."""
+    variables = problem.first_appearance(problem.objective + problem.constraint)
     if not variables:
         raise SolverError("no tile variables in problem (8)")
-    if len(constraint) == 0:
+    if not problem.constraint:
         raise SolverError("empty constraint: chi is unbounded (cap extents first)")
+    columns = [problem.variables.index(name) for name in variables]
+    # an integer is its own nsimplify
+    values = [
+        float(c) if c.is_Integer else float(sp.nsimplify(at_probe_parameters(c)))
+        for c in problem.coeffs
+    ]
 
-    c_obj, a_obj = _matrix_form(objective, variables)
-    k_con, e_con = _matrix_form(constraint, variables)
+    def matrix_form(terms):
+        coeffs = np.asarray([values[term.coeff] for term in terms])
+        exps = np.asarray([[float(term.exponents[c]) for c in columns] for term in terms])
+        return coeffs, exps
+
+    return (variables, *matrix_form(problem.objective), *matrix_form(problem.constraint))
+
+
+def solve_numeric(problem: ProblemIR, x_value: float) -> NumericSolution:
+    """Solve problem (8) numerically for ``X = x_value``.
+
+    Columns and coefficients are the module docstring's.  SLSQP runs from a
+    default start, then from seeded random starts; the best converged
+    attempt wins once ``_RESTARTS`` attempts have run, and at most
+    ``2 * _RESTARTS`` run.  When none converges, one counted
+    ``trust-constr`` rescue runs.  Raises :class:`SolverError` when the
+    optimizer fails to converge or the constraint contains a variable-free
+    structure it cannot handle.
+    """
+    variables, c_obj, a_obj, k_con, e_con = _probe_inputs(problem)
     if np.any(c_obj <= 0) or np.any(k_con <= 0):
         raise SolverError("non-positive coefficient in posynomial")
     n = a_obj.shape[1]

@@ -1,23 +1,20 @@
 """Exponent-row representation of optimization problem (8).
 
-The solver (:mod:`repro.opt.backends`) consumes this problem: maximize a
-posynomial objective over a posynomial dominator budget.  Before this module
-existed, each consumer -- signature canonicalization, the cache key, the
-numeric probe, the exact KKT reconstruction -- re-derived its own view by
-traversing sympy expressions.  :class:`ProblemIR` computes the shared
-structure **once**, at fusion time:
+Problem (8) -- maximize a posynomial objective over a posynomial dominator
+budget -- has one form in the analyzer, :class:`ProblemIR`.  Fusion
+(:func:`repro.sdg.merge.fuse_statements`) builds it straight from the integer
+Lemma 3 / Corollary 1 rows of :mod:`repro.soap.access_size`; signature
+canonicalization, the cache key and the solver (:mod:`repro.opt.kkt` and its
+probe :mod:`repro.opt.numeric`) read it as it is:
 
 * the tile variables, by *name* (loop-variable names, not ``b_`` symbols),
-  in deterministic appearance order (objective first);
+  in appearance order: over the objective's terms, then the constraint's,
+  each term's names in name order (:meth:`ProblemIR.from_terms`);
 * the objective/constraint as rows of an **exponent matrix** over
   :class:`fractions.Fraction` -- exact, hashable, orderable, and convertible
   to a float matrix for the scipy probe without touching sympy;
 * **interned coefficients**: the distinct coefficient expressions, each with
-  its ``srepr`` key (for hashing/canonicalization) and its float value when
-  the coefficient is numeric -- computed once instead of per consumer.
-
-Conversion to/from :class:`~repro.symbolic.posynomial.Posynomial` is
-lossless (:meth:`ProblemIR.from_posynomials` / :meth:`ProblemIR.objective`).
+  its ``srepr`` key (for hashing/canonicalization).
 
 The module also provides exact linear algebra over the rationals
 (:func:`solve_rational`): plain Gaussian elimination on ``Fraction``
@@ -33,21 +30,18 @@ from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
 
-from repro.symbolic.posynomial import Monomial, Posynomial
-from repro.symbolic.symbols import tile, tile_name
-
 _ZERO = Fraction(0)
+
+#: a term's non-zero exponents by loop-variable name, in name order
+Powers = tuple[tuple[str, Fraction], ...]
+#: one term of problem (8): its powers (int exponents allowed) and its
+#: coefficient, an int or a sympy expression
+Term = tuple[Iterable[tuple[str, Fraction | int]], object]
 
 
 def fraction(value: sp.Rational) -> Fraction:
     """A sympy rational as a :class:`~fractions.Fraction`."""
     return Fraction(int(value.p), int(value.q))
-
-
-def exponent_row(term: Monomial, symbols: Sequence[sp.Symbol]) -> tuple[Fraction, ...]:
-    """``term``'s exponent of each of ``symbols``, zero where it is absent."""
-    powers = dict(term.powers)
-    return tuple(fraction(powers[sym]) if sym in powers else _ZERO for sym in symbols)
 
 
 @dataclass(frozen=True)
@@ -69,80 +63,74 @@ class ProblemIR:
     constraint: tuple[TermIR, ...]
     extents: tuple[tuple[str, sp.Expr], ...]  #: loop var -> full extent
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-
     @staticmethod
-    def from_posynomials(
-        objective: Posynomial,
-        constraint: Posynomial,
-        extents: Mapping[str, sp.Expr] | None = None,
+    def from_terms(
+        objective: Iterable[Term],
+        constraint: Iterable[Term],
+        extents: Mapping[str, sp.Expr] | Iterable[tuple[str, sp.Expr]] = (),
     ) -> "ProblemIR":
-        """Build the IR; loop variables keep their appearance order."""
-        order: dict[sp.Symbol, int] = {}
-        for posy in (objective, constraint):
-            for term in posy.terms:
-                for sym in term.variables():
-                    order.setdefault(sym, len(order))
-        symbols = list(order)
-        names = tuple(tile_name(sym) for sym in symbols)
+        """Build the IR from ``(powers, coefficient)`` terms.
 
-        interned: dict[str, int] = {}
+        ``powers`` pairs loop-variable names with non-zero exponents.
+        Columns come in first appearance over the objective's terms, then
+        the constraint's, each term's names in name order; terms keep their
+        order.
+        """
+        objective = [(tuple(sorted(powers)), coeff) for powers, coeff in objective]
+        constraint = [(tuple(sorted(powers)), coeff) for powers, coeff in constraint]
+        column: dict[str, int] = {}
+        for powers, _ in objective + constraint:
+            for name, _ in powers:
+                column.setdefault(name, len(column))
+
+        by_key: dict[str, int] = {}  #: srepr -> index: equal srepr, one slot
+        by_int: dict[int, int] = {}  #: an int's srepr is computed once
         coeffs: list[sp.Expr] = []
-        keys: list[str] = []
 
-        def intern(coeff: sp.Expr) -> int:
-            key = sp.srepr(coeff)
-            index = interned.get(key)
-            if index is None:
-                index = len(coeffs)
-                interned[key] = index
-                coeffs.append(coeff)
-                keys.append(key)
+        def intern(coeff: object) -> int:
+            if type(coeff) is int and coeff in by_int:
+                return by_int[coeff]
+            expr = sp.sympify(coeff)
+            index = by_key.setdefault(sp.srepr(expr), len(coeffs))
+            if index == len(coeffs):
+                coeffs.append(expr)
+            if type(coeff) is int:
+                by_int[coeff] = index
             return index
 
-        def rows(posy: Posynomial) -> tuple[TermIR, ...]:
-            return tuple(
-                TermIR(intern(sp.sympify(term.coeff)), exponent_row(term, symbols))
-                for term in posy.terms
-            )
+        def rows(terms) -> tuple[TermIR, ...]:
+            out = []
+            for powers, coeff in terms:
+                row = [_ZERO] * len(column)
+                for name, exponent in powers:
+                    row[column[name]] = Fraction(exponent)
+                out.append(TermIR(intern(coeff), tuple(row)))
+            return tuple(out)
 
-        obj_rows = rows(objective)
-        con_rows = rows(constraint)
-        extent_items = tuple(
-            (name, sp.sympify(value)) for name, value in dict(extents or {}).items()
-        )
+        obj_rows, con_rows = rows(objective), rows(constraint)
         return ProblemIR(
-            variables=names,
+            variables=tuple(column),
             coeffs=tuple(coeffs),
-            coeff_keys=tuple(keys),
+            coeff_keys=tuple(by_key),
             objective=obj_rows,
             constraint=con_rows,
-            extents=extent_items,
+            extents=tuple(
+                (name, sp.sympify(value)) for name, value in dict(extents).items()
+            ),
         )
 
-    # ------------------------------------------------------------------
-    # sympy views (lossless inverse of ``from_posynomials``)
-    # ------------------------------------------------------------------
+    def powers(self, term: TermIR) -> Powers:
+        """``term``'s non-zero exponents by variable name, in name order."""
+        return tuple(
+            sorted((name, e) for name, e in zip(self.variables, term.exponents) if e)
+        )
 
-    def _posynomial(self, terms: Iterable[TermIR]) -> Posynomial:
-        symbols = [tile(name) for name in self.variables]
-        monomials = []
-        for term in terms:
-            powers = {
-                sym: sp.Rational(exp.numerator, exp.denominator)
-                for sym, exp in zip(symbols, term.exponents)
-                if exp != 0
-            }
-            monomials.append(Monomial.make(self.coeffs[term.coeff], powers))
-        return Posynomial(monomials)
-
-    def objective_posynomial(self) -> Posynomial:
-        return self._posynomial(self.objective)
-
-    def constraint_posynomial(self) -> Posynomial:
-        return self._posynomial(self.constraint)
+    def first_appearance(self, terms: Iterable[TermIR]) -> list[str]:
+        """Variable names in first appearance over ``terms``, each term's in
+        name order -- the rule :meth:`from_terms` orders its columns by."""
+        return list(
+            dict.fromkeys(name for term in terms for name, _ in self.powers(term))
+        )
 
     def extents_dict(self) -> dict[str, sp.Expr]:
         return dict(self.extents)

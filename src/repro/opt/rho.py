@@ -16,6 +16,10 @@ leading-order monomial ``chi = C * X**alpha``:
 
 ``rho`` is reported at leading order in ``S``; exact lower-order terms are
 retained in ``rho_exact`` for small-S evaluation (pebbling validation).
+
+``chi`` is the sympy expression the solver builds for an accepted solution;
+problem (8) itself stays exponent rows (:mod:`repro.opt.problem`), and this
+module works on ``chi`` alone.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ fused into one *subgraph SOAP statement* ``St_H``:
    statement contributes its own product (statements need not share all
    loops); version variables are excluded.
 
-The result feeds optimization problem (8) exactly like a single statement.
+Objective and dominator terms are integer exponent rows keyed by loop
+variable; they become the solver's :class:`~repro.opt.problem.ProblemIR`
+directly, with no sympy on the way.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ from repro.ir.access import AccessComponent, AffineIndex, ArrayAccess
 from repro.ir.program import Program
 from repro.ir.statement import Statement
 from repro.opt.problem import ProblemIR
-from repro.soap.access_size import group_constraint_terms
+from repro.soap.access_size import Powers, group_constraint_terms
 from repro.soap.classify import OverlapPolicy, SimpleOverlapGroup, classify_access
 from repro.soap.projections import version_output
-from repro.symbolic.posynomial import Monomial, Posynomial
-from repro.symbolic.symbols import is_version_var, tile, version_components, version_var_name
+from repro.symbolic.symbols import is_version_var, version_components, version_var_name
 from repro.util import unique_in_order
 from repro.util.errors import NotSoapError
 from repro.util.unionfind import UnionFind
@@ -61,9 +62,7 @@ class FusedStatement:
     statements: tuple[Statement, ...]  #: renamed (unified) statements
     variables: tuple[str, ...]  #: unified loop variables (no version vars)
     extents: dict[str, sp.Expr]
-    objective: Posynomial
-    constraint: Posynomial
-    problem: ProblemIR  #: solver view, built once for all consumers
+    problem: ProblemIR  #: problem (8), built once for all consumers
     groups: tuple[SimpleOverlapGroup, ...]
     input_arrays: tuple[str, ...]  #: In(St_H)
     notes: tuple[str, ...] = ()
@@ -101,14 +100,13 @@ def fuse_statements(
                 variables.append(var)
                 extents[var] = st.domain.extent(var)
 
-    # ---- objective ----------------------------------------------------------
-    monomials = []
+    # ---- objective: one product per statement, equal products merged -------
+    objective: dict[Powers, int] = {}
     for st in renamed:
-        powers = {
-            tile(v): 1 for v in st.iteration_vars if not is_version_var(v)
-        }
-        monomials.append(Monomial.make(sp.Integer(1), powers))
-    objective = Posynomial(monomials)
+        powers = tuple(
+            (v, 1) for v in sorted(set(st.iteration_vars)) if not is_version_var(v)
+        )
+        objective[powers] = objective.get(powers, 0) + 1
 
     # ---- dominator groups ----------------------------------------------------
     groups = _build_groups(renamed, h_set)
@@ -126,9 +124,7 @@ def fuse_statements(
         statements=tuple(renamed),
         variables=tuple(variables),
         extents=extents,
-        objective=objective,
-        constraint=constraint,
-        problem=ProblemIR.from_posynomials(objective, constraint, extents),
+        problem=ProblemIR.from_terms(objective.items(), constraint, extents),
         groups=tuple(groups),
         input_arrays=tuple(input_arrays),
         notes=tuple(notes),

@@ -324,7 +324,8 @@ class AnalysisService:
         trace: bool = False,
         deadline_seconds: float | None = None,
     ) -> Job:
-        """Queue a source analysis; parse errors raise before a job exists.
+        """Queue a source analysis; parse errors and malformed options
+        (``ValueError``, a 400 over HTTP) raise before a job exists.
 
         The coalescing key is the engine's canonical program fingerprint, so
         an isomorphic in-flight request (renamed loop variables, reordered
@@ -338,8 +339,22 @@ class AnalysisService:
         """
         from repro.sdg.subgraphs import DEFAULT_MAX_SIZE
 
+        # options arrive as JSON values: check their types here, before they
+        # reach the fingerprint (a bool is an int, and bool("false") is true)
+        if not isinstance(source, str):
+            raise ValueError("'source' must be a string")
+        if policy not in ("sum", "max"):
+            raise ValueError(f"unknown overlap policy {policy!r}")
         if max_subgraph_size is None:
             max_subgraph_size = DEFAULT_MAX_SIZE
+        elif (
+            isinstance(max_subgraph_size, bool)
+            or not isinstance(max_subgraph_size, int)
+            or max_subgraph_size < 1
+        ):
+            raise ValueError("'max_subgraph_size' must be a positive integer")
+        if not isinstance(allow_pinning, bool):
+            raise ValueError("'allow_pinning' must be true or false")
         if language not in ("python", "c"):
             raise ValueError(f"unknown language {language!r}")
 

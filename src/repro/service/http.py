@@ -256,7 +256,7 @@ class ServiceServer:
             language=body.get("language", "python"),
             policy=body.get("policy", "sum"),
             max_subgraph_size=body.get("max_subgraph_size"),
-            allow_pinning=bool(body.get("allow_pinning", False)),
+            allow_pinning=body.get("allow_pinning", False),
             priority=body.get("priority", DEFAULT_PRIORITY),
             trace=bool(body.get("trace", False)),
             deadline_seconds=_deadline_seconds(body),

@@ -17,10 +17,11 @@ Every extent ``|D_i|`` is an integer polynomial in the tile sizes, so the
 bound is computed on **exponent rows**: a polynomial is a dict from an
 integer exponent tuple over the group's variables
 (:attr:`~repro.soap.classify.SimpleOverlapGroup.variables`) to an integer
-coefficient, the two products above are polynomial multiplications of such
-dicts, and only the result becomes a
-:class:`~repro.symbolic.posynomial.Posynomial` (or, through
-:func:`access_size`, a sympy expression).
+coefficient, and the two products above are polynomial multiplications of
+such dicts.  The result leaves this module as :data:`Terms` -- ``(powers,
+coefficient)`` pairs keyed by loop-variable name, which fusion hands to
+:meth:`repro.opt.problem.ProblemIR.from_terms` -- and becomes sympy only
+through :func:`access_size` and :func:`terms_expr`.
 
 Three structural subtleties, all needed for soundness:
 
@@ -56,11 +57,14 @@ from typing import Iterable, Sequence
 import sympy as sp
 
 from repro.soap.classify import DimIndex, OverlapPolicy, SimpleOverlapGroup
-from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import is_version_var, tile, version_components
 
 #: an integer polynomial in the tile sizes: exponent row -> coefficient
 Rows = dict[tuple[int, ...], int]
+#: a term's non-zero exponents by loop-variable name, in name order
+Powers = tuple[tuple[str, int], ...]
+#: an integer polynomial over named tiles: ``(powers, coefficient)`` pairs
+Terms = tuple[tuple[Powers, int], ...]
 
 
 def effective_dims(group: SimpleOverlapGroup) -> list[tuple[Rows, int]]:
@@ -149,16 +153,22 @@ def _size_rows(group: SimpleOverlapGroup) -> tuple[Rows, Rows]:
     return full, _plus(size, reduced, -1)
 
 
-def _posynomial(rows: Rows, variables: Sequence[str]) -> Posynomial:
-    """The posynomial of ``rows``, in :meth:`Monomial.make`'s normal form."""
-    symbols = [tile(v) for v in variables]
+def _terms(rows: Rows, variables: Sequence[str]) -> Terms:
+    """``rows`` over ``variables`` as name-keyed terms."""
     by_name = sorted(range(len(variables)), key=variables.__getitem__)
-    return Posynomial(
-        Monomial(
-            sp.Integer(coeff),
-            tuple((symbols[k], sp.Integer(row[k])) for k in by_name if row[k]),
-        )
+    return tuple(
+        (tuple((variables[k], row[k]) for k in by_name if row[k]), coeff)
         for row, coeff in rows.items()
+    )
+
+
+def terms_expr(terms: Terms) -> sp.Expr:
+    """The sympy sum of ``terms`` in the tile symbols ``b_*``."""
+    return sp.Add(
+        *(
+            coeff * sp.Mul(*(tile(name) ** exp for name, exp in powers))
+            for powers, coeff in terms
+        )
     )
 
 
@@ -168,29 +178,27 @@ def access_size(group: SimpleOverlapGroup) -> sp.Expr:
     The sympy view of the rows :func:`access_size_leading` truncates.
     """
     _, size = _size_rows(group)
-    return _posynomial(size, group.variables).expr
+    return terms_expr(_terms(size, group.variables))
 
 
-def access_size_leading(group: SimpleOverlapGroup) -> Posynomial:
-    """Leading-order posynomial of :func:`access_size`.
+def access_size_leading(group: SimpleOverlapGroup) -> Terms:
+    """Leading-order terms of :func:`access_size`.
 
     Only the top-total-degree monomials matter for the asymptotic solution of
     optimization problem (8); lower-order terms perturb ``chi(X)`` below
     leading order.  For an input/output stencil group the leading part is the
-    *surface* posynomial ``sum_i |t̂_i| * prod_{k != i} |D_k|``.  A group
-    whose size cancels to zero (an input/output group without offsets)
-    contributes no term.
+    *surface* ``sum_i |t̂_i| * prod_{k != i} |D_k|``.  A group whose size
+    cancels to zero (an input/output group without offsets) contributes no
+    term.
 
     Memoized on ``(group.dims, group.includes_output)``, the only fields it
-    reads; the returned posynomial is immutable.
+    reads; the returned terms are immutable.
     """
     return _access_size_leading(group.dims, group.includes_output)
 
 
 @lru_cache(maxsize=4096)
-def _access_size_leading(
-    dims: tuple[DimIndex, ...], includes_output: bool
-) -> Posynomial:
+def _access_size_leading(dims: tuple[DimIndex, ...], includes_output: bool) -> Terms:
     group = SimpleOverlapGroup(
         array="", dims=dims, components=(), includes_output=includes_output
     )
@@ -201,16 +209,16 @@ def _access_size_leading(
         # Negative-coefficient leading terms can only arise from constant
         # dimensions with many offsets; fall back to the plain product bound
         # (always valid: at least one full tile is accessed).
-        return _posynomial(full, group.variables)
-    return _posynomial(lead, group.variables)
+        return _terms(full, group.variables)
+    return _terms(lead, group.variables)
 
 
 def group_constraint_terms(
     groups: Sequence[SimpleOverlapGroup],
     *,
     policy: OverlapPolicy = "sum",
-) -> Posynomial:
-    """Combine per-group access sizes into the dominator-size posynomial.
+) -> Terms:
+    """Combine per-group access sizes into the dominator-size terms.
 
     Groups of *different* arrays always add (arrays are disjoint).  Groups of
     the *same* array combine according to ``policy``:
@@ -220,14 +228,18 @@ def group_constraint_terms(
       leading size (sound without a disjointness argument); the input/output
       Corollary 1 group is not an alternative view of the same data and is
       always counted.  "Largest" is resolved by comparing leading total
-      degree, then term count, then string order -- the choice only matters
-      when degrees tie, in which case either is a valid lower bound.
+      degree, then term count, then the string of the sympy sum -- the choice
+      only matters when degrees tie, in which case either is a valid lower
+      bound.
 
-    Every term is over real loop tiles: version tiles never occur
-    (:func:`effective_dims`).
+    Terms with equal powers merge (a merged term keeps its first position and
+    one whose coefficient cancels is dropped).  Every term is over real loop
+    tiles: version tiles never occur (:func:`effective_dims`).
     """
-    per_array: dict[str, list[Posynomial]] = {}
-    always: dict[str, list[Posynomial]] = {}
+    if policy not in ("sum", "max"):
+        raise ValueError(f"unknown overlap policy {policy!r}")
+    per_array: dict[str, list[Terms]] = {}
+    always: dict[str, list[Terms]] = {}
     order: list[str] = []
     for group in groups:
         if group.array not in per_array:
@@ -237,27 +249,33 @@ def group_constraint_terms(
         target = always if group.includes_output else per_array
         target[group.array].append(access_size_leading(group))
 
-    total = Posynomial(())
+    total: dict[Powers, int] = {}
+
+    def add(part: Terms) -> None:
+        for powers, coeff in part:
+            total[powers] = total.get(powers, 0) + coeff
+        for powers in [powers for powers, coeff in total.items() if not coeff]:
+            del total[powers]
+
     for array in order:
         for part in always[array]:
-            total = total + part
+            add(part)
         parts = per_array[array]
-        if not parts:
-            continue
-        if len(parts) == 1 or policy == "sum":
+        if policy == "sum":
             for part in parts:
-                total = total + part
-        elif policy == "max":
-            total = total + _largest(parts)
-        else:
-            raise ValueError(f"unknown overlap policy {policy!r}")
-    return total
+                add(part)
+        elif parts:
+            add(_largest(parts))
+    return tuple(total.items())
 
 
-def _largest(parts: Iterable[Posynomial]) -> Posynomial:
-    def key(p: Posynomial):
-        degrees = [t.degree for t in p.terms]
-        top = max(degrees) if degrees else sp.Integer(0)
-        return (sp.Rational(top), len(p.terms), str(p.expr))
+def _largest(parts: Sequence[Terms]) -> Terms:
+    def size(part: Terms) -> tuple[int, int]:
+        degrees = [sum(exp for _, exp in powers) for powers, _ in part]
+        return (max(degrees, default=0), len(part))
 
-    return max(parts, key=key)
+    top = max(map(size, parts))
+    tied = [part for part in parts if size(part) == top]
+    if len(tied) == 1:
+        return tied[0]
+    return max(tied, key=lambda part: str(terms_expr(part)))

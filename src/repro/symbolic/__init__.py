@@ -1,4 +1,4 @@
-"""Symbolic helpers: canonical symbols, posynomials, asymptotics, printing.
+"""Symbolic helpers: canonical symbols, asymptotics, printing.
 
 The paper's derivations manipulate three symbol families:
 
@@ -9,8 +9,9 @@ The paper's derivations manipulate three symbol families:
   extents solved for in optimization problem (8).
 
 This package wraps sympy with the small amount of structure the analyzer
-needs: monomial/posynomial views of expressions, leading-order extraction and
-deterministic pretty-printing of bounds.
+needs: the symbol families, leading-order extraction and deterministic
+pretty-printing of bounds.  Problem (8) itself is held as exponent rows
+(:class:`repro.opt.problem.ProblemIR`), not as sympy.
 """
 
 from repro.symbolic.symbols import (
@@ -21,7 +22,6 @@ from repro.symbolic.symbols import (
     tile_name,
     is_tile,
 )
-from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.asymptotics import leading_term, same_leading_shape, ratio_to
 from repro.symbolic.printing import bound_str
 
@@ -32,8 +32,6 @@ __all__ = [
     "tile",
     "tile_name",
     "is_tile",
-    "Monomial",
-    "Posynomial",
     "leading_term",
     "same_leading_shape",
     "ratio_to",

@@ -7,7 +7,7 @@ expressions combine instead of silently treating ``N`` and ``N'`` as distinct.
 Assumption choices matter:
 
 * parameters and tile sizes are ``positive`` so that sympy can simplify
-  ``sqrt(N**2) -> N`` and order-compare monomials;
+  ``sqrt(N**2) -> N`` and order-compare terms of a bound;
 * everything is ``real`` to keep radicals on the principal branch.
 """
 

@@ -5,7 +5,9 @@ expanded the two products through ``sp.expand`` and read the leading part
 back with ``Posynomial.from_expr``.  It now multiplies integer exponent rows
 and builds sympy only for the answer.  The functions below are the sympy
 version, kept verbatim as an oracle: :func:`reference_access_size_leading`
-takes the arguments of ``repro.soap.access_size._access_size_leading``.
+takes the arguments of ``repro.soap.access_size._access_size_leading`` and
+returns a posynomial (``tests/posynomial.py``), which
+:func:`reference_terms` turns into that function's name-keyed terms.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from __future__ import annotations
 import sympy as sp
 
 from repro.soap.classify import DimIndex, SimpleOverlapGroup
-from repro.symbolic.posynomial import Posynomial
-from repro.symbolic.symbols import is_version_var, tile, version_components
+from repro.symbolic.symbols import is_version_var, tile, tile_name, version_components
+from tests.posynomial import Posynomial
 
 
 def reference_effective_dims(group: SimpleOverlapGroup) -> list[tuple[sp.Expr, int]]:
@@ -78,3 +80,10 @@ def reference_access_size_leading(
             full *= extent
         return Posynomial.from_expr(full, variables)
     return lead
+
+
+def reference_terms(posy: Posynomial) -> tuple:
+    """``posy`` as ``(((name, exponent), ...), coefficient)`` terms."""
+    return tuple(
+        (tuple((tile_name(v), e) for v, e in t.powers), t.coeff) for t in posy.terms
+    )

@@ -6,25 +6,40 @@ every decision over ``Fraction`` and builds sympy only for an accepted chi and
 its tiles.  The functions below are the sympy version, kept verbatim as an
 oracle: :func:`reference_exact_from_guidance` is a drop-in replacement for
 ``repro.opt.kkt._exact_from_guidance`` that also applies the ``sp.simplify``
-with which ``solve_chi`` used to wrap the returned chi.
+with which ``solve_chi`` used to wrap the returned chi.  It hands the sympy
+version the problem as posynomials (``tests/posynomial.py``), the probe's
+tile values keyed by tile symbol and the parameter substitution the solver
+once passed along.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import sympy as sp
 
 from repro.opt.kkt import _OBJ_TOLERANCE, _PartSolution, leading_in_x
-from repro.opt.numeric import NumericSolution
-from repro.symbolic.posynomial import Monomial, Posynomial
+from repro.opt.numeric import _NUMERIC_PARAM, NumericSolution
+from repro.opt.problem import ProblemIR
 from repro.symbolic.symbols import X_SYM, tile, tile_name
+from tests.posynomial import Monomial, Posynomial, posynomials_of
 
 
-def reference_exact_from_guidance(*args, **kwargs) -> _PartSolution | None:
+def reference_exact_from_guidance(
+    problem: ProblemIR, numeric: NumericSolution, pinned: Sequence[str]
+) -> _PartSolution | None:
     """The sympy reconstruction, chi simplified as ``solve_chi`` did."""
-    part = _exact_from_guidance(*args, **kwargs)
+    objective, constraint = posynomials_of(problem)
+    numeric = replace(
+        numeric,
+        variables=tuple(tile(name) for name in numeric.variables),
+        tile_values={tile(name): v for name, v in numeric.tile_values.items()},
+    )
+    symbols = set().union(*(coeff.free_symbols for coeff in problem.coeffs))
+    param_subs = {sym: _NUMERIC_PARAM for sym in symbols}
+    part = _exact_from_guidance(objective, constraint, numeric, pinned, param_subs)
     if part is None:
         return None
     return _PartSolution(sp.simplify(part.chi), part.tiles, part.pinned, part.exact)

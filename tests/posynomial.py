@@ -1,16 +1,19 @@
-"""Monomial / posynomial views of sympy expressions.
+"""Test-only: monomial / posynomial views of sympy expressions.
 
 Optimization problem (8) of the paper is a *geometric program*: maximize a
 product of tile sizes subject to a **posynomial** constraint (a sum of
-monomials with positive coefficients).  sympy has no first-class posynomial
-type, so this module provides a thin, immutable one:
+monomials with positive coefficients).  The analyzer holds it as exponent
+rows (:class:`repro.opt.problem.ProblemIR`); the sympy oracles of the test
+suite (``kkt_reference.py``, ``access_size_reference.py``) and tests that
+state problems as expressions use this thin, immutable posynomial type:
 
 * :class:`Monomial` -- ``coeff * prod(var ** exponent)`` where ``coeff`` is a
   sympy expression *free of* the designated variables and every exponent is a
   rational number;
 * :class:`Posynomial` -- an ordered sum of monomials.
 
-Both convert losslessly to/from sympy (``.expr`` / ``from_expr``).
+Both convert losslessly to/from sympy (``.expr`` / ``from_expr``), and
+:func:`problem_of` / :func:`posynomials_of` to/from ``ProblemIR``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import sympy as sp
+
+from repro.opt.problem import ProblemIR, fraction
+from repro.symbolic.symbols import tile, tile_name
 
 
 @dataclass(frozen=True)
@@ -188,3 +194,40 @@ class Posynomial:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return str(self.expr)
+
+
+# ---------------------------------------------------------------------------
+# ProblemIR adapters
+# ---------------------------------------------------------------------------
+
+
+def problem_of(
+    objective: Posynomial,
+    constraint: Posynomial,
+    extents: Mapping[str, sp.Expr] | None = None,
+) -> ProblemIR:
+    """The IR of ``objective``/``constraint``: terms keep their order."""
+
+    def terms(posy: Posynomial):
+        return [
+            (tuple((tile_name(v), fraction(e)) for v, e in t.powers), t.coeff)
+            for t in posy.terms
+        ]
+
+    return ProblemIR.from_terms(terms(objective), terms(constraint), extents or {})
+
+
+def posynomials_of(problem: ProblemIR) -> tuple[Posynomial, Posynomial]:
+    """``(objective, constraint)`` of ``problem``, rows in order."""
+
+    def posynomial(terms) -> Posynomial:
+        return Posynomial(
+            Monomial.make(
+                problem.coeffs[term.coeff],
+                {tile(name): sp.Rational(e.numerator, e.denominator)
+                 for name, e in problem.powers(term)},
+            )
+            for term in terms
+        )
+
+    return posynomial(problem.objective), posynomial(problem.constraint)

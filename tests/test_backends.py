@@ -13,23 +13,23 @@ from repro.engine.signature import canonicalize_ir
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernels import get_kernel
 from repro.obs import MetricsRegistry, Tracer
-from repro.opt import ProblemIR, available_backends, get_backend
+from repro.opt import available_backends, get_backend
 from repro.opt.kkt import SOLVER_REVISION, ChiSolution
 from repro.service import ServiceConfig
 from repro.service.workers import _report_key
-from repro.symbolic.posynomial import Posynomial
 from repro.symbolic.symbols import X_SYM, tile
 from repro.util.errors import SolverError
+from tests.posynomial import Posynomial, problem_of
 
 N = sp.Symbol("N", positive=True)
 bi, bj, bk, bl = tile("i"), tile("j"), tile("k"), tile("l")
 
 
 def _ir(obj, con, variables, extents=None):
-    return ProblemIR.from_posynomials(
+    return problem_of(
         Posynomial.from_expr(obj, variables),
         Posynomial.from_expr(con, variables),
-        extents or {},
+        extents,
     )
 
 

@@ -14,11 +14,10 @@ from repro.engine import (
     SolveCache,
     SolveOutcome,
     analyze_many,
-    canonicalize_problem,
+    canonicalize_ir,
     rename_solution,
     rename_text,
 )
-from repro.engine.signature import canonicalize_ir
 from repro.engine.store import STORE_FILE
 from repro.ir.array import Array
 from repro.ir.program import Program
@@ -75,7 +74,7 @@ def _atax_program():
 
 def _canonical(program, arrays=("C",)):
     fused = fuse_statements(program, tuple(arrays))
-    return canonicalize_problem(fused.objective, fused.constraint, fused.extents)
+    return canonicalize_ir(fused.problem)
 
 
 class TestCanonicalSignature:
@@ -84,8 +83,7 @@ class TestCanonicalSignature:
         a = _canonical(_gemm_program(("i", "j", "k")))
         b = _canonical(_gemm_program(("x", "y", "z")))
         assert a.signature == b.signature
-        assert a.objective.expr == b.objective.expr
-        assert a.constraint.expr == b.constraint.expr
+        assert a.problem == b.problem
 
     def test_permuted_statement_vars_share_signature(self):
         """Same structure declared with permuted variable roles still collides."""
@@ -103,12 +101,8 @@ class TestCanonicalSignature:
 
     def test_solver_flags_change_signature(self):
         fused = fuse_statements(_gemm_program(("i", "j", "k")), ("C",))
-        interior = canonicalize_problem(
-            fused.objective, fused.constraint, fused.extents, allow_pinning=False
-        )
-        boundary = canonicalize_problem(
-            fused.objective, fused.constraint, fused.extents, allow_pinning=True
-        )
+        interior = canonicalize_ir(fused.problem, allow_pinning=False)
+        boundary = canonicalize_ir(fused.problem, allow_pinning=True)
         assert interior.signature != boundary.signature
 
     def test_canonical_name_collision_keeps_extents_attached(self):
@@ -131,12 +125,11 @@ class TestCanonicalSignature:
             ],
         )
         fused = fuse_statements(program, ("out",))
-        canonical = canonicalize_problem(
-            fused.objective, fused.constraint, fused.extents
-        )
+        canonical = canonicalize_ir(fused.problem)
         # the uncapped variable's extent survives under its canonical name
-        assert set(canonical.extents) <= set(canonical.rename.values())
-        [(name, value)] = list(canonical.extents.items())
+        extents = canonical.problem.extents_dict()
+        assert set(extents) <= set(canonical.rename.values())
+        [(name, value)] = list(extents.items())
         assert canonical.inverse[name] == "j"
         assert value == M
         # and the whole analysis caps j at M instead of failing
@@ -284,9 +277,7 @@ class TestCacheCorrectness:
 
     def test_disk_roundtrip_preserves_solution(self, tmp_path):
         fused = fuse_statements(_gemm_program(("i", "j", "k")), ("C",))
-        canonical = canonicalize_problem(
-            fused.objective, fused.constraint, fused.extents
-        )
+        canonical = canonicalize_ir(fused.problem)
         from repro.engine.core import _solve_signature
 
         _, outcome = _solve_signature((canonical.signature, canonical, False))

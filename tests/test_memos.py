@@ -5,7 +5,7 @@ The memoized derivations (intensity, intensity order, leading term, access
 sizes, the store's srepr parser) are pure functions of their keys.  The
 differential test records every input a cold Table 2 pass feeds them and
 checks each memoized answer against the uncached ``__wrapped__`` call: by
-srepr for expressions, by term tuples for posynomials.
+srepr for expressions, by value for access-size terms.
 """
 
 import importlib
@@ -25,7 +25,6 @@ from repro.kernels import kernel_names
 from repro.opt.kkt import ChiSolution
 from repro.opt.rho import intensity_from_chi
 from repro.opt.tiling import tiles_at_x0
-from repro.symbolic.posynomial import Posynomial
 from repro.symbolic.symbols import X_SYM
 from repro.util.errors import SolverError
 
@@ -42,9 +41,7 @@ MEMOS = {
 
 
 def _comparable(value):
-    """A value whose ``==`` is srepr/term-tuple identity."""
-    if isinstance(value, Posynomial):
-        return tuple((sp.srepr(t.coeff), t.powers) for t in value.terms)
+    """A value whose ``==`` is srepr identity for sympy parts."""
     if isinstance(value, tuple):
         return tuple(_comparable(v) for v in value)
     if isinstance(value, sp.Basic):

@@ -19,9 +19,9 @@ from repro.engine import Engine
 from repro.obs import MetricsRegistry, Tracer
 from repro.opt import ProblemIR, available_backends, get_backend
 from repro.opt.kkt import CLOSED_FORM_NOTE, bandwidth_bound_chi, solve_chi
-from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import X_SYM, tile
 from repro.util.errors import SolverError
+from tests.posynomial import Posynomial, problem_of
 
 c0, c1 = tile("c0"), tile("c1")
 
@@ -45,7 +45,7 @@ class _NoScipy:
 @pytest.mark.parametrize("backend", available_backends())
 def test_deriche_problems_need_no_scipy(backend, obj, con, expected, monkeypatch):
     monkeypatch.setattr(numeric, "optimize", _NoScipy())
-    problem = ProblemIR.from_posynomials(
+    problem = problem_of(
         Posynomial.from_expr(obj, [c0, c1]), Posynomial.from_expr(con, [c0, c1])
     )
     solution = get_backend(backend).solve(
@@ -73,10 +73,12 @@ def test_caps_still_reject_before_the_shortcut():
     # class applies, but an interior-only solve must refuse the cap first
     N = sp.Symbol("N", positive=True)
     bi, bj = tile("i"), tile("j")
-    obj, con = Posynomial.from_expr(bi * bj, [bi, bj]), Posynomial.from_expr(bi, [bi])
+    problem = problem_of(
+        Posynomial.from_expr(bi * bj, [bi, bj]), Posynomial.from_expr(bi, [bi]), {"j": N}
+    )
     with pytest.raises(SolverError, match="interior-only"):
-        solve_chi(obj, con, {"j": N}, allow_caps=False)
-    solution = solve_chi(obj, con, {"j": N})
+        solve_chi(problem, allow_caps=False)
+    solution = solve_chi(problem)
     assert solution.chi == N * X_SYM
     assert solution.capped == ("j",)
     assert solution.tiles == {"i": X_SYM, "j": N}
@@ -159,20 +161,13 @@ def test_closed_form_bounds_objective_and_is_attained(instance, seed):
     assert 1 - 1e-5 < ratios[-1] <= 1 + 1e-12
 
     # the exact solver takes the same shortcut
-    symbols = [tile(f"v{idx}") for idx in range(_N_VARS)]
+    def terms(pairs):
+        return [
+            (tuple((f"v{idx}", e) for idx, e in enumerate(exponents) if e), coeff)
+            for coeff, exponents in pairs
+        ]
 
-    def posy(terms):
-        monomials = []
-        for coeff, exponents in terms:
-            powers = {
-                sym: sp.Rational(e.numerator, e.denominator)
-                for sym, e in zip(symbols, exponents)
-                if e
-            }
-            monomials.append(Monomial.make(coeff, powers))
-        return Posynomial(monomials)
-
-    exact = solve_chi(posy([(c, row)]), posy([(k, row)] + others))
+    exact = solve_chi(ProblemIR.from_terms(terms([(c, row)]), terms([(k, row)] + others)))
     assert exact.chi == solution.chi and CLOSED_FORM_NOTE in exact.notes
 
 

@@ -1,4 +1,4 @@
-"""ProblemIR: lossless conversion, interning, and rational linear algebra."""
+"""ProblemIR: construction from terms, interning, and rational linear algebra."""
 
 from fractions import Fraction
 
@@ -6,8 +6,8 @@ import pytest
 import sympy as sp
 
 from repro.opt.problem import ProblemIR, rationalize, solve_rational
-from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import tile
+from tests.posynomial import Monomial, Posynomial, posynomials_of, problem_of
 
 N = sp.Symbol("N", positive=True)
 M = sp.Symbol("M", positive=True)
@@ -36,8 +36,8 @@ class TestPosynomialRoundTrip:
         # Rational exponents only arise from monomial arithmetic, never
         # parsing -- build one by hand and round-trip through the IR.
         half = Posynomial([Monomial.make(sp.Integer(2), {bi: sp.Rational(3, 2)})])
-        ir = ProblemIR.from_posynomials(half, half, {})
-        assert ir.objective_posynomial() == half
+        ir = problem_of(half, half)
+        assert posynomials_of(ir) == (half, half)
         assert ir.objective[0].exponents == (Fraction(3, 2),)
 
     def test_equality_is_structural(self):
@@ -58,30 +58,37 @@ class TestProblemIR:
     def test_lossless_conversion(self):
         objective = _posy(bi * bj * bk, [bi, bj, bk])
         constraint = _posy(N * bi * bk + bk * bj + 2 * bi * bj, [bi, bj, bk])
-        ir = ProblemIR.from_posynomials(objective, constraint, {"i": N, "j": M})
-        assert ir.objective_posynomial() == objective
-        assert ir.constraint_posynomial() == constraint
+        ir = problem_of(objective, constraint, {"i": N, "j": M})
+        assert posynomials_of(ir) == (objective, constraint)
         assert ir.extents_dict() == {"i": N, "j": M}
         assert ir.variables == ("i", "j", "k")
 
+    def test_columns_in_first_appearance_name_order_within_terms(self):
+        ir = ProblemIR.from_terms(
+            [((("k", 1), ("c10", 1)), 1)],
+            [((("c2", 1),), 3), ((("a", 2), ("k", 1)), 1)],
+        )
+        assert ir.variables == ("c10", "k", "c2", "a")
+        assert ir.constraint[1].exponents == (0, 1, 0, 2)
+        assert ir.powers(ir.constraint[1]) == (("a", 2), ("k", 1))
+        assert ir.coeff_keys == ("Integer(1)", "Integer(3)")
+
     def test_coefficients_interned(self):
         constraint = _posy(2 * bi + 2 * bj + 2 * bk, [bi, bj, bk])
-        ir = ProblemIR.from_posynomials(_posy(bi * bj * bk, [bi, bj, bk]), constraint, {})
+        ir = problem_of(_posy(bi * bj * bk, [bi, bj, bk]), constraint)
         # one distinct "1" (objective) and one distinct "2" (all constraint terms)
         assert len(ir.coeffs) == 2
         assert len({term.coeff for term in ir.constraint}) == 1
 
     def test_renamed_and_permuted(self):
-        ir = ProblemIR.from_posynomials(
-            _posy(bi * bj, [bi, bj]), _posy(bi + 2 * bj, [bi, bj]), {"i": N}
-        )
+        ir = problem_of(_posy(bi * bj, [bi, bj]), _posy(bi + 2 * bj, [bi, bj]), {"i": N})
         renamed = ir.renamed({"i": "c0", "j": "c1"})
         assert renamed.variables == ("c0", "c1")
         assert dict(renamed.extents) == {"c0": N}
         flipped = renamed.permuted([1, 0])
         assert flipped.variables == ("c1", "c0")
         # same posynomial content under the new column order
-        assert flipped.constraint_posynomial() == Posynomial(
+        assert posynomials_of(flipped)[1] == Posynomial(
             [
                 Monomial.make(sp.Integer(2), {tile("c1"): 1}),
                 Monomial.make(sp.Integer(1), {tile("c0"): 1}),

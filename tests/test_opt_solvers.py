@@ -21,16 +21,16 @@ from repro.opt.kkt import (
     leading_in_x,
     solve_chi,
 )
-from repro.opt.numeric import NumericSolution, solve_numeric
+from repro.opt.numeric import NumericSolution, _probe_inputs, solve_numeric
 from repro.opt.rho import compare_intensity, intensity_from_chi
 from repro.opt.tiling import tiles_at_x0
 from repro.sdg.graph import SDG
 from repro.sdg.merge import fuse_statements
 from repro.sdg.subgraphs import enumerate_subgraphs
-from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import S_SYM, X_SYM, tile
 from repro.util.errors import SolverError
 from tests.kkt_reference import reference_exact_from_guidance
+from tests.posynomial import Monomial, Posynomial, problem_of
 
 bi, bj, bk, bl, bt = tile("i"), tile("j"), tile("k"), tile("l"), tile("t")
 
@@ -39,11 +39,15 @@ def _posy(expr, variables):
     return Posynomial.from_expr(expr, variables)
 
 
+def _chi(objective, constraint, extents=None, **flags):
+    return solve_chi(problem_of(objective, constraint, extents), **flags)
+
+
 class TestNumeric:
     def test_mmm_optimum(self):
         obj = _posy(bi * bj * bk, [bi, bj, bk])
         con = _posy(bi * bk + bk * bj + bi * bj, [bi, bj, bk])
-        sol = solve_numeric(obj, con, 3e6)
+        sol = solve_numeric(problem_of(obj, con), 3e6)
         assert sol.objective_value == pytest.approx((1e6) ** 1.5, rel=1e-3)
         for value in sol.tile_values.values():
             assert value == pytest.approx(1e3, rel=1e-2)
@@ -54,7 +58,7 @@ class TestNumeric:
         con = _posy(bi * bj + bi, [bi, bj])
         registry = MetricsRegistry()
         with Tracer(registry=registry):
-            sol = solve_numeric(obj, con, 1e8)
+            sol = solve_numeric(problem_of(obj, con), 1e8)
         # every SLSQP start stalls on this degenerate geometry: the
         # trust-constr rescue runs, and is counted
         assert registry.counter_total("solver_rescues_total") == 1
@@ -64,17 +68,17 @@ class TestNumeric:
 
     def test_rejects_empty_constraint(self):
         with pytest.raises(SolverError):
-            solve_numeric(_posy(bi, [bi]), Posynomial(()), 1e6)
+            solve_numeric(problem_of(_posy(bi, [bi]), Posynomial(())), 1e6)
 
     def test_rejects_nonpositive_coefficients(self):
         con = Posynomial([Monomial.make(-1, {bi: 1})])
         with pytest.raises(SolverError):
-            solve_numeric(_posy(bi, [bi]), con, 1e6)
+            solve_numeric(problem_of(_posy(bi, [bi]), con), 1e6)
 
 
 class TestSolveChiCanonical:
     def test_mmm(self):
-        sol = solve_chi(
+        sol = _chi(
             _posy(bi * bj * bk, [bi, bj, bk]),
             _posy(bi * bk + bk * bj + bi * bj, [bi, bj, bk]),
         )
@@ -84,23 +88,23 @@ class TestSolveChiCanonical:
             assert sp.simplify(expr - sp.sqrt(X_SYM / 3)) == 0
 
     def test_linear_alpha_one(self):
-        sol = solve_chi(_posy(2 * bi * bj, [bi, bj]), _posy(bi * bj, [bi, bj]))
+        sol = _chi(_posy(2 * bi * bj, [bi, bj]), _posy(bi * bj, [bi, bj]))
         assert sp.simplify(sol.chi - 2 * X_SYM) == 0
 
     def test_coupled_budget_split(self):
         # gesummv shape: separate matrices must share the budget (rho = 1).
         obj = _posy(bi * bj + bi * bl, [bi, bj, bl])
         con = _posy(bi * bj + bi * bl, [bi, bj, bl])
-        sol = solve_chi(obj, con)
+        sol = _chi(obj, con)
         assert sp.simplify(sol.chi - X_SYM) == 0
 
     def test_stencil_surface(self):
-        sol = solve_chi(_posy(2 * bi * bt, [bi, bt]), _posy(2 * bt + bi, [bi, bt]))
+        sol = _chi(_posy(2 * bi * bt, [bi, bt]), _posy(2 * bt + bi, [bi, bt]))
         assert sp.simplify(sol.chi - X_SYM**2 / 4) == 0
 
     def test_capping_unconstrained_variable(self):
         N = sp.Symbol("N", positive=True)
-        sol = solve_chi(
+        sol = _chi(
             _posy(bi * bj, [bi, bj]),
             _posy(bi, [bi]),
             {"j": N},
@@ -110,12 +114,12 @@ class TestSolveChiCanonical:
 
     def test_capping_requires_extent(self):
         with pytest.raises(SolverError):
-            solve_chi(_posy(bi * bj, [bi, bj]), _posy(bi, [bi]), {})
+            _chi(_posy(bi * bj, [bi, bj]), _posy(bi, [bi]), {})
 
     def test_interior_only_rejects_caps(self):
         N = sp.Symbol("N", positive=True)
         with pytest.raises(SolverError):
-            solve_chi(
+            _chi(
                 _posy(bi * bj, [bi, bj]),
                 _posy(bi, [bi]),
                 {"j": N},
@@ -127,14 +131,14 @@ class TestSolveChiCanonical:
         obj = _posy(bi * bj * bk, [bi, bj, bk])
         con = _posy(bi * bk + bi * bj, [bi, bj, bk])
         with pytest.raises(SolverError):
-            solve_chi(obj, con, {"i": sp.Symbol("N", positive=True)}, allow_pinning=False)
+            _chi(obj, con, {"i": sp.Symbol("N", positive=True)}, allow_pinning=False)
 
     def test_degenerate_boundary_recovers_interior(self):
         # alpha = 1 with underdetermined split: SLSQP may pin a tile, but an
         # equivalent interior optimum exists and must be used.
         obj = _posy(4 * bi * bj * bk, [bi, bj, bk])
         con = _posy(bi * bj * bk, [bi, bj, bk])
-        sol = solve_chi(obj, con, allow_pinning=False)
+        sol = _chi(obj, con, allow_pinning=False)
         assert sp.simplify(sol.chi - 4 * X_SYM) == 0
 
     def test_degree_helpers(self):
@@ -178,7 +182,7 @@ class TestIntensity:
         assert compare_intensity(sp.Integer(3), sp.Integer(2)) == 1
 
     def test_tiles_at_x0(self):
-        sol = solve_chi(
+        sol = _chi(
             _posy(bi * bj * bk, [bi, bj, bk]),
             _posy(bi * bk + bk * bj + bi * bj, [bi, bj, bk]),
         )
@@ -219,11 +223,11 @@ def _gp_instances(draw):
 def test_chi_matches_numeric_optimum(instance):
     objective, constraint = instance
     try:
-        sol = solve_chi(objective, constraint)
+        sol = _chi(objective, constraint)
     except SolverError:
         return  # fit rejected: nothing to check
     x_val = 1e8
-    numeric = solve_numeric(objective, constraint, x_val)
+    numeric = solve_numeric(problem_of(objective, constraint), x_val)
     symbolic_value = float(sol.chi.subs(X_SYM, x_val))
     assert math.isclose(symbolic_value, numeric.objective_value, rel_tol=2e-2)
 
@@ -237,6 +241,13 @@ def test_chi_matches_numeric_optimum(instance):
 #: solved by the sympy reconstruction
 CORPUS_OUTCOME_DIGEST = (
     "44b6a844e73c16b6a736c9f5b1b2bfa7478d971a7a76a7b22abbc59cc7355075"
+)
+
+#: sha256 of the sorted ``[signature, probe inputs]`` rows of the same 193
+#: problems: every ``solve_numeric`` call's columns, coefficients and
+#: exponent rows (:func:`_probe_input`)
+CORPUS_PROBE_DIGEST = (
+    "f6908819b0b0689c935d9564cd16004d5cc9c4c8892ce48826fbe854f7d18a0b"
 )
 
 
@@ -273,50 +284,71 @@ def _outcome_class(outcome) -> str:
     return "exact"
 
 
-def _assert_matches_reference(
-    objective, constraint, extents, allow_pinning, allow_caps=True
-):
-    """Given the same probe, the rational reconstruction and the sympy one
-    report srepr-identical outcomes (chi, tiles, caps, pins, exactness and
-    notes) or the same rejection; returns the outcome."""
-    probes = []
+def _probe_input(problem, x_value):
+    """What one probe is handed, exactly: its columns in order, each
+    coefficient and exponent as ``float.hex``, and ``X``."""
+    columns, c_obj, a_obj, k_con, e_con = _probe_inputs(problem)
+    return [
+        columns,
+        [float(c).hex() for c in c_obj],
+        [[float(e).hex() for e in row] for row in a_obj],
+        [float(c).hex() for c in k_con],
+        [[float(e).hex() for e in row] for row in e_con],
+        float(x_value).hex(),
+    ]
 
-    def recording(*args, **kwargs):
-        probes.append(solve_numeric(*args, **kwargs))
+
+def _solve_recorded(problem, allow_pinning, allow_caps=True):
+    """``(outcome, probes, probe inputs)`` of one solve, every probe recorded."""
+    probes, inputs = [], []
+
+    def recording(problem, x_value):
+        inputs.append(_probe_input(problem, x_value))
+        probes.append(solve_numeric(problem, x_value))
         return probes[-1]
 
-    def solve():
-        return solve_chi(
-            objective, constraint, extents,
-            allow_pinning=allow_pinning, allow_caps=allow_caps,
-        )
-
-    def replaying(*args, **kwargs):
-        """The guiding probe and the numeric fit's probes, in the order the
-        rational run recorded them."""
-        return probes.pop(0) if probes else solve_numeric(*args, **kwargs)
-
     with patch.object(kkt, "solve_numeric", recording):
-        rational = _outcome(solve)
+        outcome = _outcome(
+            lambda: solve_chi(
+                problem, allow_pinning=allow_pinning, allow_caps=allow_caps
+            )
+        )
+    return outcome, probes, inputs
+
+
+def _reference_outcome(problem, probes, allow_pinning, allow_caps=True):
+    """The sympy reconstruction's outcome on the probes a rational run
+    recorded (the guiding probe and the numeric fit's, in order)."""
+    probes = list(probes)
+
+    def replaying(*args):
+        return probes.pop(0) if probes else solve_numeric(*args)
+
     with (
         patch.object(kkt, "_exact_from_guidance", reference_exact_from_guidance),
         patch.object(kkt, "solve_numeric", replaying),
     ):
-        reference = _outcome(solve)
-    assert rational == reference
-    return rational
+        return _outcome(
+            lambda: solve_chi(
+                problem, allow_pinning=allow_pinning, allow_caps=allow_caps
+            )
+        )
 
 
-def test_corpus_outcomes_match_the_sympy_reference():
-    """Every distinct canonical problem of the corpus, solved as the ``exact``
-    backend solves it under its kernel's Table 2 options, reports what the
-    sympy reconstruction reports on the same probe.
+def _assert_matches_reference(problem, allow_pinning, allow_caps=True):
+    """Given the same probe, the rational reconstruction and the sympy one
+    report srepr-identical outcomes (chi, tiles, caps, pins, exactness and
+    notes) or the same rejection; returns the outcome."""
+    outcome, probes, _ = _solve_recorded(problem, allow_pinning, allow_caps)
+    assert outcome == _reference_outcome(problem, probes, allow_pinning, allow_caps)
+    return outcome
 
-    Tiles are compared on a shared probe only: the probe's weights pick some
-    of them (2mm, mlp, bert-ffn), so another SLSQP build may move them along
-    an optimal face.  The digest pins the rest -- chi, caps, pins, exactness,
-    notes and rejection texts -- whatever ``PYTHONHASHSEED`` is; it rests on
-    sympy's srepr of chi and on the probe's active sets."""
+
+@pytest.fixture(scope="module")
+def corpus_solves():
+    """``signature -> (problem, allow, outcome, probes, probe inputs)`` of
+    every distinct canonical problem of the corpus, solved as the ``exact``
+    backend solves it under its kernel's Table 2 options."""
     problems = {}
     for name in kernel_names():
         spec = get_kernel(name)
@@ -335,19 +367,26 @@ def test_corpus_outcomes_match_the_sympy_reference():
             problems.setdefault(
                 canonical.signature, (canonical.problem, spec.allow_pinning)
             )
-    rows = sorted(
-        [
-            signature,
-            _assert_matches_reference(
-                problem.objective_posynomial(),
-                problem.constraint_posynomial(),
-                problem.extents_dict(),
-                allow,
-                allow,
-            ),
-        ]
+    return {
+        signature: (problem, allow, *_solve_recorded(problem, allow, allow))
         for signature, (problem, allow) in problems.items()
-    )
+    }
+
+
+def test_corpus_outcomes_match_the_sympy_reference(corpus_solves):
+    """Every distinct canonical problem of the corpus reports what the sympy
+    reconstruction reports on the same probe.
+
+    Tiles are compared on a shared probe only: the probe's weights pick some
+    of them (2mm, mlp, bert-ffn), so another SLSQP build may move them along
+    an optimal face.  The digest pins the rest -- chi, caps, pins, exactness,
+    notes and rejection texts -- whatever ``PYTHONHASHSEED`` is; it rests on
+    sympy's srepr of chi and on the probe's active sets."""
+    rows = []
+    for signature, (problem, allow, outcome, probes, _) in corpus_solves.items():
+        assert outcome == _reference_outcome(problem, probes, allow, allow), signature
+        rows.append([signature, outcome])
+    rows.sort()
     assert len(rows) == 193
     assert Counter(_outcome_class(outcome) for _, outcome in rows) == {
         "closed form": 70,
@@ -360,6 +399,22 @@ def test_corpus_outcomes_match_the_sympy_reference():
     pinned = [[signature, _without_tiles(outcome)] for signature, outcome in rows]
     digest = hashlib.sha256(json.dumps(pinned).encode("utf-8")).hexdigest()
     assert digest == CORPUS_OUTCOME_DIGEST
+
+
+def test_corpus_probe_inputs_are_pinned(corpus_solves):
+    """Every probe the corpus solves make is handed the same columns, in the
+    same order, and the same coefficients and exponent rows, whatever
+    ``PYTHONHASHSEED`` is.  The digest reads no scipy result, so it cannot
+    drift with SLSQP's numerics; it still catches an input change that
+    moves only tiles (2mm's ``k``/``l``), which the tile-free outcome digest
+    misses."""
+    rows = sorted(
+        [signature, inputs]
+        for signature, (*_, inputs) in corpus_solves.items()
+    )
+    assert sum(len(inputs) for _, inputs in rows) > 0
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == CORPUS_PROBE_DIGEST
 
 
 _EXPONENTS = (0, sp.Rational(1, 2), 1, 2)
@@ -388,7 +443,7 @@ def _kkt_problems(draw):
     constraint = Posynomial([monomial(constrained) for _ in range(draw(st.integers(2, 5)))])
     objective = Posynomial([monomial(rewarded) for _ in range(draw(st.integers(1, 3)))])
     extents = {names[-1]: _EXTENT} if mode == "capped" else {}
-    return objective, constraint, extents, draw(st.booleans())
+    return problem_of(objective, constraint, extents), draw(st.booleans())
 
 
 @given(problem=_kkt_problems())
@@ -407,7 +462,7 @@ def test_reconstruction_matches_the_sympy_reference(problem):
 def test_float_coefficients_match_the_sympy_reference(objective, constraint):
     """A float coefficient is a log generator of its own."""
     _assert_matches_reference(
-        _posy(objective, [bi, bj]), _posy(constraint, [bi, bj]), {}, True
+        problem_of(_posy(objective, [bi, bj]), _posy(constraint, [bi, bj])), True
     )
 
 
@@ -416,13 +471,15 @@ def test_unsaturated_constraint_rejects():
     rejected, as the sympy reconstruction rejected them: a probe that calls
     ``2*b_i`` active and ``b_i**2`` slack reconstructs ``b_i = X/2``, under
     which the constraint grows as ``X**2/4``."""
-    objective = Posynomial([Monomial.make(1, {bi: 1})])
-    constraint = Posynomial([Monomial.make(2, {bi: 1}), Monomial.make(1, {bi: 2})])
+    problem = problem_of(
+        Posynomial([Monomial.make(1, {bi: 1})]),
+        Posynomial([Monomial.make(2, {bi: 1}), Monomial.make(1, {bi: 2})]),
+    )
 
     def probe(active, duals):
         return NumericSolution(
-            variables=(bi,),
-            tile_values={bi: 3.0e4},
+            variables=("i",),
+            tile_values={"i": 3.0e4},
             objective_value=3.0e4,
             constraint_terms=(6.0e4, 9.0e8),
             active=active,
@@ -430,9 +487,9 @@ def test_unsaturated_constraint_rejects():
         )
 
     wrong = probe((True, False), (1.0, 0.0))
-    assert kkt._exact_from_guidance(objective, constraint, wrong, ()) is None
-    assert reference_exact_from_guidance(objective, constraint, wrong, ()) is None
+    assert kkt._exact_from_guidance(problem, wrong, ()) is None
+    assert reference_exact_from_guidance(problem, wrong, ()) is None
     right = probe((False, True), (0.0, 1.0))
-    part = kkt._exact_from_guidance(objective, constraint, right, ())
-    assert part.chi == reference_exact_from_guidance(objective, constraint, right, ()).chi
+    part = kkt._exact_from_guidance(problem, right, ())
+    assert part.chi == reference_exact_from_guidance(problem, right, ()).chi
     assert sp.srepr(part.tiles["i"]) == sp.srepr(sp.sqrt(X_SYM))

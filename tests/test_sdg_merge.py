@@ -8,8 +8,9 @@ from repro.ir.program import Program
 from repro.sdg.graph import SDG
 from repro.sdg.merge import fuse_statements
 from repro.sdg.subgraphs import enumerate_subgraphs
-from repro.symbolic.symbols import is_version_var, tile, tile_name
+from repro.symbolic.symbols import is_version_var, tile
 from repro.util.errors import SolverError
+from tests.posynomial import posynomials_of
 
 bi, bj, bt = tile("i"), tile("j"), tile("t")
 
@@ -54,12 +55,12 @@ class TestAtaxFusion:
     def test_objective_counts_both_statements(self):
         fused = fuse_statements(_atax(), ("tmp", "y"))
         # Both statements share (i, j) after unification: 2 * b_i * b_j.
-        assert sp.simplify(fused.objective.expr - 2 * bi * bj) == 0
+        assert sp.simplify(posynomials_of(fused.problem)[0].expr - 2 * bi * bj) == 0
 
     def test_shared_matrix_counted_once(self):
         fused = fuse_statements(_atax(), ("tmp", "y"))
         a_terms = [
-            t for t in fused.constraint.terms
+            t for t in posynomials_of(fused.problem)[1].terms
             if t.exponent(bi) == 1 and t.exponent(bj) == 1
         ]
         assert len(a_terms) == 1 and sp.simplify(a_terms[0].coeff - 1) == 0
@@ -71,7 +72,7 @@ class TestAtaxFusion:
     def test_singleton_subgraph(self):
         fused = fuse_statements(_atax(), ("tmp",))
         assert set(fused.input_arrays) == {"A", "x"}
-        assert sp.simplify(fused.objective.expr - bi * bj) == 0
+        assert sp.simplify(posynomials_of(fused.problem)[0].expr - bi * bj) == 0
 
 
 class TestJacobiFusion:
@@ -81,14 +82,14 @@ class TestJacobiFusion:
 
     def test_objective(self):
         fused = fuse_statements(_jacobi(), ("B", "A"))
-        assert sp.simplify(fused.objective.expr - 2 * bi * bt) == 0
+        assert sp.simplify(posynomials_of(fused.problem)[0].expr - 2 * bi * bt) == 0
 
     def test_surface_constraint(self):
         """A contributes b_i + 2 b_t (bottom edge + side columns), B only
         2 b_t (its consumer runs after its producer in the same sweep);
         constants are below leading order and dropped."""
         fused = fuse_statements(_jacobi(), ("B", "A"))
-        expr = sp.expand(fused.constraint.expr)
+        expr = sp.expand(posynomials_of(fused.problem)[1].expr)
         assert sp.simplify(expr - (bi + 4 * bt)) == 0
 
     def test_no_external_inputs(self):
@@ -120,7 +121,7 @@ class Test2mmFusion:
         assert set(fused.variables) == {"i", "j", "k", "l"}
         bl, bk = tile("l"), tile("k")
         assert sp.simplify(
-            fused.objective.expr - (bi * bj * bk + bi * bj * bl)
+            posynomials_of(fused.problem)[0].expr - (bi * bj * bk + bi * bj * bl)
         ) == 0
 
     def test_intermediate_surface_is_its_footprint(self):
@@ -144,7 +145,7 @@ class Test2mmFusion:
         fused = fuse_statements(program, ("tmp", "D"))
         tmp_terms = [
             t
-            for t in fused.constraint.terms
+            for t in posynomials_of(fused.problem)[1].terms
             if t.exponent(bi) == 1 and t.exponent(bj) == 1 and t.degree == 2
         ]
         # tmp's Corollary-1 term b_i*b_j appears exactly once.
@@ -165,7 +166,8 @@ def test_no_corpus_constraint_holds_a_version_tile():
             except SolverError:
                 continue
             fused_count += 1
-            tiles = {tile_name(sym) for t in fused.constraint.terms for sym in t.variables()}
+            problem = fused.problem
+            tiles = {name for t in problem.constraint for name, _ in problem.powers(t)}
             assert not any(is_version_var(v) for v in tiles), (name, subset)
             assert not any(is_version_var(v) for v in fused.problem.variables)
     assert fused_count == 357

@@ -186,6 +186,26 @@ class TestEndpoints:
             client.analyze("for i in range(N:\n    pass\n")
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("source", 5),
+            ("policy", "bogus"),
+            ("max_subgraph_size", "2"),
+            ("max_subgraph_size", True),
+            ("max_subgraph_size", 0),
+            ("allow_pinning", "false"),
+        ],
+    )
+    def test_malformed_analyze_option_is_400(self, client, option, value):
+        """Each option is checked before the fingerprint: a bad value is a
+        400, and the daemon keeps serving."""
+        with pytest.raises(ServiceError) as exc:
+            client.analyze(**{"source": GEMM_SRC, option: value})
+        assert exc.value.status == 400
+        assert option in str(exc.value)
+        assert client.healthz().status == "ok"
+
     def test_parsing_does_not_block_the_event_loop(self, daemon, monkeypatch):
         """A slow parse runs on the prep pool: health checks still answer."""
         import repro.frontend.python_frontend as frontend

@@ -6,13 +6,22 @@ import itertools
 
 import pytest
 import sympy as sp
-from access_size_reference import reference_access_size, reference_access_size_leading
+from access_size_reference import (
+    reference_access_size,
+    reference_access_size_leading,
+    reference_terms,
+)
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cdag.counting import access_set_size_bruteforce, hyperrectangle_union_size
 from repro.ir.access import ArrayAccess
 from repro.kernels.common import ref
-from repro.soap.access_size import access_size, access_size_leading, group_constraint_terms
+from repro.soap.access_size import (
+    access_size,
+    access_size_leading,
+    group_constraint_terms,
+    terms_expr,
+)
 from repro.soap.classify import DimIndex, SimpleOverlapGroup, classify_access
 from repro.symbolic.symbols import tile, version_var_name
 
@@ -70,30 +79,41 @@ class TestClosedForms:
         (g,) = classify_access(ref("A", "i-1,t", "i,t", "i+1,t"), out)
         lead = access_size_leading(g)
         bi, bt = tile("i"), tile("t")
-        assert sp.simplify(lead.expr - (bi + 2 * bt)) == 0
+        assert sp.simplify(terms_expr(lead) - (bi + 2 * bt)) == 0
 
 
 class TestGroupCombination:
     def test_sum_policy_adds_groups(self):
         groups = classify_access(ref("A", "i,k", "k,j"))
-        posy = group_constraint_terms(groups, policy="sum")
+        terms = group_constraint_terms(groups, policy="sum")
         bi, bj, bk = tile("i"), tile("j"), tile("k")
-        assert sp.simplify(posy.expr - (bi * bk + bk * bj)) == 0
+        assert sp.simplify(terms_expr(terms) - (bi * bk + bk * bj)) == 0
 
     def test_max_policy_keeps_largest(self):
         groups = classify_access(ref("A", "i,k", "k,j"))
-        posy = group_constraint_terms(groups, policy="max")
-        assert len(posy) == 1
+        terms = group_constraint_terms(groups, policy="max")
+        assert len(terms) == 1
+
+    def test_max_policy_breaks_ties_by_the_printed_sum(self):
+        # b_i*b_k and b_j*b_k tie on degree and term count: the larger string
+        # of the two sympy sums wins
+        groups = classify_access(ref("A", "i,k", "j,k"))
+        winner = ((("j", 1), ("k", 1)), 1)
+        assert group_constraint_terms(groups, policy="max") == (winner,)
 
     def test_unknown_policy_rejected(self):
         groups = classify_access(ref("A", "i,k", "k,j"))
         with pytest.raises(ValueError):
             group_constraint_terms(groups, policy="median")
+        # rejected up front, also when no array has two read groups
+        (single,) = classify_access(ref("A", "i,k"))
+        with pytest.raises(ValueError):
+            group_constraint_terms([single], policy="median")
 
     def test_different_arrays_always_add(self):
         groups = classify_access(ref("A", "i")) + classify_access(ref("B", "j"))
-        posy = group_constraint_terms(groups, policy="max")
-        assert len(posy) == 2
+        terms = group_constraint_terms(groups, policy="max")
+        assert len(terms) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +241,8 @@ def _dim_tuples(draw):
     return tuple(dims)
 
 
-def _terms(posy):
-    return {t.powers: sp.srepr(t.coeff) for t in posy.terms}
+def _srepr_terms(terms):
+    return {powers: sp.srepr(sp.sympify(coeff)) for powers, coeff in terms}
 
 
 #: two constant dimensions whose ``(1 - o)`` factors multiply to more than 2:
@@ -240,9 +260,9 @@ def test_rows_match_the_sympy_reference(dims, includes_output):
     """Same terms -- powers and coefficient srepr -- as the sympy build, and
     the same exact expression."""
     rows = access_size_module._access_size_leading.__wrapped__(dims, includes_output)
-    reference = reference_access_size_leading(dims, includes_output)
+    reference = reference_terms(reference_access_size_leading(dims, includes_output))
     assert len(rows) == len(reference)
-    assert _terms(rows) == _terms(reference)
+    assert _srepr_terms(rows) == _srepr_terms(reference)
     group = SimpleOverlapGroup("A", dims, (), includes_output)
     assert sp.srepr(access_size(group)) == sp.srepr(reference_access_size(group))
 
@@ -250,7 +270,7 @@ def test_rows_match_the_sympy_reference(dims, includes_output):
 def test_negative_leading_falls_back_to_the_product():
     group = SimpleOverlapGroup("A", _NEGATIVE_LEADING, ())
     assert sp.expand(access_size(group)) == -2 * tile("i")
-    assert access_size_leading(group).expr == tile("i")
+    assert terms_expr(access_size_leading(group)) == tile("i")
 
 
 def test_zero_size_input_output_group_adds_no_term():
@@ -264,4 +284,4 @@ def test_zero_size_input_output_group_adds_no_term():
     assert len(access_size_leading(group)) == 0
     assert len(reference_access_size_leading(group.dims, True)) == 0
     reads = classify_access(ref("B", "i,j"))
-    assert group_constraint_terms([group, *reads]).expr == tile("i") * tile("j")
+    assert terms_expr(group_constraint_terms([group, *reads])) == tile("i") * tile("j")

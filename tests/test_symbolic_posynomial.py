@@ -3,8 +3,8 @@
 import sympy as sp
 import pytest
 
-from repro.symbolic.posynomial import Monomial, Posynomial
 from repro.symbolic.symbols import tile
+from tests.posynomial import Monomial, Posynomial
 
 bi, bj, bk = tile("i"), tile("j"), tile("k")
 N = sp.Symbol("N", positive=True)
