@@ -104,8 +104,11 @@ def analyze_kernel(
         cache_dir=cache_dir,
         jobs=jobs,
     )
-    bound = result.combined if spec.use_floor else result.bound
-    bound = leading_term(sp.sympify(bound)) if bound.free_symbols else bound
+    # the engine's bound is already a leading term; the floor's max is not
+    bound = result.bound
+    if spec.use_floor:
+        bound = result.combined
+        bound = leading_term(bound) if bound.free_symbols else bound
     paper = spec.paper_bound_expr()
     try:
         ratio = ratio_to(bound, paper)

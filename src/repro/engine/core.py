@@ -61,12 +61,12 @@ from repro.ir.program import Program
 from repro.obs import span as obs_span
 from repro.opt.backends import get_backend
 from repro.opt.problem import ProblemIR
-from repro.opt.rho import compare_intensity, intensity_from_chi
+from repro.opt.rho import intensity_from_chi, intensity_order
 from repro.sdg.graph import SDG
 from repro.sdg.merge import FusedStatement, fuse_statements
 from repro.sdg.subgraphs import DEFAULT_MAX_SIZE, enumerate_subgraphs
 from repro.soap.classify import OverlapPolicy
-from repro.symbolic.asymptotics import leading_term
+from repro.symbolic.asymptotics import leading_quotient_sum, leading_term
 from repro.util.errors import SolverError
 
 #: the pipeline's stages in order; each is one span and one StageRecord
@@ -316,10 +316,11 @@ class Engine:
             for analysis in analyses:
                 for array in analysis.arrays:
                     current = per_array.get(array)
-                    if current is None or compare_intensity(analysis.rho, current.rho) > 0:
+                    if current is None or intensity_order(analysis.rho, current.rho) > 0:
                         per_array[array] = analysis
 
             total = sp.Integer(0)
+            quotients = []
             dropped = 0
             for array in program.computed_arrays():
                 best = per_array.get(array)
@@ -329,11 +330,19 @@ class Engine:
                     )
                     dropped += 1
                     continue
-                total += program.vertex_count(array) / best.rho
-            bound = leading_term(total) if total != 0 else total
+                count = program.vertex_count(array)
+                total += count / best.rho
+                quotients.append((count, best.rho))
+            # Theorem 1's sum on monomial rows; a rho that is no monomial
+            # (a capped extent merged into a sum) needs the sympy leading term
+            bound = leading_quotient_sum(quotients)
+            fallbacks = int(bound is None)
+            if bound is None:
+                bound = leading_term(total)
             counts.extend((
                 ("arrays", len(program.computed_arrays())),
                 ("dropped", dropped),
+                ("leading_term_fallbacks", fallbacks),
             ))
 
         diagnostics = EngineDiagnostics(

@@ -16,7 +16,7 @@ from repro.opt.backends import SolverBackend, available_backends, get_backend
 from repro.opt.kkt import ChiSolution, solve_chi
 from repro.opt.numeric import NumericSolution, solve_numeric
 from repro.opt.problem import ProblemIR
-from repro.opt.rho import IntensityResult, intensity_from_chi, compare_intensity
+from repro.opt.rho import IntensityResult, intensity_from_chi
 from repro.opt.tiling import tiles_at_x0
 
 __all__ = [
@@ -30,6 +30,5 @@ __all__ = [
     "get_backend",
     "IntensityResult",
     "intensity_from_chi",
-    "compare_intensity",
     "tiles_at_x0",
 ]

@@ -100,43 +100,6 @@ class ChiSolution:
     exact: bool = True
     notes: tuple[str, ...] = ()
 
-    @property
-    def alpha(self) -> sp.Rational:
-        """Degree of ``chi`` in ``X`` (leading order)."""
-        return degree_in_x(self.chi)
-
-
-def degree_in_x(expr: sp.Expr) -> sp.Rational:
-    """Leading degree of an expression in the partition parameter ``X``."""
-    expanded = sp.expand(expr)
-    addends = expanded.args if expanded.func is sp.Add else (expanded,)
-    best = None
-    for addend in addends:
-        deg = _x_degree_of_term(addend)
-        if best is None or deg > best:
-            best = deg
-    return sp.Rational(best if best is not None else 0)
-
-
-def _x_degree_of_term(term: sp.Expr) -> sp.Rational:
-    deg = sp.Integer(0)
-    factors = term.args if term.func is sp.Mul else (term,)
-    for factor in factors:
-        base, exp = factor.as_base_exp()
-        if base == X_SYM:
-            deg += exp
-    return sp.Rational(deg)
-
-
-def leading_in_x(expr: sp.Expr) -> sp.Expr:
-    """Keep only the highest-degree-in-X addends of ``expr``."""
-    expanded = sp.expand(expr)
-    if expanded.func is not sp.Add:
-        return expanded
-    top = degree_in_x(expanded)
-    kept = [t for t in expanded.args if _x_degree_of_term(t) == top]
-    return sp.Add(*kept)
-
 
 def solve_chi(
     problem: ProblemIR,

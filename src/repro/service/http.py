@@ -37,9 +37,12 @@ queue, and the worker cancels cooperatively at the next stage boundary.  A
 job that dies to its deadline answers HTTP 504 (when waited on) with the
 job record; the record's ``error_kind`` is ``"deadline"``.
 
-``wait`` defaults to true on ``/analyze``/``/kernel`` (the response carries
-the finished job record, result included) and false on ``/batch`` (the
-response carries queued job records to poll).  Analysis failures surface as
+``wait`` defaults to true on ``/analyze``/``/kernel``/``/bounds`` (the
+response carries the finished job record, result included) and false on
+``/batch``/``/tightness`` (the response carries queued job records to poll);
+``"timeout": N`` caps a wait at ``N`` seconds.  ``wait``, ``trace`` and
+``allow_pinning`` must be JSON booleans and ``timeout`` a number: ``"false"``
+is a 400, not a truth value.  Analysis failures surface as
 HTTP 422 with the job record; malformed requests as 400; unknown kernels or
 job ids as 404.  503 responses (draining / not accepting work) carry a
 ``Retry-After`` header so well-behaved clients back off instead of spinning.
@@ -240,16 +243,18 @@ class ServiceServer:
 
     async def _post_kernel(self, body: dict):
         name = _required(body, "name")
+        wait = _waiting(body, default=True)
         job = self.service.submit_kernel(
             name,
             priority=body.get("priority", DEFAULT_PRIORITY),
-            trace=bool(body.get("trace", False)),
+            trace=_flag(body, "trace", False),
             deadline_seconds=_deadline_seconds(body),
         )
-        return await self._respond(job, body)
+        return await self._respond(job, wait)
 
     async def _post_analyze(self, body: dict):
         source = _required(body, "source")
+        wait = _waiting(body, default=True)
         job = await self.service.submit_source(
             source,
             name=body.get("name", "program"),
@@ -258,23 +263,22 @@ class ServiceServer:
             max_subgraph_size=body.get("max_subgraph_size"),
             allow_pinning=body.get("allow_pinning", False),
             priority=body.get("priority", DEFAULT_PRIORITY),
-            trace=bool(body.get("trace", False)),
+            trace=_flag(body, "trace", False),
             deadline_seconds=_deadline_seconds(body),
         )
-        return await self._respond(job, body)
+        return await self._respond(job, wait)
 
     async def _post_batch(self, body: dict):
         kernels = _required(body, "kernels")
         if not isinstance(kernels, list) or not kernels:
             raise _HttpError(400, "'kernels' must be a non-empty list")
+        wait = _waiting(body, default=False)
         jobs = self.service.submit_batch(
             [str(name) for name in kernels],
             priority=body.get("priority", "low"),
         )
-        if body.get("wait", False):
-            await asyncio.gather(
-                *(self.service.wait(job, timeout=_wait_timeout(body)) for job in jobs)
-            )
+        if wait is not None:
+            await asyncio.gather(*(self.service.wait(job, timeout=wait) for job in jobs))
             status = 422 if any(job.state == FAILED for job in jobs) else 200
             return status, {"jobs": [job.record() for job in jobs]}
         return 202, {"jobs": [job.record(include_result=False) for job in jobs]}
@@ -303,6 +307,9 @@ class ServiceServer:
             or chunk_size < 1
         ):
             raise _HttpError(400, "'chunk_size' must be a positive integer")
+        # An audit can run for minutes: poll ``/jobs/<id>`` unless the
+        # caller explicitly asks to block.
+        wait = _waiting(body, default=False)
         job = self.service.submit_tightness(
             kernels,
             s_values=s_values,
@@ -310,12 +317,10 @@ class ServiceServer:
             priority=body.get("priority", "low"),
             jobs=jobs,
             chunk_size=chunk_size,
-            trace=bool(body.get("trace", False)),
+            trace=_flag(body, "trace", False),
             deadline_seconds=_deadline_seconds(body),
         )
-        # An audit can run for minutes: poll ``/jobs/<id>`` unless the
-        # caller explicitly asks to block.
-        return await self._respond(job, body, default_wait=False)
+        return await self._respond(job, wait)
 
     async def _post_bounds(self, body: dict):
         name = _required(body, "name")
@@ -331,20 +336,22 @@ class ServiceServer:
             or not all(isinstance(e, str) for e in engines)
         ):
             raise _HttpError(400, "'engines' must be a list of engine names")
+        wait = _waiting(body, default=True)
         job = self.service.submit_bounds(
             str(name),
             s_values=s_values,
             params=params,
             engines=engines,
             priority=body.get("priority", DEFAULT_PRIORITY),
-            trace=bool(body.get("trace", False)),
+            trace=_flag(body, "trace", False),
             deadline_seconds=_deadline_seconds(body),
         )
-        return await self._respond(job, body)
+        return await self._respond(job, wait)
 
-    async def _respond(self, job, body: dict, *, default_wait: bool = True):
-        if body.get("wait", default_wait):
-            await self.service.wait(job, timeout=_wait_timeout(body))
+    async def _respond(self, job, wait: float | None):
+        """Answer with the finished job, or 202 at once when ``wait`` is None."""
+        if wait is not None:
+            await self.service.wait(job, timeout=wait)
             if job.finished_ok:
                 return 200, job.record()
             # a job its own deadline killed is a gateway timeout, not a
@@ -382,9 +389,26 @@ def _required(body: dict, field: str):
         raise _HttpError(400, f"missing required field {field!r}") from None
 
 
-def _wait_timeout(body: dict) -> float:
-    timeout = float(body.get("timeout", MAX_WAIT_SECONDS))
-    return max(0.0, min(timeout, MAX_WAIT_SECONDS))
+def _flag(body: dict, field: str, default: bool) -> bool:
+    """A JSON boolean field: ``"false"`` or ``1`` is a 400, not a truth value."""
+    value = body.get(field, default)
+    if not isinstance(value, bool):
+        raise _HttpError(400, f"{field!r} must be true or false")
+    return value
+
+
+def _waiting(body: dict, *, default: bool) -> float | None:
+    """Seconds to block on the job (``"wait"``, ``"timeout"``), or None.
+
+    Both fields are checked before a job exists, so a malformed one is a
+    400 with nothing submitted.
+    """
+    wait = _flag(body, "wait", default)
+    timeout = body.get("timeout", MAX_WAIT_SECONDS)
+    # bool is an int subclass: "timeout": true must not mean one second
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        raise _HttpError(400, "'timeout' must be a number of seconds")
+    return max(0.0, min(float(timeout), MAX_WAIT_SECONDS)) if wait else None
 
 
 def _deadline_seconds(body: dict) -> float | None:

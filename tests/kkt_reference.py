@@ -9,7 +9,8 @@ oracle: :func:`reference_exact_from_guidance` is a drop-in replacement for
 with which ``solve_chi`` used to wrap the returned chi.  It hands the sympy
 version the problem as posynomials (``tests/posynomial.py``), the probe's
 tile values keyed by tile symbol and the parameter substitution the solver
-once passed along.
+once passed along.  :func:`leading_in_x` and :func:`degree_in_x`, which the
+sympy version reads, left ``repro.opt.kkt`` with their last caller there.
 """
 
 from __future__ import annotations
@@ -20,11 +21,43 @@ from typing import Mapping, Sequence
 
 import sympy as sp
 
-from repro.opt.kkt import _OBJ_TOLERANCE, _PartSolution, leading_in_x
+from repro.opt.kkt import _OBJ_TOLERANCE, _PartSolution
 from repro.opt.numeric import _NUMERIC_PARAM, NumericSolution
 from repro.opt.problem import ProblemIR
 from repro.symbolic.symbols import X_SYM, tile, tile_name
 from tests.posynomial import Monomial, Posynomial, posynomials_of
+
+
+def degree_in_x(expr: sp.Expr) -> sp.Rational:
+    """Leading degree of an expression in the partition parameter ``X``."""
+    expanded = sp.expand(expr)
+    addends = expanded.args if expanded.func is sp.Add else (expanded,)
+    best = None
+    for addend in addends:
+        deg = _x_degree_of_term(addend)
+        if best is None or deg > best:
+            best = deg
+    return sp.Rational(best if best is not None else 0)
+
+
+def _x_degree_of_term(term: sp.Expr) -> sp.Rational:
+    deg = sp.Integer(0)
+    factors = term.args if term.func is sp.Mul else (term,)
+    for factor in factors:
+        base, exp = factor.as_base_exp()
+        if base == X_SYM:
+            deg += exp
+    return sp.Rational(deg)
+
+
+def leading_in_x(expr: sp.Expr) -> sp.Expr:
+    """Keep only the highest-degree-in-X addends of ``expr``."""
+    expanded = sp.expand(expr)
+    if expanded.func is not sp.Add:
+        return expanded
+    top = degree_in_x(expanded)
+    kept = [t for t in expanded.args if _x_degree_of_term(t) == top]
+    return sp.Add(*kept)
 
 
 def reference_exact_from_guidance(

@@ -1,11 +1,12 @@
 """Expression-keyed memos on the analysis path return what an uncached call
 returns.
 
-The memoized derivations (intensity, intensity order, leading term, access
-sizes, the store's srepr parser) are pure functions of their keys.  The
-differential test records every input a cold Table 2 pass feeds them and
-checks each memoized answer against the uncached ``__wrapped__`` call: by
-srepr for expressions, by value for access-size terms.
+The memoized derivations (intensity, intensity rank, leading term, the
+monomial rows of vertex counts and of inverse intensities, access sizes, the
+store's srepr parser) are pure functions of their keys.  The differential
+test records every input a cold Table 2 pass feeds them and checks each
+memoized answer against the uncached ``__wrapped__`` call: by srepr for
+expressions, by value for rows and access-size terms.
 """
 
 import importlib
@@ -15,7 +16,6 @@ import sqlite3
 import pytest
 import sympy as sp
 
-import repro.engine.core
 import repro.opt.rho as rho
 import repro.symbolic.asymptotics as asymptotics
 from repro.analysis import analyze_kernel
@@ -33,9 +33,11 @@ access_size = importlib.import_module("repro.soap.access_size")
 
 #: (module, attribute) of each memo as its callers look it up
 MEMOS = {
-    "intensity": (rho, "_intensity_of_chi"),
-    "compare": (repro.engine.core, "compare_intensity"),
+    "intensity": (rho, "_closed_form"),
+    "compare": (rho, "_rank"),
     "leading_term": (asymptotics, "_leading_term"),
+    "count_rows": (asymptotics, "_sum_rows"),
+    "inverse_rows": (asymptotics, "_inverse_row"),
     "access_size": (access_size, "_access_size_leading"),
 }
 

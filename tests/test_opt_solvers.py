@@ -14,22 +14,20 @@ from repro.engine.signature import canonicalize_ir
 from repro.kernels import get_kernel, kernel_names
 from repro.obs import MetricsRegistry, Tracer
 from repro.opt import kkt
-from repro.opt.kkt import (
-    CLOSED_FORM_NOTE,
-    ChiSolution,
-    degree_in_x,
-    leading_in_x,
-    solve_chi,
-)
+from repro.opt.kkt import CLOSED_FORM_NOTE, ChiSolution, solve_chi
 from repro.opt.numeric import NumericSolution, _probe_inputs, solve_numeric
-from repro.opt.rho import compare_intensity, intensity_from_chi
+from repro.opt.rho import intensity_from_chi, intensity_order
 from repro.opt.tiling import tiles_at_x0
 from repro.sdg.graph import SDG
 from repro.sdg.merge import fuse_statements
 from repro.sdg.subgraphs import enumerate_subgraphs
 from repro.symbolic.symbols import S_SYM, X_SYM, tile
 from repro.util.errors import SolverError
-from tests.kkt_reference import reference_exact_from_guidance
+from tests.kkt_reference import (
+    degree_in_x,
+    leading_in_x,
+    reference_exact_from_guidance,
+)
 from tests.posynomial import Monomial, Posynomial, problem_of
 
 bi, bj, bk, bl, bt = tile("i"), tile("j"), tile("k"), tile("l"), tile("t")
@@ -173,13 +171,13 @@ class TestIntensity:
         assert res.rho_value(64) == pytest.approx(64.0)
 
     def test_compare_intensity_orders_growth(self):
-        assert compare_intensity(S_SYM, sp.sqrt(S_SYM)) == 1
-        assert compare_intensity(sp.sqrt(S_SYM), S_SYM) == -1
-        assert compare_intensity(S_SYM / 2, S_SYM / 2) == 0
-        assert compare_intensity(2 * S_SYM, S_SYM) == 1
+        assert intensity_order(S_SYM, sp.sqrt(S_SYM)) == 1
+        assert intensity_order(sp.sqrt(S_SYM), S_SYM) == -1
+        assert intensity_order(S_SYM / 2, S_SYM / 2) == 0
+        assert intensity_order(2 * S_SYM, S_SYM) == 1
 
     def test_compare_intensity_constants(self):
-        assert compare_intensity(sp.Integer(3), sp.Integer(2)) == 1
+        assert intensity_order(sp.Integer(3), sp.Integer(2)) == 1
 
     def test_tiles_at_x0(self):
         sol = _chi(

@@ -206,6 +206,35 @@ class TestEndpoints:
         assert option in str(exc.value)
         assert client.healthz().status == "ok"
 
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            ("/kernel", {"name": "gemm", "trace": "false"}, "trace"),
+            ("/analyze", {"source": GEMM_SRC, "trace": "false"}, "trace"),
+            ("/bounds", {"name": "gemm", "trace": 0}, "trace"),
+            ("/tightness", {"kernels": ["gemm"], "trace": "false"}, "trace"),
+            ("/kernel", {"name": "gemm", "wait": "false"}, "wait"),
+            ("/analyze", {"source": GEMM_SRC, "wait": "false"}, "wait"),
+            ("/bounds", {"name": "gemm", "wait": "false"}, "wait"),
+            ("/tightness", {"kernels": ["gemm"], "wait": "true"}, "wait"),
+            ("/batch", {"kernels": ["gemm"], "wait": 1}, "wait"),
+            ("/kernel", {"name": "gemm", "timeout": True}, "timeout"),
+            ("/kernel", {"name": "gemm", "timeout": None}, "timeout"),
+            ("/batch", {"kernels": ["gemm"], "wait": True, "timeout": "5"}, "timeout"),
+        ],
+    )
+    def test_flags_must_be_json_booleans(self, client, path, body, field):
+        """``"trace": "false"`` must not ask for a trace, ``"wait": "false"``
+        must not wait, ``"timeout": true`` must not mean one second and
+        ``"timeout": null`` must not drop the connection: each is a 400, and
+        no job is submitted."""
+        submitted = client.metrics()["jobs"]["submitted"]
+        with pytest.raises(ServiceError) as exc:
+            client._request("POST", path, body)
+        assert exc.value.status == 400
+        assert repr(field) in str(exc.value)
+        assert client.metrics()["jobs"]["submitted"] == submitted
+
     def test_parsing_does_not_block_the_event_loop(self, daemon, monkeypatch):
         """A slow parse runs on the prep pool: health checks still answer."""
         import repro.frontend.python_frontend as frontend
