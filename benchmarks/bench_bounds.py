@@ -19,7 +19,7 @@ rider, not a second analysis), and every measured kernel certifies a
 finite bound at every swept S.  Per-engine CPU totals are recorded so a
 regression names the engine that caused it; note the engines share
 per-graph structural caches, so the first engine on a graph pays the
-one-time DP/spectra cost.
+one-time reachability DP cost.
 
 Run:  PYTHONPATH=src python benchmarks/bench_bounds.py [--subset]
 """
@@ -54,7 +54,7 @@ def bench_bounds(names: list[str]) -> dict:
     )
 
     # warm-up: one tiny kernel exercises every code path (sympy imports,
-    # engine registration, numpy spectra) before anything is timed
+    # engine registration, graph facts) before anything is timed
     warm = analyze_many(["gemm"])[0]
     evaluate_bounds(
         s=8, graph=cached_cdag("gemm", _merged_params(

@@ -44,12 +44,10 @@ SITES = (
     "store.claim",
     "worker.job",
     "worker.pipe",
-    "shared.attach",
     "native.compile",
     "engine.claimed",
     "solver.solve",
     "bounds.engine.kkt",
-    "bounds.engine.spectral",
     "bounds.engine.visit",
 )
 

@@ -318,8 +318,8 @@ def bench_audit(kernels: list[str], jobs: int) -> dict:
     from repro.reporting.serialize import tightness_report
     from repro.schedule.tightness import audit_corpus
 
-    # process_time() only sees the parent: with a process-pool sweep the
-    # replay CPU lands in the children, so fold in the RUSAGE_CHILDREN
+    # process_time() only sees the parent: with a process-pool audit the
+    # per-kernel CPU lands in the children, so fold in the RUSAGE_CHILDREN
     # delta (the pool is joined before audit_corpus returns, so children
     # CPU is fully accounted).
     children = resource.getrusage(resource.RUSAGE_CHILDREN)

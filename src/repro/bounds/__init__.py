@@ -5,15 +5,15 @@ Independent lower-bound backends on the materialized
 
 * ``kkt`` -- the existing symbolic (paper problem 8) bound, evaluated at
   concrete (params, S);
-* ``spectral`` -- Jain--Zaharia eigenvalue bound on level bands of the
-  graph Laplacian (store-once model);
 * ``visit`` -- Bilardi-style DAG-visit bound via the post-order boundary
-  argument on Hong--Kung segments (full pebbling model).
+  argument on Hong--Kung segments.
 
-Engines register through :mod:`repro.bounds.registry`;
-:mod:`repro.bounds.combine` evaluates every applicable
-engine at a (kernel, params, S) point and certifies their maximum, which
-is what tightness gaps, ``repro bounds``, and ``POST /bounds`` report.
+Both bound the red-blue pebble game with recomputation, the game of the
+paper, so their maximum bounds it too.  Engines register through
+:mod:`repro.bounds.registry`; :mod:`repro.bounds.combine` evaluates every
+applicable engine at a (kernel, params, S) point and certifies their
+maximum, which is what tightness gaps, ``repro bounds``, and
+``POST /bounds`` report.
 """
 
 from repro.bounds.combine import (
@@ -31,8 +31,8 @@ from repro.bounds.registry import (
     register_bound_engine,
 )
 
-# registration by import, in tie-break order: kkt wins ties, then spectral
-from repro.bounds import kkt, spectral, visit  # noqa: E402,F401
+# registration by import, in tie-break order: kkt wins ties
+from repro.bounds import kkt, visit  # noqa: E402,F401
 
 __all__ = [
     "BoundEngine",

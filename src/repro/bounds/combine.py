@@ -213,6 +213,8 @@ def kernel_bounds(
     caller overrides, unknown names dropped) and shares its memoized
     CDAG, so a bounds call right after a sweep rebuilds nothing.
     ``result`` accepts a precomputed :class:`~repro.analysis.KernelResult`.
+    Fast-memory sizes must be integers >= 1 and parameter values integers,
+    or ``ValueError`` is raised before any analysis runs.
     """
     from repro.analysis import analyze_kernel
     from repro.cdag.cache import cached_cdag
@@ -222,16 +224,17 @@ def kernel_bounds(
         DEFAULT_S_VALUES,
         _built_program,
         _merged_params,
+        checked_s_values,
     )
 
     started = time.perf_counter()
     spec = get_kernel(name)
-    sweep = tuple(int(s) for s in (s_values or DEFAULT_S_VALUES))
+    sweep = checked_s_values(s_values or DEFAULT_S_VALUES)
+    program = _built_program(name)
+    merged = _merged_params(name, program, params)
     limit = int(max_vertices) if max_vertices is not None else DEFAULT_MAX_VERTICES
     if result is None:
         result = analyze_kernel(name, engine=engine, cache_dir=cache_dir, jobs=jobs)
-    program = _built_program(name)
-    merged = _merged_params(name, program, params)
     cdag = cached_cdag(name, merged, program=program)
     if cdag.n_vertices > limit:
         raise ValueError(

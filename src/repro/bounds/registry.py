@@ -12,8 +12,13 @@ Two capability flags keep engines honest about their reach:
   engine; it is skipped on raw graphs, e.g. in the differential test);
 * ``max_vertices`` -- graph-size ceiling for the engine's *structural*
   term.  Above it the engine degrades to the recomputation-safe cold
-  input/output floor instead of silently burning CPU on a 10^5-vertex
-  eigenproblem; the degradation is recorded in the result notes.
+  input/output floor instead of silently burning CPU and memory on a
+  10^5-vertex graph; the degradation is recorded in the result notes.
+
+Every engine's ``model`` names the game its value bounds.  The certified
+max is only a bound when all its terms bound the same game, so every
+registered engine certifies :data:`MODEL_PEBBLING`, the red-blue pebble
+game with recomputation that the paper bounds.
 
 Every evaluation increments ``bound_engine_evals_total{engine=...}`` on the
 current :class:`~repro.obs.metrics.MetricsRegistry` (the job registry under
@@ -36,9 +41,9 @@ from repro.obs import span as obs_span
 REQUIRES_GRAPH = "graph"
 REQUIRES_SYMBOLIC = "symbolic"
 
-#: cost models an engine's value is certified against
-MODEL_PEBBLING = "pebbling"  #: red-blue game, recomputation allowed
-MODEL_STORE_ONCE = "store-once"  #: every vertex computed exactly once
+#: the cost model every engine's value is certified against: the red-blue
+#: pebble game, recomputation allowed
+MODEL_PEBBLING = "pebbling"
 
 
 @dataclass(frozen=True)
@@ -177,4 +182,4 @@ def get_bound_engine(name: str) -> BoundEngine:
 
 def _load_builtin() -> None:
     """Import the built-in engines for their registration side effect."""
-    from repro.bounds import kkt, spectral, visit  # noqa: F401
+    from repro.bounds import kkt, visit  # noqa: F401

@@ -1,19 +1,19 @@
 """Shared structural facts about a concrete CDAG, memoized on its index.
 
 Every graph engine needs the same skeleton -- predecessor/successor index
-lists, degrees, the longest-path level of each computed vertex, and the
-cold input/output floor.  Computing it once per graph (not once per engine
-per S) is what keeps a multi-engine tightness sweep within the benchmark
-gate.  The facts are array operations over the graph's
-:class:`~repro.cdag.index.GraphIndex` and are memoized on it, so they live
-exactly as long as the ``networkx.DiGraph`` and nothing here walks it.
+lists, degrees, the computed vertices and the cold input/output floor.
+Computing it once per graph (not once per engine per S) is what keeps a
+multi-engine tightness sweep within the benchmark gate.  The facts are
+array operations over the graph's :class:`~repro.cdag.index.GraphIndex`
+and are memoized on it, so they live exactly as long as the
+``networkx.DiGraph`` and nothing here walks it.
 
 Vertices are numbered in ``networkx.topological_sort`` order
-(:attr:`~repro.cdag.index.GraphIndex.topo_order`), the numbering the
-spectral engine's float output depends on.  That order runs generation by
-generation, so levels never decrease along it, and the in-degree-0
-vertices (generation 0) come first: the computed vertices are the
-trailing range of indices.
+(:attr:`~repro.cdag.index.GraphIndex.topo_order`), so a forward scan over
+the numbers meets every parent before its children -- the visit engine's
+reachability pass relies on it.  That order runs generation by
+generation, and the in-degree-0 vertices (generation 0) come first: the
+computed vertices are the trailing range of indices.
 
 The floor is the one bound every engine can always fall back to::
 
@@ -54,16 +54,10 @@ class GraphFacts:
     succ_ids: np.ndarray
     in_deg: np.ndarray
     out_deg: np.ndarray
-    max_in_degree: int
-    max_out_degree: int
     #: cold input/output floor (recomputation-safe)
     floor: int
     #: the computed vertices (in-degree > 0), ascending
     computed: np.ndarray
-    #: longest-path level of each vertex (inputs at 0), non-decreasing
-    level: np.ndarray
-    #: number of distinct levels holding at least one computed vertex
-    n_levels: int
 
 
 def graph_facts(graph: nx.DiGraph) -> GraphFacts:
@@ -84,8 +78,6 @@ def _facts_of(index: GraphIndex) -> GraphFacts:
     child = np.repeat(rank, index.in_degree)
     in_deg = index.in_degree[order]
     out_deg = index.out_degree[order]
-    level = index.level[order]
-    computed = np.flatnonzero(in_deg > 0)
     return GraphFacts(
         n_vertices=n,
         pred_offsets=np.concatenate(([0], np.cumsum(in_deg))),
@@ -94,13 +86,9 @@ def _facts_of(index: GraphIndex) -> GraphFacts:
         succ_ids=child[np.lexsort((child, parent))],
         in_deg=in_deg,
         out_deg=out_deg,
-        max_in_degree=int(in_deg.max(initial=0)),
-        max_out_degree=int(out_deg.max(initial=0)),
         floor=int(np.count_nonzero((in_deg == 0) & (out_deg > 0)))
         + int(np.count_nonzero((in_deg > 0) & (out_deg == 0))),
-        computed=computed,
-        level=level,
-        n_levels=len(np.unique(level[computed])),
+        computed=np.flatnonzero(in_deg > 0),
     )
 
 

@@ -7,7 +7,7 @@ small instances:
 * :mod:`repro.cdag.build`     -- materialize the CDAG of an IR program for
   concrete parameter values (paper Figure 2's explicit graph);
 * :mod:`repro.cdag.index`     -- integer CSR index of a CDAG with its
-  topological order and levels, shared by the default and blocked orders,
+  topological order, shared by the default and blocked orders,
   stream building and the bound engines' graph facts;
 * :mod:`repro.cdag.dominator` -- minimum dominator sets via max-flow
   (vertex-split min vertex cut) and minimum sets ``Min(H)``;

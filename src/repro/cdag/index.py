@@ -4,7 +4,7 @@ The :class:`GraphIndex` numbers the vertices ``0 .. n-1`` in ``graph.nodes``
 order and keeps the predecessor and successor lists as CSR arrays (in
 ``graph.predecessors`` and ``graph.successors`` order; the first fixes
 stream ids and eviction tie-breaks).  It also holds the topological order
-``networkx.topological_sort`` yields and each vertex's level.  The default
+``networkx.topological_sort`` yields.  The default
 and blocked orders (:func:`repro.pebbling.greedy.default_order`,
 :func:`repro.schedule.derive.blocked_order`), the graph-stream builder
 (:func:`repro.schedule.stream.stream_from_graph`) and the bound engines'
@@ -17,9 +17,8 @@ graph is indexed from ``graph.pred`` and ``graph.succ`` on first use.  The
 index lives in a :class:`weakref.WeakKeyDictionary` keyed by the graph
 object, so every consumer of one CDAG shares it and it dies with the graph.
 Its own numbering is ``graph.nodes`` order.  ``GraphFacts`` numbers
-vertices by :attr:`GraphIndex.topo_order` instead, because the spectral
-engine's float output depends on that numbering; the facts are memoized on
-the index.
+vertices by :attr:`GraphIndex.topo_order` instead, so that parents come
+before children; the facts are memoized on the index.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ class GraphIndex:
     #: every vertex in ``networkx.topological_sort`` order: Kahn's algorithm
     #: by generations, in-degree-0 vertices in ``graph.nodes`` order first
     topo_order: np.ndarray
-    #: generation of each vertex in that pass: the longest path to it from
-    #: an in-degree-0 vertex, which sits at level 0
-    level: np.ndarray
     #: :func:`repro.bounds.structure.graph_facts` memo
     facts: object = field(default=None, repr=False)
     #: ``(points, statement_rank, columns)`` -- see :meth:`point_columns`
@@ -281,7 +277,7 @@ def _register(
     graph, labels, position, parent_ids, in_degree, child_ids, out_degree
 ) -> GraphIndex:
     child_offsets = _offsets(out_degree)
-    topo_order, level = _generations(in_degree, child_offsets, child_ids)
+    topo_order = _generations(in_degree, child_offsets, child_ids)
     index = GraphIndex(
         labels=labels,
         position=position,
@@ -292,7 +288,6 @@ def _register(
         in_degree=in_degree,
         out_degree=out_degree,
         topo_order=topo_order,
-        level=level,
     )
     with _LOCK:
         _INDEX[graph] = index
@@ -307,8 +302,8 @@ def _offsets(degree: np.ndarray) -> np.ndarray:
 
 def _generations(
     in_degree: np.ndarray, child_offsets: np.ndarray, child_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(topo_order, level)`` by ``networkx.topological_generations``' rule.
+) -> np.ndarray:
+    """The topological order by ``networkx.topological_generations``' rule.
 
     Generation 0 is the in-degree-0 vertices in index order.  Scanning a
     generation in order, and each vertex's children in successor order, a
@@ -321,10 +316,8 @@ def _generations(
     children = child_ids.tolist()
     generation = [v for v in range(n) if not pending[v]]
     order: list[int] = []
-    sizes: list[int] = []
     while generation:
         order.extend(generation)
-        sizes.append(len(generation))
         released = []
         for v in generation:
             for child in children[offsets[v]:offsets[v + 1]]:
@@ -334,7 +327,4 @@ def _generations(
         generation = released
     if len(order) != n:
         raise PebblingError("cycle detected: the graph has no topological order")
-    topo_order = np.asarray(order, dtype=np.int64)
-    level = np.empty(n, dtype=np.int64)
-    level[topo_order] = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    return topo_order, level
+    return np.asarray(order, dtype=np.int64)

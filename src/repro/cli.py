@@ -26,7 +26,7 @@ Usage examples::
     soap-analyze status JOB_ID                     # poll one job
 
 ``--jobs N`` parallelizes the analysis (kernels for ``table2``, subgraph
-solves for ``analyze``/``kernel``, and the (kernel, S) replay sweep for
+solves for ``analyze``/``kernel``, and the per-kernel audits for
 ``tightness``); ``--cache-dir DIR`` persists the fused-problem memoization
 cache across invocations in ``DIR/solves.sqlite``, the store ``serve
 --cache-dir DIR`` shares too; ``--json`` emits a machine-readable report

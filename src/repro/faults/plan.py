@@ -19,7 +19,7 @@ Plans are plain JSON::
      "faults": [
         {"site": "worker.job", "action": "kill", "at": [2], "times": 1},
         {"site": "store.get", "error": "sqlite-busy", "p": 0.5},
-        {"site": "bounds.engine.spectral", "error": "runtime", "p": 1.0}
+        {"site": "bounds.engine.visit", "error": "runtime", "p": 1.0}
      ]}
 
 and are activated through ``REPRO_FAULT_PLAN`` (inline JSON or a file path)
@@ -51,7 +51,7 @@ class FaultInjected(RuntimeError):
 
 
 #: error kind name -> exception factory. Sites that guard against a specific
-#: failure class (sqlite busy, pipe EOF, a vanished shm segment) get the real
+#: failure class (sqlite busy, pipe EOF, a missing file) get the real
 #: exception type so the production handler under test is the one that runs.
 ERROR_KINDS: dict[str, type[BaseException]] = {
     "runtime": FaultInjected,
@@ -271,13 +271,13 @@ BUILTIN_PLANS: dict[str, dict] = {
         "seed": 1102,
         "faults": [{"site": "store.open", "action": "corrupt", "at": [1]}],
     },
-    # Every spectral bound evaluation fails; certified max degrades to the
-    # surviving engines and reports must carry the degraded flag.
+    # Every visit bound evaluation fails; certified max degrades to the
+    # surviving engine and reports must carry the degraded flag.
     "engine-fail": {
         "seed": 1103,
         "faults": [
             {
-                "site": "bounds.engine.spectral",
+                "site": "bounds.engine.visit",
                 "error": "runtime",
                 "p": 1.0,
                 "message": "chaos engine-fail plan",

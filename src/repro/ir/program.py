@@ -84,9 +84,6 @@ class Program:
             raise KeyError(f"{array!r} is not computed and has no declared count")
         return sp.Add(*(st.vertex_count for st in writers))
 
-    def total_vertex_count(self) -> sp.Expr:
-        return sp.Add(*(st.vertex_count for st in self.statements))
-
     def parameters(self) -> tuple[sp.Symbol, ...]:
         symbols: set[sp.Symbol] = set()
         for st in self.statements:

@@ -15,10 +15,9 @@ from repro.symbolic.parsing import parse_bound
 class KernelSpec:
     """One evaluated application.
 
-    ``paper_bound``       -- Table 2's leading-order I/O lower bound;
-    ``expected_bound``    -- the bound *this* implementation derives (locked
-                            in as a regression value once verified; ``None``
-                            until then);
+    ``paper_bound``       -- Table 2's leading-order I/O lower bound (the
+                            bound this implementation derives is locked in
+                            :mod:`repro.kernels.expected`);
     ``policy``            -- Section 5.1 overlap assumption ("sum" = the
                             paper's disjoint-access-sets projection);
     ``improvement``       -- the factor the paper reports over prior art;
@@ -32,7 +31,6 @@ class KernelSpec:
     paper_bound: object  # sympy expression (or str sympified on access)
     improvement: str = ""
     policy: str = "sum"
-    expected_bound: object | None = None
     use_floor: bool = False
     allow_pinning: bool = False
     max_subgraph_size: int = 10
@@ -43,13 +41,6 @@ class KernelSpec:
         if isinstance(self.paper_bound, str):
             return parse_bound(self.paper_bound)
         return sp.sympify(self.paper_bound)
-
-    def expected_bound_expr(self) -> sp.Expr | None:
-        if self.expected_bound is None:
-            return None
-        if isinstance(self.expected_bound, str):
-            return parse_bound(self.expected_bound)
-        return sp.sympify(self.expected_bound)
 
 
 _REGISTRY: dict[str, KernelSpec] = {}

@@ -22,11 +22,10 @@ derived tilings replayed through the streaming I/O simulator, with the
 measured gap per kernel — lives in `TIGHTNESS.md` (regenerate with
 `python -m repro tightness --markdown TIGHTNESS.md`).  On concrete
 instances each symbolic bound is also cross-checked against the
-independent concrete-CDAG bound engines (`repro bounds <kernel>`: the
-spectral eigenvalue bound and the DAG-visit bound, `src/repro/bounds/`);
-TIGHTNESS.md gaps are measured against the certified max over all
-engines, and `table2 --bounds` records the winning engine and the
-engine disagreement per kernel.
+independent concrete-CDAG DAG-visit bound (`repro bounds <kernel>`,
+`src/repro/bounds/`); TIGHTNESS.md gaps are measured against the
+certified max over both engines, and `table2 --bounds` records the
+winning engine and the engine disagreement per kernel.
 
 Every regeneration can be profiled span-by-span: add `--trace FILE` to
 `table2` or `tightness`, then `python -m repro trace convert FILE` for a

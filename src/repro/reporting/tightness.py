@@ -19,9 +19,10 @@ This report replays exactly that derived tiling through the streaming I/O
 simulator (`repro.schedule`) on concrete instances and compares the
 measured (certified) I/O against the certified lower bound — the max over
 every registered bound engine (`repro.bounds`): the evaluated `kkt` bound
-(the paper's problem 8), the `spectral` eigenvalue bound, and the `visit`
-DAG-visit bound, the latter two computed on the concrete CDAG.  The
-**best** column marks the engine attaining the certified max on each row:
+(the paper's problem 8) and the `visit` DAG-visit bound computed on the
+concrete CDAG.  Both bound the red-blue pebble game with recomputation,
+the game the paper bounds, so their max does too.  The **best** column
+marks the engine attaining the certified max on each row (`kkt` on a tie):
 
     gap = simulated I/O of the derived blocked schedule / certified bound
 

@@ -83,9 +83,6 @@ class AccessStream:
     _next_use_cache: tuple | None = field(default=None, repr=False)
     #: memoized ``(next_after, first_use)`` -- see :meth:`next_use_arrays`
     _next_use_pair: tuple | None = field(default=None, repr=False)
-    #: keep-alive for the buffer the arrays view (the shared-memory handle
-    #: of an attached stream, see :mod:`repro.schedule.shared_streams`)
-    _arena: object | None = field(default=None, repr=False)
 
     @property
     def n_accesses(self) -> int:

@@ -5,7 +5,7 @@ tiling that should attain it.  This module closes the sandwich empirically:
 derive the blocked schedule, replay its access stream through the streaming
 I/O simulator, and compare against the certified lower bound -- the max
 over every registered bound engine (:mod:`repro.bounds`: the evaluated
-KKT bound plus the spectral and DAG-visit engines on the concrete CDAG):
+KKT bound and the DAG-visit engine on the concrete CDAG):
 
     gap  =  simulated I/O (certified upper bound)  /  certified lower bound
 
@@ -16,20 +16,15 @@ constant-factor slop (leading-order truncation, cold misses, tile rounding),
 so the thresholds are deliberately generous; the trend with growing ``S``
 and problem size is the signal.
 
-Every audit runs one pipeline of three steps.  Step 1 plans a kernel: it
-builds the CDAG, the program-order baseline stream and each distinct
-derived-schedule stream exactly once, and fixes every (kernel, S) point's
-clamped size, certified bound and schedule.  Step 2 replays each planned
-point.  Step 3 assembles the rows.  ``audit_kernel`` and
-``audit_corpus(jobs=1)`` run the steps in-process, kernel by kernel.
-``audit_corpus(jobs=N)`` (``repro tightness --jobs``, the ``/tightness``
-service endpoint, ``benchmarks/bench_tightness.py``) runs steps 1 and 2
-over one process pool: planning workers **publish** their streams, with
-their next-use arrays, to shared memory
-(:mod:`repro.schedule.shared_streams`), and replaying workers attach
-zero-copy read-only views (cached per process) -- no worker ever rebuilds
-a stream another worker already built.  The two modes differ only in
-carrying streams or segment refs, so their rows are identical.
+Every audit runs one pipeline per kernel (:func:`_audit_in_process`): it
+builds the kernel's CDAG, its program-order stream and each distinct
+derived-schedule stream once, fixes every (kernel, S) point's clamped size,
+certified bound and schedule, replays both streams and assembles the row.
+``audit_kernel`` and ``audit_corpus(jobs=1)`` run it kernel by kernel in
+this process; ``audit_corpus(jobs=N)`` (``repro tightness --jobs``, the
+``/tightness`` service endpoint, ``benchmarks/bench_tightness.py``) runs
+the same function over one process pool, one task per kernel, and
+concatenates the rows in kernel order, so both modes give the same rows.
 ``chunk_size`` bounds the replay slab so even huge streams replay in
 O(chunk) extra memory.
 """
@@ -37,6 +32,7 @@ O(chunk) extra memory.
 from __future__ import annotations
 
 import functools
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -45,7 +41,6 @@ from repro.cdag.cache import cached_cdag
 from repro.cdag.index import graph_index
 from repro.obs import attach, trace_context
 from repro.obs import span as obs_span
-from repro.schedule import shared_streams
 from repro.schedule.derive import blocked_ids, derive_schedule
 from repro.schedule.simulator import simulate_io
 from repro.schedule.stream import stream_from_graph, stream_from_ids
@@ -231,17 +226,49 @@ def _built_program(name: str):
     return get_kernel(name).build()
 
 
+def checked_s_values(s_values) -> tuple[int, ...]:
+    """``s_values`` as fast-memory sizes: each an integer of at least 1.
+
+    Anything else is refused with ``ValueError``, not coerced: ``True``
+    would run at S = 1, ``8.7`` and ``"8"`` at S = 8, and an S below 1
+    has no pebbling at all.
+    """
+    checked = []
+    for s in s_values:
+        if not _is_int(s) or s < 1:
+            raise ValueError(f"fast-memory sizes must be integers >= 1 (got {s!r})")
+        checked.append(int(s))
+    return tuple(checked)
+
+
+def checked_params(params: Mapping[str, int] | None) -> dict[str, int]:
+    """Parameter overrides as ``{name: int}``; a value that is no integer
+    (a bool, a float, a string) is refused with ``ValueError``."""
+    checked = {}
+    for key, value in (params or {}).items():
+        if not _is_int(value):
+            raise ValueError(
+                f"parameter values must be integers (got {key}={value!r})"
+            )
+        checked[str(key)] = int(value)
+    return checked
+
+
+def _is_int(value) -> bool:
+    # bool is an Integral subclass: ``True`` must not mean 1
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _merged_params(
     name: str, program, params: Mapping[str, int] | None
 ) -> dict[str, int]:
     """Audit defaults merged with caller overrides (unknown names dropped)."""
     defaults = audit_params(name, program)
-    if params:
-        # Overrides merge over the audit defaults; names the program does not
-        # use are dropped (one global --params can serve a whole selection).
-        defaults.update(
-            {k: int(v) for k, v in params.items() if k in defaults}
-        )
+    # Overrides merge over the audit defaults; names the program does not
+    # use are dropped (one global --params can serve a whole selection).
+    defaults.update(
+        {k: v for k, v in checked_params(params).items() if k in defaults}
+    )
     return defaults
 
 
@@ -265,6 +292,7 @@ def audit_kernel(
     """
     from repro.analysis import analyze_kernel
 
+    s_values = checked_s_values(s_values)
     chunk_size = _checked_chunk_size(chunk_size)
     bounds_engines = _checked_bounds_engines(bounds_engines)
     merged = _merged_params(name, _built_program(name), params)
@@ -272,7 +300,7 @@ def audit_kernel(
         result = analyze_kernel(name)
     return _audit_in_process(
         (name, merged, result.bound, result.program_bound),
-        s_values=tuple(int(s) for s in s_values),
+        s_values=s_values,
         max_vertices=int(max_vertices),
         chunk_size=chunk_size,
         bounds_engines=bounds_engines,
@@ -292,7 +320,7 @@ def _checked_chunk_size(chunk_size) -> int | None:
 
 def _checked_bounds_engines(engines) -> tuple[str, ...] | None:
     """Validate an engine selection up front (typos fail the whole sweep
-    immediately, not once per point inside a worker)."""
+    immediately, not once per kernel inside a worker)."""
     if engines is None:
         return None
     from repro.bounds import get_bound_engine
@@ -322,9 +350,9 @@ def audit_corpus(
     ``params_overrides`` adds per-kernel overrides on top.  ``engine``
     shares a live engine (and its solve cache) with the caller -- the
     service daemon's audit endpoint uses this.  ``jobs > 1`` parallelizes
-    the analysis batch *and* the replay sweep, the latter over one process
-    pool (see the module docstring).  ``chunk_size`` bounds the replay
-    slab, trading time for peak memory -- results are bit-identical
+    the analysis batch *and* the per-kernel audits, the latter over one
+    process pool (see the module docstring).  ``chunk_size`` bounds the
+    replay slab, trading time for peak memory -- results are bit-identical
     whatever its value.  ``bounds_engines`` restricts the lower-bound
     engines behind the certified gap denominator (default: all registered
     engines; ``("kkt",)`` reproduces the KKT-only audit).
@@ -338,289 +366,42 @@ def audit_corpus(
     jobs = int(jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be a positive integer (got {jobs})")
+    s_values = checked_s_values(s_values)
     chunk_size = _checked_chunk_size(chunk_size)
     bounds_engines = _checked_bounds_engines(bounds_engines)
-    s_values = tuple(int(s) for s in s_values)
     selected = list(names) if names is not None else kernel_names()
+    merged = []
+    for name in selected:
+        overrides: dict[str, int] = dict(params or {})
+        if params_overrides and name in params_overrides:
+            overrides.update(params_overrides[name])
+        merged.append(_merged_params(name, _built_program(name), overrides))
     with obs_span("tightness.audit", jobs=jobs) as sweep_span:
         sweep_span.add("kernels", len(selected))
         results = analyze_many(
             selected, jobs=jobs, cache_dir=cache_dir, engine=engine
         )
-        kernel_specs: list[tuple] = []
-        for name, result in zip(selected, results):
-            overrides: dict[str, int] = dict(params or {})
-            if params_overrides and name in params_overrides:
-                overrides.update(params_overrides[name])
-            merged = _merged_params(name, _built_program(name), overrides)
-            kernel_specs.append(
-                (name, merged, result.bound, result.program_bound)
-            )
+        kernel_specs = [
+            (name, kernel_params, result.bound, result.program_bound)
+            for name, kernel_params, result in zip(selected, merged, results)
+        ]
         sweep = dict(
             s_values=s_values,
             max_vertices=int(max_vertices),
             chunk_size=chunk_size,
             bounds_engines=bounds_engines,
         )
-        if jobs > 1 and len(kernel_specs) * len(s_values) > 1:
-            rows = _shared_sweep(kernel_specs, jobs=jobs, **sweep)
+        if jobs > 1 and len(kernel_specs) > 1:
+            per_kernel = _audit_pool(kernel_specs, jobs, sweep)
         else:
-            rows = [
-                row
-                for spec in kernel_specs
-                for row in _audit_in_process(spec, **sweep)
-            ]
+            per_kernel = [_audit_in_process(spec, **sweep) for spec in kernel_specs]
+        rows = [row for kernel_rows in per_kernel for row in kernel_rows]
         sweep_span.add("rows", len(rows))
         return TightnessReport(
             rows=rows,
             s_values=s_values,
             elapsed_seconds=time.perf_counter() - started,
         )
-
-
-# ---------------------------------------------------------------------------
-# The audit pipeline: plan each kernel, replay its points, assemble the rows
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PreparedPoint:
-    """One (kernel, S) point after planning, before replay."""
-
-    kind: str  #: "error" | "replay"
-    s: int = 0
-    s_requested: int = 0
-    message: str = ""
-    notes: tuple = ()
-    bound_value: float = 0.0
-    tiled: bool = False
-    tile_sizes: tuple = ()  #: (variable, tile) pairs in schedule order
-    schedule_notes: tuple = ()
-    #: the streams to replay: shared-memory refs in the pool, the
-    #: :class:`~repro.schedule.stream.AccessStream` objects in-process
-    schedule: object = None
-    baseline: object = None
-    #: per-engine bound values as (engine, value) pairs (picklable, ordered)
-    engine_bounds: tuple = ()
-    winning_engine: str | None = None
-
-
-@dataclass
-class _PreparedKernel:
-    """Step-1 output for one kernel: point plans (+ published segments)."""
-
-    name: str
-    category: str
-    params: dict
-    n_vertices: int = 0
-    error: str | None = None  #: kernel-level error (CDAG build / too large)
-    points: list = field(default_factory=list)
-    refs: list = field(default_factory=list)  #: segments the driver unlinks
-
-
-def _prepare_kernel_body(
-    name, params, s_values, max_vertices, bound, program_bound,
-    bounds_engines, *, share: bool,
-) -> _PreparedKernel:
-    """Step 1, one kernel: build its CDAG and streams once, plan each point.
-
-    Clamps every requested S to the feasibility floor and plans each
-    clamped size once; per point it evaluates the certified bound and
-    derives the schedule, building each distinct schedule stream once.
-    With ``share`` (the pool) every stream is published to shared memory
-    together with its next-use arrays, so replaying workers only attach,
-    and the points carry the refs; a failure unlinks whatever this kernel
-    already published.  Without it the points carry the streams.
-    """
-    from repro.bounds import evaluate_bounds
-    from repro.kernels import get_kernel
-
-    with obs_span("tightness.prepare", kernel=name):
-        prep = _PreparedKernel(
-            name=name, category=get_kernel(name).category, params=dict(params)
-        )
-        try:
-            program = _built_program(name)
-            cdag = cached_cdag(name, params, program=program)
-        except SoapError as err:
-            prep.error = f"CDAG build failed: {err}"
-            return prep
-        if cdag.n_vertices > max_vertices:
-            prep.error = (
-                f"instance too large: {cdag.n_vertices} > "
-                f"{max_vertices} vertices"
-            )
-            return prep
-        prep.n_vertices = cdag.n_vertices
-        param_key = tuple(sorted(params.items()))
-
-        def handle(stream, *kind):
-            """The stream itself in-process, its published ref in the pool."""
-            if not share:
-                return stream
-            ref = shared_streams.publish(
-                stream,
-                shared_streams.stream_signature(name, param_key, *kind),
-            )
-            prep.refs.append(ref)
-            return ref
-
-        baseline_stream = stream_from_graph(cdag.graph)
-        # Feasibility floor: a vertex's operands plus itself must fit.
-        max_indegree = graph_index(cdag.graph).max_in_degree
-        baseline = None
-        schedules: dict = {}  #: (tiled, variable order, tiles) -> handle
-        planned: set[int] = set()
-        try:
-            for s_requested in s_values:
-                s = max(int(s_requested), max_indegree + 2)
-                if s in planned:
-                    continue  # clamping collapsed two requested sizes
-                planned.add(s)
-                notes: list[str] = []
-                if s != s_requested:
-                    notes.append(
-                        f"S clamped to {s} (max in-degree {max_indegree})"
-                    )
-                try:
-                    # the certified value is the gap denominator; the raw
-                    # KKT value stays visible in the per-engine dict
-                    combined = evaluate_bounds(
-                        s=s, graph=cdag.graph, symbolic_bound=bound,
-                        params=params, kernel=name, engines=bounds_engines,
-                    )
-                    schedule = derive_schedule(
-                        program, program_bound, params, s
-                    )
-                    stream_key = (
-                        schedule.tiled,
-                        tuple(schedule.variable_order),
-                        tuple(sorted(schedule.tile_sizes.items())),
-                    )
-                    if stream_key not in schedules:
-                        order = blocked_ids(cdag, schedule)
-                        schedules[stream_key] = handle(
-                            stream_from_ids(cdag.graph, order),
-                            "schedule", stream_key,
-                        )
-                    if baseline is None:
-                        baseline = handle(baseline_stream, "baseline")
-                except SoapError as err:
-                    prep.points.append(
-                        _PreparedPoint(
-                            kind="error", s=s, s_requested=int(s_requested),
-                            message=str(err),
-                        )
-                    )
-                    continue
-                prep.points.append(
-                    _PreparedPoint(
-                        kind="replay",
-                        s=s,
-                        s_requested=int(s_requested),
-                        notes=tuple(notes),
-                        bound_value=combined.certified,
-                        tiled=schedule.tiled,
-                        tile_sizes=tuple(schedule.tile_sizes.items()),
-                        schedule_notes=tuple(schedule.notes),
-                        schedule=schedules[stream_key],
-                        baseline=baseline,
-                        engine_bounds=tuple(combined.engine_values().items()),
-                        winning_engine=combined.winning_engine,
-                    )
-                )
-        except BaseException:
-            for ref in prep.refs:
-                shared_streams.unlink(ref)
-            raise
-        return prep
-
-
-def _replay_point(schedule, baseline, s: int, chunk_size, kernel: str) -> tuple:
-    """Step 2, one point: replay the schedule and the program-order stream.
-
-    Returns ``("ok", schedule_cost, program_order_cost)`` or
-    ``("error", message)``.
-    """
-    with obs_span("tightness.replay-point", kernel=kernel, s=int(s)):
-        try:
-            schedule_cost = simulate_io(
-                schedule, s, slab_positions=chunk_size
-            ).cost
-            program_order_cost = simulate_io(
-                baseline, s, slab_positions=chunk_size
-            ).cost
-        except SoapError as err:
-            return ("error", str(err))
-    return ("ok", schedule_cost, program_order_cost)
-
-
-def _assemble_outcomes(
-    preps: list[_PreparedKernel],
-    replays: list[tuple],
-    s_values: tuple[int, ...],
-) -> list[TightnessRow]:
-    """Step 3: rows from the point plans and, in plan order, their replays."""
-    rows: list[TightnessRow] = []
-    pending = iter(replays)
-    for prep in preps:
-        if prep.error is not None:
-            rows.extend(
-                _error_row(
-                    prep.name, prep.category, prep.params,
-                    int(s_requested), prep.error,
-                )
-                for s_requested in s_values
-            )
-            continue
-        for point in prep.points:
-            replay = (
-                next(pending) if point.kind == "replay"
-                else ("error", point.message)
-            )
-            if replay[0] == "error":
-                rows.append(_error_row(
-                    prep.name, prep.category, prep.params, point.s, replay[1],
-                ))
-                continue
-            if not point.bound_value > 0:
-                rows.append(_error_row(
-                    prep.name, prep.category, prep.params, point.s,
-                    f"bound evaluates to {point.bound_value}; gap undefined",
-                ))
-                continue
-            _, schedule_cost, program_order_cost = replay
-            gap = schedule_cost / point.bound_value
-            notes = list(point.notes)
-            if gap < 1.0:
-                # Legal: the leading-order bound need not bind on tiny
-                # instances (e.g. the whole working set fits in S, or the
-                # truncated lower-order terms dominate).  Flag it rather
-                # than hiding it.
-                notes.append(
-                    "gap < 1: instance too small for the leading-order "
-                    "bound to bind"
-                )
-            rows.append(TightnessRow(
-                kernel=prep.name,
-                category=prep.category,
-                params=dict(prep.params),
-                s=point.s,
-                s_requested=point.s_requested,
-                n_vertices=prep.n_vertices,
-                bound_value=point.bound_value,
-                schedule_cost=schedule_cost,
-                program_order_cost=program_order_cost,
-                gap=gap,
-                gap_program_order=program_order_cost / point.bound_value,
-                classification=classify_gap(gap),
-                tiled=point.tiled,
-                tile_sizes=dict(point.tile_sizes),
-                notes=tuple(notes) + point.schedule_notes,
-                engine_bounds=dict(point.engine_bounds),
-                winning_engine=point.winning_engine,
-            ))
-    return rows
 
 
 def _audit_in_process(
@@ -631,79 +412,125 @@ def _audit_in_process(
     chunk_size: int | None,
     bounds_engines: tuple[str, ...] | None,
 ) -> list[TightnessRow]:
-    """One kernel through the three steps in this process (``jobs=1``)."""
-    name, params, bound, program_bound = spec
-    prep = _prepare_kernel_body(
-        name, params, s_values, max_vertices, bound, program_bound,
-        bounds_engines, share=False,
-    )
-    replays = [
-        _replay_point(point.schedule, point.baseline, point.s, chunk_size, name)
-        for point in prep.points
-        if point.kind == "replay"
-    ]
-    return _assemble_outcomes([prep], replays, s_values)
+    """One kernel's rows, one per distinct clamped fast-memory size.
 
-
-# ---------------------------------------------------------------------------
-# The same pipeline over a process pool, streams in shared memory
-# ---------------------------------------------------------------------------
-
-
-def _prepare_kernel(task: tuple) -> _PreparedKernel:
-    """Step 1 in a pool worker: plan one kernel and publish its streams."""
-    (name, params, s_values, max_vertices, bound, program_bound,
-     bounds_engines, tctx) = task
-    with attach(tctx):
-        return _prepare_kernel_body(
-            name, params, s_values, max_vertices, bound, program_bound,
-            bounds_engines, share=True,
-        )
-
-
-def _replay_shared(task: tuple) -> tuple:
-    """Step 2 in a pool worker: attach the published streams and replay.
-
-    Attaches are cached per process.  No stream construction happens here,
-    by design -- the function only knows segment refs, so a worker cannot
-    rebuild even by accident.
+    Builds the kernel's CDAG and program-order stream once and each
+    distinct derived-schedule stream once.  Every requested S is clamped
+    to the feasibility floor, and a size that clamping repeats is audited
+    once.  Per point it evaluates the certified bound, derives the
+    schedule and replays both streams.  A :class:`SoapError` on the way
+    makes the point an error row; one in building the CDAG, or an
+    instance above ``max_vertices``, makes every requested S one.
     """
-    schedule_ref, baseline_ref, s, chunk_size, kernel, tctx = task
-    with attach(tctx):
+    from repro.bounds import evaluate_bounds
+    from repro.kernels import get_kernel
+
+    name, params, bound, program_bound = spec
+    category = get_kernel(name).category
+
+    def error_row(s: int, message: str) -> TightnessRow:
+        return _error_row(name, category, params, s, message)
+
+    with obs_span("tightness.kernel", kernel=name):
         try:
-            schedule = shared_streams.attach_cached(schedule_ref)
-            baseline = shared_streams.attach_cached(baseline_ref)
-        except (FileNotFoundError, ValueError, OSError) as err:
-            # A vanished or undersized segment (publisher died, orphan
-            # sweep raced us) degrades this point to a typed error row;
-            # it must never take the whole sweep down.
-            return (
-                "error",
-                f"shared segment unavailable ({type(err).__name__}: {err})",
+            program = _built_program(name)
+            cdag = cached_cdag(name, params, program=program)
+        except SoapError as err:
+            return [error_row(s, f"CDAG build failed: {err}") for s in s_values]
+        if cdag.n_vertices > max_vertices:
+            message = (
+                f"instance too large: {cdag.n_vertices} > {max_vertices} vertices"
             )
-        return _replay_point(schedule, baseline, s, chunk_size, kernel)
+            return [error_row(s, message) for s in s_values]
+        baseline = stream_from_graph(cdag.graph)
+        # Feasibility floor: a vertex's operands plus itself must fit.
+        max_indegree = graph_index(cdag.graph).max_in_degree
+        schedules: dict = {}  #: (tiled, variable order, tiles) -> stream
+        rows: list[TightnessRow] = []
+        audited: set[int] = set()
+        for s_requested in s_values:
+            s = max(s_requested, max_indegree + 2)
+            if s in audited:
+                continue  # clamping collapsed two requested sizes
+            audited.add(s)
+            try:
+                # the certified value is the gap denominator; the raw
+                # KKT value stays visible in the per-engine dict
+                combined = evaluate_bounds(
+                    s=s, graph=cdag.graph, symbolic_bound=bound,
+                    params=params, kernel=name, engines=bounds_engines,
+                )
+                schedule = derive_schedule(program, program_bound, params, s)
+                stream_key = (
+                    schedule.tiled,
+                    tuple(schedule.variable_order),
+                    tuple(sorted(schedule.tile_sizes.items())),
+                )
+                if stream_key not in schedules:
+                    schedules[stream_key] = stream_from_ids(
+                        cdag.graph, blocked_ids(cdag, schedule)
+                    )
+                with obs_span("tightness.replay-point", kernel=name, s=s):
+                    schedule_cost = simulate_io(
+                        schedules[stream_key], s, slab_positions=chunk_size
+                    ).cost
+                    program_order_cost = simulate_io(
+                        baseline, s, slab_positions=chunk_size
+                    ).cost
+            except SoapError as err:
+                rows.append(error_row(s, str(err)))
+                continue
+            bound_value = combined.certified
+            if not bound_value > 0:
+                rows.append(error_row(
+                    s, f"bound evaluates to {bound_value}; gap undefined"
+                ))
+                continue
+            gap = schedule_cost / bound_value
+            notes = []
+            if s != s_requested:
+                notes.append(f"S clamped to {s} (max in-degree {max_indegree})")
+            if gap < 1.0:
+                # Legal: the leading-order bound need not bind on tiny
+                # instances (e.g. the whole working set fits in S, or the
+                # truncated lower-order terms dominate).  Flag it rather
+                # than hiding it.
+                notes.append(
+                    "gap < 1: instance too small for the leading-order "
+                    "bound to bind"
+                )
+            rows.append(TightnessRow(
+                kernel=name,
+                category=category,
+                params=dict(params),
+                s=s,
+                s_requested=s_requested,
+                n_vertices=cdag.n_vertices,
+                bound_value=bound_value,
+                schedule_cost=schedule_cost,
+                program_order_cost=program_order_cost,
+                gap=gap,
+                gap_program_order=program_order_cost / bound_value,
+                classification=classify_gap(gap),
+                tiled=schedule.tiled,
+                tile_sizes=dict(schedule.tile_sizes),
+                notes=tuple(notes) + tuple(schedule.notes),
+                engine_bounds=combined.engine_values(),
+                winning_engine=combined.winning_engine,
+            ))
+        return rows
 
 
-def _shared_sweep(
-    kernel_specs: list[tuple],
-    *,
-    s_values: tuple[int, ...],
-    jobs: int,
-    max_vertices: int,
-    chunk_size: int | None,
-    bounds_engines: tuple[str, ...] | None,
-) -> list[TightnessRow]:
-    """The parallel sweep: plan-and-publish, then attach-and-replay.
+def _audit_pool(kernel_specs: list[tuple], jobs: int, sweep: dict) -> list:
+    """:func:`_audit_in_process` over one process pool, one task per kernel.
 
-    Both steps run on one process pool, order-preserving, and the driver
-    assembles the rows.  From the main thread, forked workers inherit the
-    warm interpreter state (kernel registry, sympy caches); off the main
-    thread -- the service daemon runs audits on a thread pool -- forking a
-    multithreaded process can inherit held locks into the child and
-    deadlock, so workers are spawned fresh instead (tasks and refs are
-    plain picklable data either way).  Shared segments outlive the workers
-    that created them; the driver unlinks every segment any kernel
-    published on the way out, success or not.
+    Returns each kernel's rows, in ``kernel_specs`` order.  From the main
+    thread, forked workers inherit the warm interpreter state (kernel
+    registry, sympy caches); off the main thread -- the service daemon
+    runs audits on a thread pool -- forking a multithreaded process can
+    inherit held locks into the child and deadlock, so workers are
+    spawned fresh instead (tasks and rows are plain picklable data either
+    way).  Workers trace under the caller's sweep span.
     """
     import multiprocessing
     import os
@@ -714,44 +541,16 @@ def _shared_sweep(
         mp_context = multiprocessing.get_context("fork" if on_main else "spawn")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         mp_context = multiprocessing.get_context()
-    # cap at the core count: the points are CPU-bound, and the service
+    # cap at the core count: the audits are CPU-bound, and the service
     # endpoint forwards caller-supplied jobs values -- one request must not
-    # be able to spawn a worker per sweep point on a large corpus
-    n_points = len(kernel_specs) * max(1, len(s_values))
-    workers = max(1, min(int(jobs), n_points, os.cpu_count() or 1))
-    tctx = trace_context()  # workers stitch under the driver's sweep span
-    futures: list = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context
-        ) as pool:
-            for name, params, bound, program_bound in kernel_specs:
-                futures.append(pool.submit(
-                    _prepare_kernel,
-                    (name, params, s_values, max_vertices, bound,
-                     program_bound, bounds_engines, tctx),
-                ))
-            preps = [future.result() for future in futures]
-            replay_tasks = [
-                (point.schedule, point.baseline, point.s, chunk_size,
-                 prep.name, tctx)
-                for prep in preps
-                for point in prep.points
-                if point.kind == "replay"
-            ]
-            replays = list(
-                pool.map(
-                    _replay_shared,
-                    replay_tasks,
-                    chunksize=max(1, len(s_values)),
-                )
-            )
-        return _assemble_outcomes(preps, replays, s_values)
-    finally:
-        # The pool has finished every submitted kernel by now, so this
-        # also reaches the segments of kernels whose plans were never read
-        # because another kernel failed first.
-        for future in futures:
-            if not future.cancelled() and future.exception() is None:
-                for ref in future.result().refs:
-                    shared_streams.unlink(ref)
+    # be able to spawn a worker per kernel on a large corpus
+    workers = max(1, min(jobs, len(kernel_specs), os.cpu_count() or 1))
+    task = functools.partial(_audit_task, trace_context(), sweep)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context) as pool:
+        return list(pool.map(task, kernel_specs))
+
+
+def _audit_task(tctx, sweep: dict, spec: tuple) -> list[TightnessRow]:
+    """One pool task: a kernel's audit under the caller's trace."""
+    with attach(tctx):
+        return _audit_in_process(spec, **sweep)

@@ -269,8 +269,8 @@ class ServiceClient:
     ) -> JobRecord:
         """``POST /tightness``: queue (or block on) a tightness audit.
 
-        ``jobs`` parallelizes the daemon-side replay sweep over a process
-        pool; ``chunk_size`` bounds daemon-side replay memory.  The payload
+        ``jobs`` parallelizes the daemon-side per-kernel audits over a
+        process pool; ``chunk_size`` bounds daemon-side replay memory.  The payload
         is identical whatever either value.  ``trace=True`` embeds the
         job's stitched span tree in the result.
         """

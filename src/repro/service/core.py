@@ -123,7 +123,6 @@ class AnalysisService:
         self._bounds_errors: dict[str, int] = {}
         self._deadline_totals: dict[str, int] = {}
         self._requeued_jobs = 0
-        self._shm_orphans_swept = 0
         # Parsing and fingerprinting (submission path) get their own small
         # pool so busy workers cannot stall new submissions or the event
         # loop; pipe I/O gets one thread per worker so dispatchers never
@@ -154,20 +153,10 @@ class AnalysisService:
             raise RuntimeError("service already started")
         from repro.engine.store import SharedSolveStore
 
-        from repro.schedule import shared_streams
-
         if self.config.cache_dir is None:
             self._store_dir = tempfile.mkdtemp(prefix="soap-service-store-")
         path = self.store_path
-        # boot recovery 1: unlink shared-memory segments leaked by sweeps
-        # whose driver died (POSIX shm outlives processes)
-        self._shm_orphans_swept = shared_streams.sweep_orphans()
-        if self._shm_orphans_swept:
-            self.metrics.registry.inc(
-                "service_shm_orphans_swept_total",
-                float(self._shm_orphans_swept),
-            )
-        # boot recovery 2: a corrupt store file is quarantined and rebuilt
+        # boot recovery: a corrupt store file is quarantined and rebuilt
         # inside the store constructor; surface the warm-boot counter here
         self._store = SharedSolveStore(
             path,
@@ -420,14 +409,21 @@ class AnalysisService:
 
         The audit runs on one worker process, whose engine shares the fleet
         store -- the analysis half reuses every solved problem (8) instance.
-        ``jobs > 1`` fans the replay sweep out over the worker's own process
-        pool; ``chunk_size`` bounds replay memory.  Both leave the result
-        bit-identical, so neither is part of the coalescing key.
+        ``jobs > 1`` fans the per-kernel audits out over the worker's own
+        process pool; ``chunk_size`` bounds replay memory.  Both leave the
+        result bit-identical, so neither is part of the coalescing key.
+        Fast-memory sizes must be integers >= 1 and parameter values
+        integers; anything else is a ``ValueError`` (a 400) before a job
+        exists.
         """
         import json as _json
 
         from repro.kernels import get_kernel, kernel_names
-        from repro.schedule.tightness import DEFAULT_S_VALUES
+        from repro.schedule.tightness import (
+            DEFAULT_S_VALUES,
+            checked_params,
+            checked_s_values,
+        )
 
         if kernels is None:
             names = kernel_names()
@@ -439,17 +435,14 @@ class AnalysisService:
             names = list(kernels)
         for name in names:
             get_kernel(name)  # unknown kernels are a 404, not a failed job
+        # each ValueError surfaces as a 400, like every malformed request body
+        sweep = checked_s_values(s_values or DEFAULT_S_VALUES)
+        overrides = checked_params(params)
         try:
-            sweep = tuple(int(s) for s in (s_values or DEFAULT_S_VALUES))
-            overrides = {str(k): int(v) for k, v in (params or {}).items()}
             pool_jobs = int(jobs)
             slab = None if chunk_size is None else int(chunk_size)
         except (TypeError, ValueError):
-            # surfaces as a 400, like every other malformed request body
-            raise ValueError(
-                "s_values entries, params values, jobs, and chunk_size "
-                "must be integers"
-            ) from None
+            raise ValueError("jobs and chunk_size must be integers") from None
         if pool_jobs < 1:
             raise ValueError(f"jobs must be a positive integer (got {pool_jobs})")
         if slab is not None and slab < 1:
@@ -501,21 +494,18 @@ class AnalysisService:
         default spelling -- attach to one job, and the worker-side report
         cache keys on the same identity, so a warm repeat is served
         without rebuilding the graph.  Unknown kernels are a 404; unknown
-        engine names or malformed values a 400.
+        engine names, fast-memory sizes that are not integers >= 1 and
+        parameter values that are not integers a 400.
         """
         import json as _json
 
         from repro.cdag.cache import cdag_signature
         from repro.kernels import get_kernel
+        from repro.schedule.tightness import checked_params, checked_s_values
 
         get_kernel(name)  # validate up front: a bad name is a 404, not a job
-        try:
-            sweep = None if s_values is None else [int(s) for s in s_values]
-            overrides = {str(k): int(v) for k, v in (params or {}).items()}
-        except (TypeError, ValueError):
-            raise ValueError(
-                "s_values entries and params values must be integers"
-            ) from None
+        sweep = None if s_values is None else list(checked_s_values(s_values))
+        overrides = checked_params(params)
         if sweep is not None and not sweep:
             raise ValueError("'s_values' must name at least one memory size")
         wanted = None
@@ -870,7 +860,6 @@ class AnalysisService:
             "store_quarantines": int(self._store_totals.get("quarantines", 0)),
             "store_errors": int(self._store_totals.get("errors", 0)),
             "requeued_jobs": int(self._requeued_jobs),
-            "shm_orphans_swept": int(self._shm_orphans_swept),
             "native_replay": native_status(),
         }
         block["healthy"] = not (
@@ -906,7 +895,6 @@ class AnalysisService:
                 name: int(count)
                 for name, count in sorted(self._bounds_errors.items())
             },
-            "shm_orphans_swept": int(self._shm_orphans_swept),
         }
 
     def metrics_snapshot(self) -> dict:

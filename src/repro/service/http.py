@@ -15,7 +15,7 @@ POST      ``/batch``          ``{"kernels": [...], "priority"?, "wait"?}``
 POST      ``/tightness``      ``{"kernels"?, "s_values"?, "params"?, "jobs"?,
                               "chunk_size"?, "priority"?, "wait"?, "trace"?}``
                               -- schedule-replay tightness audit (default: full
-                              corpus; ``jobs`` parallelizes the replay sweep,
+                              corpus; ``jobs`` parallelizes the kernels,
                               ``chunk_size`` bounds replay memory)
 POST      ``/bounds``         ``{"name": ..., "s_values"?, "params"?,
                               "engines"?, "priority"?, "wait"?, "trace"?}``

@@ -377,7 +377,7 @@ class WorkerHandle:
     def spawn(self) -> None:
         parent, child = self._ctx.Pipe()
         # NOT daemonic: a worker must be able to fork its own children (the
-        # tightness audit's replay sweep, the engine's jobs>1 solve pool),
+        # tightness audit's kernel pool, the engine's jobs>1 solve pool),
         # which Python forbids for daemon processes.  Orphan protection
         # comes from the pipe instead -- a worker exits on EOF when the
         # front-end goes away -- plus the pool's atexit stop.

@@ -21,11 +21,10 @@ and are lowered by the Section 5.3 projection at bound-construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.ir.access import AccessComponent, AffineIndex, ArrayAccess
 from repro.ir.statement import Statement
-from repro.util import unique_in_order
 from repro.util.errors import NotSoapError
 
 
@@ -200,8 +199,3 @@ def check_soap(statement: Statement, *, allow_multi_group: bool = True) -> None:
                 f"arrays {offenders} accessed through non-constant-offset "
                 f"components; apply a Section 5 projection first"
             )
-
-
-def group_variables(groups: Iterable[SimpleOverlapGroup]) -> tuple[str, ...]:
-    """All iteration variables referenced by any group, in first-seen order."""
-    return unique_in_order(v for g in groups for v in g.variables)

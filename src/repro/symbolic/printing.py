@@ -20,8 +20,3 @@ def bound_str(expr: sp.Expr) -> str:
     except Exception:  # pragma: no cover - factor_terms is best effort
         pass
     return str(simplified)
-
-
-def latex_bound(expr: sp.Expr) -> str:
-    """LaTeX rendering (used by the Table-2 report generator)."""
-    return sp.latex(sp.radsimp(sp.simplify(expr)))

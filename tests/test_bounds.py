@@ -15,8 +15,7 @@ from repro.bounds import (
     get_bound_engine,
     kernel_bounds,
 )
-from repro.bounds.registry import BoundProblem
-from repro.bounds.spectral import _band_spectra, _certified_lambda2
+from repro.bounds.registry import MODEL_PEBBLING, BoundProblem
 from repro.bounds.structure import graph_facts, io_floor
 from repro.cdag.build import build_cdag
 from repro.cdag.cache import cached_cdag, cdag_signature, clear_cdag_cache
@@ -57,7 +56,6 @@ class TestStructure:
         assert facts.n_vertices == 4
         assert facts.floor == 2
         assert len(facts.computed) == 3
-        assert facts.n_levels == 2  # computed levels: middle pair, sink
         # facts are cached per graph object
         g = diamond()
         assert graph_facts(g) is graph_facts(g)
@@ -65,10 +63,32 @@ class TestStructure:
 
 class TestRegistry:
     def test_builtin_engines_in_registration_order(self):
-        assert list(available_bound_engines()) == ["kkt", "spectral", "visit"]
+        assert list(available_bound_engines()) == ["kkt", "visit"]
+
+    def test_every_engine_certifies_the_pebbling_game(self):
+        """The certified max is a bound only if every term bounds the same
+        game: an engine of another cost model must not join it unnoticed."""
+        for name in available_bound_engines():
+            assert get_bound_engine(name).model == MODEL_PEBBLING, name
+
+    def test_each_evaluation_runs_under_an_engine_span(self):
+        cdag = cached_cdag("atax", {"M": 8, "N": 8})
+        bound = get_kernel("atax").paper_bound_expr()
+        tracer = Tracer(keep_spans=True, registry=MetricsRegistry())
+        with tracer:
+            evaluate_bounds(
+                s=8, graph=cdag.graph, symbolic_bound=bound, params={"M": 8, "N": 8}
+            )
+        spans = [s for s in tracer.spans if s["name"] == "bounds.engine"]
+        assert [(s["attrs"]["engine"], s["attrs"]["s"]) for s in spans] == [
+            ("kkt", 8), ("visit", 8)
+        ]
+        assert tracer.registry.counter_by_label(
+            "bound_engine_evals_total", "engine"
+        ) == {"kkt": 1.0, "visit": 1.0}
 
     def test_unknown_engine_names_the_alternatives(self):
-        with pytest.raises(KeyError, match="available: kkt, spectral, visit"):
+        with pytest.raises(KeyError, match="available: kkt, visit"):
             get_bound_engine("bogus")
 
     def test_engine_failure_is_a_result_not_an_exception(self):
@@ -84,22 +104,29 @@ class TestRegistry:
         graph_only = BoundProblem(s=8, graph=diamond())
         assert not get_bound_engine("kkt").applicable(graph_only)
         assert get_bound_engine("visit").applicable(graph_only)
-        assert get_bound_engine("spectral").applicable(graph_only)
 
 
 class TestCombine:
     def test_graph_only_skips_kkt(self):
         combined = evaluate_bounds(s=4, graph=diamond())
-        assert set(combined.engine_values()) == {"spectral", "visit"}
+        assert set(combined.engine_values()) == {"visit"}
 
     def test_certified_is_the_max_and_ties_go_to_registration_order(self):
-        combined = evaluate_bounds(s=4, graph=diamond())
+        import sympy as sp
+
+        # visit sits on the diamond's floor of 2; a symbolic bound of 2
+        # ties it, and the earlier-registered kkt engine keeps the win
+        combined = evaluate_bounds(
+            s=4, graph=diamond(), symbolic_bound=sp.Integer(2)
+        )
         values = combined.engine_values()
         assert combined.certified == max(values.values())
-        # on a 4-vertex graph both engines sit on the same floor, so the
-        # earlier-registered spectral engine keeps the win
-        assert values["spectral"] == values["visit"]
-        assert combined.winning_engine == "spectral"
+        assert values["kkt"] == values["visit"] == 2
+        assert combined.winning_engine == "kkt"
+        higher = evaluate_bounds(
+            s=4, graph=diamond(), symbolic_bound=sp.Integer(1)
+        )
+        assert higher.winning_engine == "visit"
 
     def test_engine_selection(self):
         combined = evaluate_bounds(s=4, graph=diamond(), engines=["visit"])
@@ -137,20 +164,16 @@ class TestVisitEngine:
             ).value
             assert value <= optimal_pebbling_cost(g, s)
 
-
-class TestSpectralEngine:
     def test_small_graphs_fall_back_to_the_floor(self):
         g = diamond()
-        result = get_bound_engine("spectral").evaluate(
-            BoundProblem(s=4, graph=g)
-        )
+        result = get_bound_engine("visit").evaluate(BoundProblem(s=4, graph=g))
         assert result.ok
         assert result.value == io_floor(g)
         assert any("floor" in note for note in result.notes)
 
     def test_large_graph_is_finite_and_at_least_the_floor(self):
         cdag = cached_cdag("cholesky", {"N": 8})
-        result = get_bound_engine("spectral").evaluate(
+        result = get_bound_engine("visit").evaluate(
             BoundProblem(s=8, graph=cdag.graph)
         )
         assert result.ok
@@ -175,23 +198,14 @@ def networkx_facts(graph: nx.DiGraph) -> dict:
     out_deg = tuple(len(s) for s in succs)
     floor = sum(1 for i in range(n) if in_deg[i] == 0 and out_deg[i] > 0)
     floor += sum(1 for i in range(n) if in_deg[i] > 0 and out_deg[i] == 0)
-    level = [0] * n
-    for i in range(n):  # topo order: parents already leveled
-        if preds[i]:
-            level[i] = 1 + max(level[p] for p in preds[i])
-    computed = tuple(i for i in range(n) if in_deg[i] > 0)
     return {
         "n_vertices": n,
         "preds": preds,
         "succs": succs,
         "in_deg": in_deg,
         "out_deg": out_deg,
-        "max_in_degree": max(in_deg, default=0),
-        "max_out_degree": max(out_deg, default=0),
         "floor": floor,
-        "computed": computed,
-        "level": tuple(level),
-        "n_levels": len({level[i] for i in computed}),
+        "computed": tuple(i for i in range(n) if in_deg[i] > 0),
     }
 
 
@@ -206,9 +220,9 @@ def facts_view(facts) -> dict:
         "preds": rows(facts.pred_offsets, facts.pred_ids),
         "succs": rows(facts.succ_offsets, facts.succ_ids),
     }
-    for name in ("in_deg", "out_deg", "computed", "level"):
+    for name in ("in_deg", "out_deg", "computed"):
         view[name] = tuple(getattr(facts, name).tolist())
-    for name in ("n_vertices", "max_in_degree", "max_out_degree", "floor", "n_levels"):
+    for name in ("n_vertices", "floor"):
         value = getattr(facts, name)
         assert type(value) is int, name
         view[name] = value
@@ -219,66 +233,49 @@ def networkx_default_order(graph: nx.DiGraph) -> list:
     return [v for v in nx.topological_sort(graph) if graph.in_degree(v) > 0]
 
 
-def dense_lambda2(n: int, edges: np.ndarray) -> float:
-    """The certification ``_certified_lambda2`` replaced: a Laplacian filled
-    edge by edge and always eigensolved."""
-    if n < 2 or edges.shape[0] == 0:
-        return 0.0
-    lap = np.zeros((n, n))
-    for u, v in edges:
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-    eigenvalues = np.linalg.eigvalsh(lap)
-    margin = 1e-8 * (1.0 + 2.0 * float(lap.diagonal().max()))
-    return max(0.0, float(eigenvalues[1]) - margin)
-
-
-#: sha256 prefix of ``repr([(levels, n_vertices, n_inputs, repr(lambda2))])``
-#: over ``_band_spectra`` of each corpus CDAG at its audit params, as the
-#: networkx facts and the always-eigensolving certification computed them
-SPECTRA_DIGESTS = {
-    "covariance": "1efc8cee8ba737f3",
-    "correlation": "d3d805dac324eff7",
-    "gemm": "270856de31cccdce",
-    "2mm": "dab1fd7b85267b3a",
-    "3mm": "7595e07c2e7fd902",
-    "atax": "29dc7ecc641f6196",
-    "bicg": "0d78caebe8d4977e",
-    "mvt": "0d78caebe8d4977e",
-    "gemver": "acbb2621867f013d",
-    "gesummv": "35994d08bfbb2c89",
-    "symm": "da3f1a753497bf75",
-    "syrk": "07072bfc5e11a911",
-    "syr2k": "270856de31cccdce",
-    "trmm": "e1c8ee9a072304b6",
-    "doitgen": "be383e2053384bbc",
-    "deriche": "c4f2ec263910fe18",
-    "floyd-warshall": "4a2eb9f84feb07d7",
-    "nussinov": "8212c19ba16407de",
-    "cholesky": "cc45ba0a85007a3e",
-    "lu": "36633299992641e8",
-    "ludcmp": "b277c74ffc930d11",
-    "trisolv": "3790cbe35e8361cd",
-    "durbin": "08a43d361daabd29",
-    "gramschmidt": "5d0e6b82581998d6",
-    "jacobi1d": "3da4ecbeabed7369",
-    "jacobi2d": "5db6ad930fe24ebe",
-    "heat3d": "a15b9a028e043b22",
-    "seidel2d": "afa98102e31b14bb",
-    "fdtd2d": "61a79b59dcc1d32b",
-    "adi": "24162eecdb479741",
-    "conv": "2c8010d231d05fbb",
-    "conv-unit-stride": "5bf812ca9d8e6314",
-    "softmax": "29f89ac298eafd75",
-    "mlp": "b2361e0045867211",
-    "lenet5": "e93f8b52ce09ca95",
-    "bert-encoder": "335af89bc5dac043",
-    "bert-ffn": "89485d2e6fdc7e3b",
-    "lulesh": "e78ba3d273e6fe07",
-    "horizontal-diffusion": "142970f4b68c2295",
-    "vertical-advection": "7235ffb4f4de9571",
+#: sha256 prefix of ``repr([(S, value, notes)])`` of the visit engine at
+#: S = 8 and 18 on each corpus CDAG at its audit params
+VISIT_DIGESTS = {
+    "covariance": "abc18e13aef17813",
+    "correlation": "8f2f58821abbfe95",
+    "gemm": "c2bd1eee1f617b88",
+    "2mm": "4ad8b5c52697c8aa",
+    "3mm": "d33784d09a6f335f",
+    "atax": "7ab724d1fa623e95",
+    "bicg": "3e6984850dd38c98",
+    "mvt": "3e6984850dd38c98",
+    "gemver": "6f049e252a008f04",
+    "gesummv": "5fbf1ac8f24aee80",
+    "symm": "c40b0fd627f7edfe",
+    "syrk": "ef57055e571b78d1",
+    "syr2k": "c2bd1eee1f617b88",
+    "trmm": "220684206d483118",
+    "doitgen": "52fa5f4c03af37c0",
+    "deriche": "f53fc1ddfc5174e3",
+    "floyd-warshall": "c15f5482ede8758a",
+    "nussinov": "808dbad5582434f8",
+    "cholesky": "9bc213c6ed445fa6",
+    "lu": "72cc13dd8a350109",
+    "ludcmp": "8a1af999f2e0be70",
+    "trisolv": "8bb9a115c8af7a8a",
+    "durbin": "8857efaf129cd880",
+    "gramschmidt": "d0986be23cf02d2b",
+    "jacobi1d": "d15215164c550e16",
+    "jacobi2d": "01da9ef6e8ea264b",
+    "heat3d": "cc5b3612161343d2",
+    "seidel2d": "b5b75f5f544916f5",
+    "fdtd2d": "d92d3ad0ae2e7117",
+    "adi": "770da1fb12625ce1",
+    "conv": "9cf68823406f8483",
+    "conv-unit-stride": "18d1dda4637c7063",
+    "softmax": "ba79c4e187df2362",
+    "mlp": "84ac995fa0ae1ff9",
+    "lenet5": "a68896b8a1782e30",
+    "bert-encoder": "3febcbf0060f3c66",
+    "bert-ffn": "8221ad9a5d4d062a",
+    "lulesh": "9a242cda3ec2bea7",
+    "horizontal-diffusion": "93098d3f21f90b1d",
+    "vertical-advection": "7bd469ced1355394",
 }
 
 
@@ -295,27 +292,16 @@ class TestCorpusFacts:
         assert facts_view(graph_facts(cdag.graph)) == networkx_facts(cdag.graph)
         assert default_order(cdag.graph) == networkx_default_order(cdag.graph)
 
-    def test_band_spectra_are_pinned(self, corpus_cdag):
+    def test_visit_bounds_are_pinned(self, corpus_cdag):
         name, cdag = corpus_cdag
+        visit = get_bound_engine("visit")
         text = repr([
-            (band.levels, band.n_vertices, band.n_inputs, repr(band.lambda2))
-            for band in _band_spectra(cdag.graph)
+            (s, result.value, result.notes)
+            for s in (8, 18)
+            for result in [visit.evaluate(BoundProblem(s=s, graph=cdag.graph))]
         ])
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        assert digest == SPECTRA_DIGESTS[name]
-
-    def test_spectral_span_counts_eigensolves_and_disconnected_bands(self):
-        program = get_kernel("adi").build()
-        cdag = build_cdag(program, audit_params("adi", program))
-        tracer = Tracer(keep_spans=True, registry=MetricsRegistry())
-        with tracer:
-            get_bound_engine("spectral").evaluate(BoundProblem(s=8, graph=cdag.graph))
-            get_bound_engine("spectral").evaluate(BoundProblem(s=18, graph=cdag.graph))
-        first, second = [s for s in tracer.spans if s["name"] == "bounds.engine"]
-        # one of the two certified bands is disconnected; the second
-        # evaluation reads the cached spectra and counts nothing
-        assert first["counters"] == {"eigensolves": 1, "disconnected_bands": 1}
-        assert second["counters"] == {}
+        assert digest == VISIT_DIGESTS[name]
 
 
 @st.composite
@@ -353,8 +339,6 @@ def test_index_facts_and_default_order_match_networkx_on_random_dags(dag):
     assert [labels[i] for i in index.topo_order.tolist()] == list(
         nx.topological_sort(graph)
     )
-    for level, generation in enumerate(nx.topological_generations(graph)):
-        assert {int(index.level[index.position[v]]) for v in generation} == {level}
     for v, vertex in enumerate(labels):
         parents = index.parent_ids[index.parent_offsets[v]:index.parent_offsets[v + 1]]
         children = index.child_ids[index.child_offsets[v]:index.child_offsets[v + 1]]
@@ -374,44 +358,11 @@ def test_index_facts_and_default_order_match_networkx_on_random_dags(dag):
     assert built is graph_index(twin)
     for name in (
         "parent_offsets", "parent_ids", "child_offsets", "child_ids",
-        "in_degree", "out_degree", "topo_order", "level",
+        "in_degree", "out_degree", "topo_order",
     ):
         assert np.array_equal(getattr(built, name), getattr(index, name)), name
     assert facts_view(graph_facts(graph)) == networkx_facts(graph)
     assert default_order(graph) == networkx_default_order(graph)
-
-
-@st.composite
-def band_graphs(draw):
-    """Undirected band edge arrays, connected or not, as ``(n, edges)``."""
-    n = draw(st.integers(2, 40))
-    pairs = set()
-    if draw(st.booleans()):  # a random spanning tree connects the band
-        order = draw(st.permutations(range(n)))
-        for k in range(1, n):
-            pairs.add((order[draw(st.integers(0, k - 1))], order[k]))
-    for u, v in draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80)
-    ):
-        if u != v and (v, u) not in pairs:
-            pairs.add((u, v))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return n, edges
-
-
-@given(band=band_graphs())
-@settings(max_examples=150, deadline=None)
-def test_certified_lambda2_matches_the_dense_reference_bit_for_bit(band):
-    n, edges = band
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(edges.tolist())
-    lambda2, eigensolved = _certified_lambda2(n, edges)
-    reference = dense_lambda2(n, edges)
-    assert eigensolved == nx.is_connected(graph)
-    assert repr(lambda2) == repr(reference)
-    if not eigensolved:
-        assert reference == 0.0
 
 
 class TestCyclicGraphs:
@@ -430,7 +381,6 @@ class TestCyclicGraphs:
     def test_graph_engines_record_a_typed_error(self, cyclic):
         combined = evaluate_bounds(s=4, graph=cyclic)
         assert {r.engine: r.error_class for r in combined.results} == {
-            "spectral": "PebblingError",
             "visit": "PebblingError",
         }
 
@@ -459,6 +409,16 @@ class TestKernelBounds:
     def test_too_large_instance_is_an_error(self):
         with pytest.raises(ValueError, match="instance too large"):
             kernel_bounds("gemm", s_values=(8,), max_vertices=1)
+
+    @pytest.mark.parametrize("s", [0, -3, True, 8.7, "8"])
+    def test_fast_memory_sizes_are_integers_of_at_least_one(self, s):
+        with pytest.raises(ValueError, match="fast-memory sizes"):
+            kernel_bounds("gemm", s_values=(8, s))
+
+    @pytest.mark.parametrize("value", [4.5, True, "4"])
+    def test_parameter_values_are_integers(self, value):
+        with pytest.raises(ValueError, match="parameter values"):
+            kernel_bounds("gemm", params={"N": value}, s_values=(8,))
 
 
 class TestCdagCache:
@@ -523,7 +483,7 @@ class TestTightnessIntegration:
 
         (row,) = audit_kernel("gemm", s_values=(18,))
         assert row.ok
-        assert set(row.engine_bounds) == {"kkt", "spectral", "visit"}
+        assert set(row.engine_bounds) == {"kkt", "visit"}
         assert row.winning_engine in row.engine_bounds
         finite = [v for v in row.engine_bounds.values() if math.isfinite(v)]
         assert row.bound_value == max(finite)
@@ -541,6 +501,33 @@ class TestTightnessIntegration:
         with pytest.raises(KeyError, match="unknown bound engine"):
             audit_kernel("gemm", s_values=(18,), bounds_engines=("bogus",))
 
+    @pytest.mark.parametrize("s", [0, -3, True, 8.7, "8"])
+    def test_audit_refuses_bad_fast_memory_sizes(self, s):
+        from repro.schedule.tightness import audit_corpus, audit_kernel
+
+        with pytest.raises(ValueError, match="fast-memory sizes"):
+            audit_corpus(["gemm"], s_values=(s,))
+        with pytest.raises(ValueError, match="fast-memory sizes"):
+            audit_kernel("gemm", s_values=(s,))
+
+    @pytest.mark.parametrize("params", [{"N": 4.5}, {"N": True}, {"T": "4"}])
+    def test_audit_refuses_non_integer_params(self, params):
+        from repro.schedule.tightness import audit_corpus
+
+        # a bad value is refused even for a name the kernel does not use
+        with pytest.raises(ValueError, match="parameter values"):
+            audit_corpus(["gemm"], params=params)
+        with pytest.raises(ValueError, match="parameter values"):
+            audit_corpus(["gemm"], params_overrides={"gemm": params})
+
+    def test_small_positive_s_is_still_clamped(self):
+        from repro.schedule.tightness import audit_kernel
+
+        (row,) = audit_kernel("gemm", params={"N": 4}, s_values=(1,))
+        assert row.ok
+        assert (row.s_requested, row.s) == (1, 5)
+        assert "S clamped to 5 (max in-degree 3)" in row.notes
+
 
 class TestCli:
     def test_bounds_json(self, capsys):
@@ -549,7 +536,7 @@ class TestCli:
         assert payload["report"] == "bounds"
         point = payload["points"][0]
         engines = {entry["engine"] for entry in point["engines"]}
-        assert engines == {"kkt", "spectral", "visit"}
+        assert engines == {"kkt", "visit"}
 
     def test_bounds_text_marks_the_winner(self, capsys):
         assert main(["bounds", "gemm", "--s", "8"]) == 0
@@ -560,6 +547,12 @@ class TestCli:
     def test_bounds_unknown_engine_is_a_usage_error(self, capsys):
         assert main(["bounds", "gemm", "--engines", "bogus"]) == 2
         assert "unknown bound engine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bounds", "tightness"])
+    @pytest.mark.parametrize("s", ["0", "-3"])
+    def test_fast_memory_size_below_one_is_a_usage_error(self, capsys, command, s):
+        assert main([command, "gemm", "--s", s]) == 2
+        assert "fast-memory sizes must be integers >= 1" in capsys.readouterr().err
 
     def test_tightness_engine_flag(self, capsys):
         assert main(

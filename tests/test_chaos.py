@@ -188,7 +188,7 @@ def _baseline_bounds():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    engine=st.sampled_from(["spectral", "kkt", "visit"]),
+    engine=st.sampled_from(["kkt", "visit"]),
     occurrence=st.integers(min_value=1, max_value=3),
     error=st.sampled_from(["runtime", "memory", "value", "solver"]),
 )

@@ -1,15 +1,13 @@
 """The fault-injection harness itself plus each subsystem's resilience.
 
 Covers: plan parsing/determinism/disarm semantics, deadline propagation,
-store boot quarantine + busy-degradation, shared-memory attach faults and
-the orphan sweep, native-replay fallback status, degraded bound payloads,
-and the client's retry policy plumbing.  End-to-end chaos runs (daemon +
-forked fleet under a plan) live in test_chaos.py.
+store boot quarantine + busy-degradation, native-replay fallback status,
+degraded bound payloads, and the client's retry policy plumbing.
+End-to-end chaos runs (daemon + forked fleet under a plan) live in
+test_chaos.py.
 """
 
 import json
-import multiprocessing
-import os
 import time
 
 import pytest
@@ -268,84 +266,6 @@ class TestStoreResilience:
         assert store.claim_count() == 0
 
 
-class TestSharedMemoryResilience:
-    def _ref(self, name="reprosoap-1-deadbeef0000"):
-        from repro.schedule.shared_streams import SharedStreamRef
-
-        return SharedStreamRef(
-            name=name, signature="sig", n_positions=0, n_ids=0,
-            chunk_positions=None, fields=(),
-        )
-
-    def test_attach_missing_segment_raises_typed(self):
-        from repro.schedule import shared_streams
-
-        with pytest.raises(FileNotFoundError):
-            shared_streams.attach(self._ref())
-
-    def test_attach_or_rebuild_falls_back_and_records(self):
-        from repro.schedule import shared_streams
-
-        before = shared_streams.attach_fallbacks()
-        sentinel = object()
-        got = shared_streams.attach_or_rebuild(
-            self._ref("reprosoap-1-deadbeef0001"), lambda: sentinel
-        )
-        assert got is sentinel
-        assert shared_streams.attach_fallbacks() == before + 1
-        records = shared_streams.error_records()
-        assert any(
-            r["op"] == "attach" and r["error_class"] == "FileNotFoundError"
-            for r in records
-        )
-        shared_streams.detach_all()
-
-    def test_injected_attach_fault(self):
-        from repro.schedule import shared_streams
-
-        plan = _plan({"site": "shared.attach", "action": "raise",
-                      "error": "missing-file", "at": (1,)})
-        with faults.plan_scope(plan):
-            with pytest.raises(FileNotFoundError):
-                shared_streams.attach(self._ref("reprosoap-1-deadbeef0002"))
-
-    def test_sweep_orphans_reclaims_dead_pid_segment(self):
-        from multiprocessing import shared_memory
-
-        from repro.schedule import shared_streams
-
-        ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=lambda: None)
-        proc.start()
-        proc.join()
-        dead_pid = proc.pid
-        assert not shared_streams._pid_alive(dead_pid)
-        name = f"reprosoap-{dead_pid}-{'ab' * 6}"
-        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
-        shared_streams._untrack(seg)
-        seg.close()
-        assert shared_streams.sweep_orphans() >= 1
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_sweep_ignores_live_and_foreign_segments(self):
-        from multiprocessing import shared_memory
-
-        from repro.schedule import shared_streams
-
-        name = f"reprosoap-{os.getpid()}-{'cd' * 6}"
-        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
-        shared_streams._untrack(seg)
-        try:
-            shared_streams.sweep_orphans()
-            probe = shared_memory.SharedMemory(name=name)  # still alive
-            shared_streams._untrack(probe)
-            probe.close()
-        finally:
-            seg.close()
-            seg.unlink()
-
-
 class TestNativeStatus:
     def test_status_shape(self):
         from repro.schedule._native import native_replay_lib, native_status
@@ -367,18 +287,18 @@ class TestDegradedBounds:
         with faults.plan_scope(faults.builtin_plan("engine-fail")):
             degraded = kernel_bounds("atax", s_values=[8])
         assert degraded.degraded
-        assert "spectral" in degraded.failed_engines
+        assert "visit" in degraded.failed_engines
         payload = degraded.as_dict()
         assert payload["degraded"] is True
         assert payload["failed_engines"] == list(degraded.failed_engines)
-        spectral_rows = [
+        visit_rows = [
             row
             for point in payload["points"]
             for row in point["engines"]
-            if row["engine"] == "spectral"
+            if row["engine"] == "visit"
         ]
-        assert spectral_rows and all(
-            row["error_class"] == "FaultInjected" for row in spectral_rows
+        assert visit_rows and all(
+            row["error_class"] == "FaultInjected" for row in visit_rows
         )
         # degraded is weaker-or-equal, never wrong: the certified max from
         # the survivors cannot exceed the fault-free certified max

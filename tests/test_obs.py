@@ -191,7 +191,7 @@ class TestCrossProcess:
         with Tracer(path):
             with span("driver"):
                 report = audit_corpus(
-                    ["atax"], s_values=(8,), jobs=2, chunk_size=64
+                    ["atax", "mvt"], s_values=(8,), jobs=2, chunk_size=64
                 )
         assert report.rows and all(r.ok for r in report.rows)
         records = read_trace(path)
@@ -201,6 +201,7 @@ class TestCrossProcess:
         assert {"driver", "tightness.audit", "engine.analyze", "replay"} <= names
         (root,) = span_tree(records)
         assert root["name"] == "driver"
+        assert len({r["pid"] for r in records}) > 1  # the pool's workers
 
 
 class TestRegistry:

@@ -12,12 +12,13 @@ Three contracts cover the whole chunked path:
 3. **Slab-driven native replay** equals the whole-stream replay and the
    pure-Python loop, for Belady and LRU, at every slab size.
 
-Plus the zero-copy shared-stream layer (publish/attach round-trips, cached
-attaches, the parallel sweep building each stream exactly once, no segment
-surviving a failed sweep) and the satellite knobs: native-core cache-dir
-resolution and jobs / chunk-size validation at every entry point.
+Plus the pooled audit (the same rows as the serial audit, each stream
+built exactly once, a worker's exception failing the sweep) and the
+satellite knobs: native-core cache-dir resolution and jobs / chunk-size
+validation at every entry point.
 """
 
+import json
 import os
 
 import numpy as np
@@ -27,7 +28,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cdag.build import build_cdag
 from repro.kernels import get_kernel
 from repro.pebbling.greedy import tiled_order
-from repro.schedule import shared_streams
 from repro.schedule.simulator import _replay, simulate_io
 from repro.schedule.stream import (
     ScheduleError,
@@ -229,71 +229,31 @@ class TestSlabReplay:
             simulate_io(stream, 2, slab_positions=8)
 
 
-class TestSharedStreams:
-    def test_publish_attach_round_trip(self):
-        stream = _build(STREAM_CASES[0])
-        ref = shared_streams.publish(
-            stream, shared_streams.stream_signature("gemm", "t")
-        )
-        try:
-            attached = shared_streams.attach(ref)
-            assert_streams_identical(stream, attached)
-            assert not attached.parent_ids.flags.writeable
-            # the next-use memo travels with the segment: no recompute
-            na, fu = attached.next_use_arrays()
-            mono_na, mono_fu = stream.next_use_arrays()
-            np.testing.assert_array_equal(mono_na, np.asarray(na))
-            np.testing.assert_array_equal(mono_fu, np.asarray(fu))
-            # replay over the attached views works read-only
-            assert (
-                simulate_io(attached, 12).cost == simulate_io(stream, 12).cost
-            )
-        finally:
-            shared_streams.detach_all()
-            shared_streams.unlink(ref)
-
-    def test_attach_cached_maps_each_segment_once(self):
-        stream = _build(STREAM_CASES[0])
-        ref = shared_streams.publish(
-            stream, shared_streams.stream_signature("gemm", "cache")
-        )
-        try:
-            shared_streams.detach_all()
-            before = shared_streams._ATTACH_COUNT
-            first = shared_streams.attach_cached(ref)
-            second = shared_streams.attach_cached(ref)
-            assert first is second
-            assert shared_streams._ATTACH_COUNT == before + 1
-        finally:
-            shared_streams.detach_all()
-            shared_streams.unlink(ref)
-
-    def test_unlink_is_idempotent(self):
-        stream = _build(STREAM_CASES[0])
-        ref = shared_streams.publish(
-            stream, shared_streams.stream_signature("gemm", "u")
-        )
-        shared_streams.unlink(ref)
-        shared_streams.unlink(ref)  # second call is a no-op
-        with pytest.raises(FileNotFoundError):
-            shared_streams.attach(ref)
-
-    def test_signature_is_stable_and_distinct(self):
-        a = shared_streams.stream_signature("gemm", (1, 2), "schedule")
-        b = shared_streams.stream_signature("gemm", (1, 2), "schedule")
-        c = shared_streams.stream_signature("gemm", (1, 2), "baseline")
-        assert a == b and a != c
-
-
 class TestParallelSweepSharing:
+    """``audit_corpus(jobs > 1)`` maps the serial per-kernel audit over a
+    process pool: it must give the serial rows, error rows included."""
+
+    def test_pooled_rows_match_serial(self):
+        from repro.schedule.tightness import audit_corpus
+
+        kwargs = dict(s_values=(8, 18), max_vertices=300)
+        serial = audit_corpus(["gemm", "atax", "bicg"], jobs=1, **kwargs)
+        pooled = audit_corpus(["gemm", "atax", "bicg"], jobs=2, **kwargs)
+        rows = [r.as_dict() for r in serial.rows]
+        # as JSON text: an error row's nan bound is not equal to itself
+        assert json.dumps([r.as_dict() for r in pooled.rows]) == json.dumps(rows)
+        # gemm (512 computed vertices at N=8) is over the cap: its rows
+        # are error rows, assembled in a worker like the others
+        assert [r["kernel"] for r in rows if r["error"]] == ["gemm", "gemm"]
+        assert all("instance too large" in r["error"] for r in rows[:2])
+        assert all(r["error"] is None for r in rows[2:])
+
     def test_workers_never_rebuild_streams(self, monkeypatch):
         """Every distinct stream is built once, total, across the pool.
 
         ``stream_from_graph`` and ``stream_from_ids`` calls are counted in
-        a fork-shared value; phase A builds (once per distinct stream),
-        phase B only attaches, so the parallel count must match the serial
-        sweep's -- where the per-kernel context memo already guarantees
-        build-once.
+        a fork-shared value; each kernel is audited in one worker, so the
+        parallel count must match the serial sweep's.
         """
         import multiprocessing
 
@@ -313,60 +273,47 @@ class TestParallelSweepSharing:
             real = getattr(tightness_mod, builder)
             monkeypatch.setattr(tightness_mod, builder, counting(real))
         kwargs = dict(s_values=(6, 10, 14), params={"N": 4})
-        serial = tightness_mod.audit_corpus(["gemm"], jobs=1, **kwargs)
+        serial = tightness_mod.audit_corpus(["gemm", "mvt"], jobs=1, **kwargs)
         serial_builds = counter.value
         counter.value = 0
-        parallel = tightness_mod.audit_corpus(["gemm"], jobs=2, **kwargs)
+        parallel = tightness_mod.audit_corpus(["gemm", "mvt"], jobs=2, **kwargs)
         assert [r.as_dict() for r in parallel.rows] == [
             r.as_dict() for r in serial.rows
         ]
         assert counter.value == serial_builds
-        # sanity: a 3-point sweep without sharing would have rebuilt the
-        # baseline + schedule streams in more than one worker
-        assert counter.value <= serial_builds
 
-    def test_failed_sweep_leaves_no_segments(self, monkeypatch):
-        """A kernel whose publish fails mid-plan (after its schedule stream
-        is out) fails the sweep; every segment any kernel published is
-        unlinked anyway.  Fork workers inherit the patched ``publish``."""
+    def test_worker_exception_fails_the_sweep(self, monkeypatch):
+        """An exception in one kernel's audit fails ``jobs=2`` as it fails
+        ``jobs=1``.  Fork workers inherit the patched builder and the CDAG
+        cache, so mvt's graph is the same object in every process."""
         import errno
-        from pathlib import Path
 
         from repro.schedule import tightness as tightness_mod
 
-        shm = Path("/dev/shm")
-        if not shm.is_dir():
-            pytest.skip("no /dev/shm on this platform")
         mvt = tightness_mod._merged_params(
             "mvt", tightness_mod._built_program("mvt"), None
         )
-        doomed = shared_streams.stream_signature(
-            "mvt", tuple(sorted(mvt.items())), "baseline"
-        )
-        real = shared_streams.publish
+        doomed = tightness_mod.cached_cdag("mvt", mvt).graph
+        real = tightness_mod.stream_from_ids
 
-        def publish(stream, signature):
-            if signature == doomed:
+        def stream_from_ids(graph, order):
+            if graph is doomed:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return real(stream, signature)
+            return real(graph, order)
 
-        def segments():
-            return {p.name for p in shm.glob("reprosoap-*")}
-
-        monkeypatch.setattr(shared_streams, "publish", publish)
-        before = segments()
-        with pytest.raises(OSError):
-            tightness_mod.audit_corpus(
-                ["gemm", "atax", "mvt"], s_values=(8,), jobs=2
-            )
-        assert segments() - before == set()
+        monkeypatch.setattr(tightness_mod, "stream_from_ids", stream_from_ids)
+        for jobs in (1, 2):
+            with pytest.raises(OSError, match="No space left"):
+                tightness_mod.audit_corpus(
+                    ["gemm", "atax", "mvt"], s_values=(8,), jobs=jobs
+                )
 
     def test_parallel_chunked_rows_match_serial(self):
         from repro.schedule.tightness import audit_corpus
 
         kwargs = dict(s_values=(8, 18), params={"N": 4})
-        plain = audit_corpus(["gemm"], jobs=1, **kwargs)
-        chunked = audit_corpus(["gemm"], jobs=2, chunk_size=16, **kwargs)
+        plain = audit_corpus(["gemm", "mvt"], jobs=1, **kwargs)
+        chunked = audit_corpus(["gemm", "mvt"], jobs=2, chunk_size=16, **kwargs)
         assert [r.as_dict() for r in chunked.rows] == [
             r.as_dict() for r in plain.rows
         ]

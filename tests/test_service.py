@@ -235,6 +235,34 @@ class TestEndpoints:
         assert repr(field) in str(exc.value)
         assert client.metrics()["jobs"]["submitted"] == submitted
 
+    @pytest.mark.parametrize(
+        "path, body, message",
+        [
+            ("/bounds", {"name": "gemm", "s_values": [True]}, "fast-memory"),
+            ("/bounds", {"name": "gemm", "s_values": [8.7]}, "fast-memory"),
+            ("/bounds", {"name": "gemm", "s_values": ["8"]}, "fast-memory"),
+            ("/bounds", {"name": "gemm", "s_values": [0]}, "fast-memory"),
+            ("/bounds", {"name": "gemm", "s_values": [-3]}, "fast-memory"),
+            ("/bounds", {"name": "gemm", "params": {"N": 4.5}}, "parameter"),
+            ("/bounds", {"name": "gemm", "params": {"N": True}}, "parameter"),
+            ("/tightness", {"kernels": ["gemm"], "s_values": [True]}, "fast-memory"),
+            ("/tightness", {"kernels": ["gemm"], "s_values": [8.7]}, "fast-memory"),
+            ("/tightness", {"kernels": ["gemm"], "s_values": ["8"]}, "fast-memory"),
+            ("/tightness", {"kernels": ["gemm"], "s_values": [0]}, "fast-memory"),
+            ("/tightness", {"kernels": ["gemm"], "params": {"N": 4.5}}, "parameter"),
+        ],
+    )
+    def test_sizes_and_params_must_be_integers(self, client, path, body, message):
+        """``true`` must not mean S = 1, ``8.7`` or ``"8"`` S = 8, an S
+        below 1 must not reach the engines, nor ``4.5`` mean N = 4: each is
+        a 400, and no job is submitted."""
+        submitted = client.metrics()["jobs"]["submitted"]
+        with pytest.raises(ServiceError) as exc:
+            client._request("POST", path, body)
+        assert exc.value.status == 400
+        assert message in str(exc.value)
+        assert client.metrics()["jobs"]["submitted"] == submitted
+
     def test_parsing_does_not_block_the_event_loop(self, daemon, monkeypatch):
         """A slow parse runs on the prep pool: health checks still answer."""
         import repro.frontend.python_frontend as frontend
