@@ -122,7 +122,7 @@ def bench_outofcore(
         tile_sizes=tiles, variable_order=order, chunk_positions=chunk,
     )
     stream = build.value
-    table = timed(stream.next_use_arrays)  # chunked two-pass next-use
+    table = timed(stream.next_use_arrays)  # one reverse pass over slabs
     belady = timed(simulate_io, stream, s, slab_positions=chunk)
     lru = timed(simulate_io, stream, s, policy="lru", slab_positions=chunk)
     peak_rss = _peak_rss_bytes()

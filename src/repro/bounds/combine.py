@@ -110,14 +110,18 @@ def evaluate_bounds(
 ) -> CombinedBounds:
     """Run every applicable engine at one point; certify the max.
 
-    ``engines`` selects by name (default: all registered).  Engines whose
-    requirements are not met (no graph / no symbolic bound) are skipped
-    silently -- a differential test on raw graphs simply never sees the
-    KKT engine.
+    ``s`` must be an integer of at least 1, or ``ValueError`` is raised
+    (:func:`~repro.schedule.tightness.checked_s_values`).  ``engines``
+    selects by name (default: all registered).  Engines whose requirements
+    are not met (no graph / no symbolic bound) are skipped silently -- a
+    differential test on raw graphs simply never sees the KKT engine.
     """
+    from repro.schedule.tightness import checked_s_values
+
+    (s,) = checked_s_values((s,))
     names = tuple(engines) if engines is not None else available_bound_engines()
     problem = BoundProblem(
-        s=int(s),
+        s=s,
         graph=graph,
         symbolic_bound=symbolic_bound,
         params=dict(params or {}),
@@ -135,7 +139,7 @@ def evaluate_bounds(
         if best is None or result.value > best.value:
             best = result
     return CombinedBounds(
-        s=int(s),
+        s=s,
         results=tuple(results),
         certified=best.value if best is not None else float("nan"),
         winning_engine=best.engine if best is not None else None,

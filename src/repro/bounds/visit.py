@@ -99,7 +99,7 @@ class VisitBound(BoundEngine):
         facts = graph_facts(problem.graph)
         s = int(problem.s)
         n_computed = len(facts.computed)
-        if n_computed == 0 or s <= 0:
+        if n_computed == 0:
             return float(facts.floor), ("no computed vertices; floor only",)
         if facts.n_vertices > self.max_vertices:
             return float(facts.floor), (

@@ -1,40 +1,56 @@
 """Native replay core: the simulator's production executor, compiled C.
 
 This module compiles the replay algorithm of
-:mod:`repro.schedule.simulator` -- same heaps, same snapshot-staleness
-rule, same deferred dead-marking, same tie-breaks -- to a small shared
-object with the system C compiler and drives it through :mod:`ctypes`.
-Nothing is installed: the source is embedded here, built once into a user
-cache directory (keyed by a hash of the source, so edits rebuild
-automatically).  On hosts where that fails (no compiler, sandboxed
+:mod:`repro.schedule.simulator` -- same snapshot-staleness rule, same
+deferred dead-marking, same tie-breaks -- and the reverse next-use scan of
+:meth:`repro.schedule.stream.AccessStream.next_use_arrays` to a small
+shared object with the system C compiler and drives it through
+:mod:`ctypes`.  Nothing is installed: the source is embedded here, built
+once into a user cache directory (keyed by a hash of the source, so edits
+rebuild automatically).  On hosts where that fails (no compiler, sandboxed
 filesystem, exotic platform) the pure-Python loop
-(:func:`repro.schedule.simulator._replay`) replays instead; the failure is
-recorded (:func:`native_status`) and counted (``native_fallbacks_total``).
+(:func:`repro.schedule.simulator._replay`) replays and the numpy argsort
+scan computes next-use instead; the failure is recorded
+(:func:`native_status`) and counted (``native_fallbacks_total``).
 Equivalence tests pin both executors against
 :func:`repro.pebbling.greedy.greedy_pebbling_cost`.
 
-The core is **slab-driven**: ``replay_new`` allocates a replay context
-(heaps, residency table, blue set, counters), ``replay_slab`` advances it
-over one chunk of positions with slab-local arrays (offsets rebased to 0),
-``replay_counts`` reads the running totals, and ``replay_free`` releases
-everything.  The simulator feeds chunk-sized slabs so the C core never
-needs the full stream resident -- one ctypes call per slab, state carried
-in the context.
+Belady keeps its snapshots in a binary heap, as the Python loop does.
+LRU keeps them in a queue: an LRU key is the touch clock (plus the
+liveness bit and the id), and the clock only rises, so the heap would pop
+its entries in push order anyway.  The queue drops stale entries at its
+front as the heap drops them at its top, keeps protected parents in
+order in front of the victim, and compacts by filtering in place, so
+every load, store, eviction and compaction count matches the heap's.
 
-Set ``REPRO_NO_NATIVE_REPLAY=1`` to force the pure-Python path (used by the
-differential tests and benchmark A/B runs).
+The core is **slab-driven**: ``replay_new`` allocates a replay context
+(heap or queue, residency table, blue set, counters), ``replay_slab``
+advances it over one chunk of positions with slab-local arrays (offsets
+rebased to 0), ``replay_counts`` reads the running totals, and
+``replay_free`` releases everything.  The simulator feeds chunk-sized
+slabs so the C core never needs the full stream resident -- one ctypes
+call per slab, state carried in the context.  ``next_use_slab_*`` scans
+one slab of positions backwards with the carried ``last_seen`` table,
+reading the stream's own int32/int64 columns in place and writing the
+int32/int64 next-use arrays (one function per column-width triple).
+
+Set ``REPRO_NO_NATIVE_REPLAY=1`` to force the pure-Python replay and the
+numpy next-use scan (used by the differential tests and benchmark A/B
+runs).
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import subprocess
 import tempfile
 from pathlib import Path
 
 _SOURCE = r"""
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -91,11 +107,34 @@ static i64 hpop(heap_t *h) {
     return top;
 }
 
+/* LRU snapshot queue: entries a[head:tail] in push order, which is key
+ * order because LRU keys rise with the touch clock. */
+typedef struct { i64 *a; i64 head, tail, cap; } queue_t;
+
+static int qpush(queue_t *q, i64 v) {
+    if (q->tail == q->cap) {
+        /* slide the entries to the front; grow if that frees too little */
+        i64 len = q->tail - q->head;
+        if (q->head)
+            memmove(q->a, q->a + q->head, (size_t)len * sizeof(i64));
+        q->head = 0; q->tail = len;
+        if (2 * len >= q->cap) {
+            i64 ncap = q->cap ? q->cap * 2 : 1024;
+            i64 *na = (i64 *)realloc(q->a, (size_t)ncap * sizeof(i64));
+            if (!na) return -1;
+            q->a = na; q->cap = ncap;
+        }
+    }
+    q->a[q->tail++] = v;
+    return 0;
+}
+
 /* Replay context: everything carried across slabs. */
 typedef struct {
     i64 m, s, dead_floor, heap_cap;
     int belady;
     heap_t heap, dead, stash;
+    queue_t queue;
     i64 *current_key;
     unsigned char *blue;
     i64 *dying;
@@ -103,20 +142,30 @@ typedef struct {
     i64 loads, stores, evictions, compactions, red;
 } ctx_t;
 
-/* Shared eviction core: mirror of simulator.make_room.  The callers take
- * the Belady dead fast path first, so this only runs when the dead heap is
- * empty (and always under LRU). */
-static int make_room(ctx_t *c, const i64 *protect, i64 n_protect) {
+static int is_protected(i64 pid, const i64 *protect, i64 n_protect) {
+    for (i64 t = 0; t < n_protect; t++)
+        if (protect[t] == pid) return 1;
+    return 0;
+}
+
+/* Evict `victim`, writing it back first when it is live and not blue. */
+static void evict(ctx_t *c, i64 victim, int live) {
+    if (live && !c->blue[victim]) { c->stores++; c->blue[victim] = 1; }
+    c->current_key[victim] = 1;  /* NOT_RESIDENT */
+    c->red--; c->evictions++;
+}
+
+/* Belady eviction core: mirror of simulator.make_room.  The callers take
+ * the dead fast path first, so this only runs when the dead heap is
+ * empty. */
+static int heap_make_room(ctx_t *c, const i64 *protect, i64 n_protect) {
     while (c->red >= c->s) {
         i64 victim = -1, entry = 0;
         while (c->heap.len) {
             entry = hpop(&c->heap);
-            i64 pid = (c->belady ? -entry : entry) % c->m;
+            i64 pid = -entry % c->m;
             if (c->current_key[pid] != entry) continue;  /* stale */
-            int prot = 0;
-            for (i64 t = 0; t < n_protect; t++)
-                if (protect[t] == pid) { prot = 1; break; }
-            if (prot) {
+            if (is_protected(pid, protect, n_protect)) {
                 if (hpush(&c->stash, entry)) return -3;
                 continue;
             }
@@ -126,20 +175,79 @@ static int make_room(ctx_t *c, const i64 *protect, i64 n_protect) {
         while (c->stash.len)
             if (hpush(&c->heap, hpop(&c->stash))) return -3;
         if (victim < 0) return -1;
-        int live = c->belady ? (entry > c->dead_floor)
-                             : (int)((entry / c->m) & 1);
-        if (live && !c->blue[victim]) { c->stores++; c->blue[victim] = 1; }
-        c->current_key[victim] = 1;  /* NOT_RESIDENT */
-        c->red--; c->evictions++;
+        evict(c, victim, entry > c->dead_floor);
     }
     return 0;
+}
+
+/* LRU eviction core: the queue's front is the heap's top.  Stale entries
+ * ahead of the victim are dropped, protected ones are packed behind the
+ * scan and moved back in front of what follows the victim, in order --
+ * the heap's pop-and-repush leaves the same entries in the same order. */
+static int queue_make_room(ctx_t *c, const i64 *protect, i64 n_protect) {
+    queue_t *q = &c->queue;
+    while (c->red >= c->s) {
+        i64 victim = -1, entry = 0, kept = 0, i = q->head;
+        for (; i < q->tail; i++) {
+            entry = q->a[i];
+            i64 pid = entry % c->m;
+            if (c->current_key[pid] != entry) continue;  /* stale */
+            if (is_protected(pid, protect, n_protect)) {
+                q->a[q->head + kept++] = entry;
+                continue;
+            }
+            victim = pid;
+            break;
+        }
+        if (victim < 0) return -1;
+        memmove(q->a + i + 1 - kept, q->a + q->head,
+                (size_t)kept * sizeof(i64));
+        q->head = i + 1 - kept;
+        evict(c, victim, (int)((entry / c->m) & 1));
+    }
+    return 0;
+}
+
+static int make_room(ctx_t *c, const i64 *protect, i64 n_protect) {
+    return c->belady ? heap_make_room(c, protect, n_protect)
+                     : queue_make_room(c, protect, n_protect);
+}
+
+static int push_snapshot(ctx_t *c, i64 key) {
+    return c->belady ? hpush(&c->heap, key) : qpush(&c->queue, key);
+}
+
+/* Mirror the Python loop's compaction: bound the snapshots at O(S)
+ * instead of O(accesses).  Removing stale entries never changes a pop
+ * result (they are skipped at pop time); the queue stays in order, so
+ * only the heap is re-heapified. */
+static void compact(ctx_t *c) {
+    i64 w = 0;
+    if (c->belady) {
+        if (c->heap.len <= c->heap_cap) return;
+        for (i64 t = 0; t < c->heap.len; t++) {
+            i64 e = c->heap.a[t];
+            if (c->current_key[-e % c->m] == e) c->heap.a[w++] = e;
+        }
+        c->heap.len = w;
+        hheapify(&c->heap);
+    } else {
+        queue_t *q = &c->queue;
+        if (q->tail - q->head <= c->heap_cap) return;
+        for (i64 t = q->head; t < q->tail; t++) {
+            i64 e = q->a[t];
+            if (c->current_key[e % c->m] == e) q->a[w++] = e;
+        }
+        q->head = 0; q->tail = w;
+    }
+    c->compactions++;
 }
 
 void replay_free(void *ptr) {
     ctx_t *c = (ctx_t *)ptr;
     if (!c) return;
     free(c->current_key); free(c->blue); free(c->dying);
-    free(c->heap.a); free(c->dead.a); free(c->stash.a);
+    free(c->heap.a); free(c->dead.a); free(c->stash.a); free(c->queue.a);
     free(c);
 }
 
@@ -170,7 +278,8 @@ void *replay_new(i64 m, i64 s, int belady,
  * the slab's accesses only; computed/store_at/compute_keys over its
  * positions.  Returns 0 on success, -1 when S is too small, -2 when a
  * needed value is neither red nor blue (id in *err_id), -3 on allocation
- * failure. */
+ * failure.  LRU keys are never at or below dead_floor, so the dead heap
+ * stays empty under LRU. */
 int replay_slab(void *ptr, i64 slab_positions,
                 const i64 *offsets, const i64 *parents, const i64 *computed,
                 const unsigned char *store_at,
@@ -180,7 +289,6 @@ int replay_slab(void *ptr, i64 slab_positions,
     ctx_t *c = (ctx_t *)ptr;
     const i64 NOT_RES = 1, DEAD_MARK = 2;
     i64 s = c->s, dead_floor = c->dead_floor;
-    int belady = c->belady;
 
     for (i64 pos = 0; pos < slab_positions; pos++) {
         i64 lo = offsets[pos], hi = offsets[pos + 1];
@@ -202,7 +310,7 @@ int replay_slab(void *ptr, i64 slab_positions,
             }
             if (key > dead_floor) {
                 c->current_key[pid] = key;
-                if (hpush(&c->heap, key)) return -3;
+                if (push_snapshot(c, key)) return -3;
             } else {  /* last use: deferred dead-heap push */
                 c->current_key[pid] = DEAD_MARK;
                 if (c->dying_len == c->dying_cap) {
@@ -227,7 +335,7 @@ int replay_slab(void *ptr, i64 slab_positions,
         i64 vid = computed[pos], ckey = compute_keys[pos];
         if (ckey > dead_floor) {
             c->current_key[vid] = ckey;
-            if (hpush(&c->heap, ckey)) return -3;
+            if (push_snapshot(c, ckey)) return -3;
         } else {
             c->current_key[vid] = DEAD_MARK;
             if (hpush(&c->dead, -vid)) return -3;
@@ -235,32 +343,43 @@ int replay_slab(void *ptr, i64 slab_positions,
         if (store_at[pos]) { c->blue[vid] = 1; c->stores++; }
         while (c->dying_len)
             if (hpush(&c->dead, c->dying[--c->dying_len])) return -3;
-        /* Mirror the Python loop's compaction: bound the lazy snapshot
-         * heap at O(S) instead of O(accesses).  Removing stale entries
-         * never changes a pop result (they are skipped at pop time). */
-        if (c->heap.len > c->heap_cap) {
-            i64 w = 0;
-            for (i64 t = 0; t < c->heap.len; t++) {
-                i64 e = c->heap.a[t];
-                i64 pid = (belady ? -e : e) % c->m;
-                if (c->current_key[pid] == e) c->heap.a[w++] = e;
-            }
-            c->heap.len = w;
-            hheapify(&c->heap);
-            c->compactions++;
-        }
+        compact(c);
     }
     return 0;
 }
 
-/* out: loads, stores, evictions, heap compactions.  Cheap enough to call
- * after every slab -- the traced replay path reads per-slab deltas from
- * here so spans carry real work counters. */
+/* out: loads, stores, evictions, snapshot compactions.  Cheap enough to
+ * call after every slab -- the traced replay path reads per-slab deltas
+ * from here so spans carry real work counters. */
 void replay_counts(void *ptr, i64 *out) {
     ctx_t *c = (ctx_t *)ptr;
     out[0] = c->loads; out[1] = c->stores; out[2] = c->evictions;
     out[3] = c->compactions;
 }
+
+/* Next-use scan of positions [lo, hi), called slab by slab from the end
+ * of the stream to its start: each access, latest first, takes its id's
+ * last_seen (the earliest later read, or n_positions) as its next use and
+ * becomes it.  Indices are global; the columns are read in their own
+ * widths, and next_after / last_seen are written in the position width. */
+#define NEXT_USE_SLAB(OFF, ID, POS)                                        \
+void next_use_slab_##OFF##_##ID##_##POS(                                   \
+    i64 lo, i64 hi, const int##OFF##_t *offsets, const int##ID##_t *ids,   \
+    int##POS##_t *next_after, int##POS##_t *last_seen)                     \
+{                                                                          \
+    for (i64 pos = hi - 1; pos >= lo; pos--) {                             \
+        i64 first = offsets[pos];                                          \
+        for (i64 k = (i64)offsets[pos + 1] - 1; k >= first; k--) {         \
+            i64 pid = ids[k];                                              \
+            next_after[k] = last_seen[pid];                                \
+            last_seen[pid] = (int##POS##_t)pos;                            \
+        }                                                                  \
+    }                                                                      \
+}
+NEXT_USE_SLAB(32, 32, 32) NEXT_USE_SLAB(32, 32, 64)
+NEXT_USE_SLAB(32, 64, 32) NEXT_USE_SLAB(32, 64, 64)
+NEXT_USE_SLAB(64, 32, 32) NEXT_USE_SLAB(64, 32, 64)
+NEXT_USE_SLAB(64, 64, 32) NEXT_USE_SLAB(64, 64, 64)
 """
 
 _lib: ctypes.CDLL | None | bool = None  # None = not tried, False = unavailable
@@ -342,6 +461,10 @@ def _load(so_path: Path) -> ctypes.CDLL:
     lib.replay_counts.restype = None
     lib.replay_free.argtypes = [ctypes.c_void_p]
     lib.replay_free.restype = None
+    for widths in itertools.product((32, 64), repeat=3):
+        scan = getattr(lib, "next_use_slab_%d_%d_%d" % widths)
+        scan.argtypes = [i64, i64] + [ctypes.c_void_p] * 4
+        scan.restype = None
     return lib
 
 

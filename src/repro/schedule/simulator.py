@@ -29,12 +29,15 @@ is valid iff it equals ``current_key[id]`` (no division), and each access
 pushes exactly one fresh snapshot.  The production executor is the
 compiled core of :mod:`repro.schedule._native`, fed slab by slab; the
 pure-Python loop :func:`_replay` runs the same algorithm on hosts without
-a C compiler (or under ``REPRO_NO_NATIVE_REPLAY=1``).  The whole replay is
-``O(accesses * log S)`` with tiny constants.
+a C compiler (or under ``REPRO_NO_NATIVE_REPLAY=1``).  A Belady replay is
+``O(accesses * log S)`` with tiny constants.  LRU keys rise in push
+order, so the compiled core keeps them in a queue instead of a heap and
+an LRU replay is O(1) amortized per access.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -65,7 +68,8 @@ class SimulationResult:
     n_positions: int
     n_accesses: int
     evictions: int
-    #: stale-snapshot heap compactions performed during the replay
+    #: stale-snapshot compactions (of the heap, or the LRU queue) performed
+    #: during the replay
     compactions: int = 0
 
     @property
@@ -85,14 +89,19 @@ def simulate_io(
 
     Runs the compiled replay core (see :mod:`repro.schedule._native`), or
     the pure-Python loop on hosts where it cannot be built; differential
-    tests assert the two agree bit for bit.  ``slab_positions`` bounds how
-    many positions are converted and handed to the C core per call
-    (default: the stream's own chunk size, else
-    :data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`) -- the result
-    is bit-identical whatever the slab size, only peak memory changes.
+    tests assert the two agree bit for bit.  ``s`` must be an integer of
+    at least 1 (a bool or a float is refused with :class:`PebblingError`,
+    not coerced).  ``slab_positions`` bounds how many positions are
+    converted and handed to the C core per call (default: the stream's own
+    chunk size, else :data:`~repro.schedule.stream.DEFAULT_CHUNK_POSITIONS`)
+    -- the result is bit-identical whatever the slab size, only peak memory
+    changes.
     """
-    if s < 1:
-        raise PebblingError("need at least one fast-memory slot")
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1:
+        raise PebblingError(
+            f"fast-memory size must be an integer >= 1 (got {s!r})"
+        )
+    s = int(s)
     if slab_positions is not None and int(slab_positions) < 1:
         raise PebblingError("slab_positions must be >= 1")
     if policy not in ("belady", "lru"):
@@ -291,6 +300,8 @@ def _replay(stream: AccessStream, s: int, *, belady: bool) -> SimulationResult:
     only valid heap snapshot of a resident id (``_NOT_RESIDENT``
     otherwise), so pop-time validity is a single equality test, and stale
     or protected entries are skipped (protected ones stashed and re-pushed).
+    Both policies use the heap here; the native core's LRU queue holds the
+    same entries in the same order, so every count matches.
     """
     n_positions = stream.n_positions
     m = stream.n_ids

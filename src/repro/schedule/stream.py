@@ -101,17 +101,20 @@ class AccessStream:
         * ``first_use[i]`` -- the first position reading id ``i``, or
           ``n_positions`` when the id is never read.
 
-        One reverse scan over slabs of ``chunk_positions`` positions
+        One reverse pass over slabs of ``chunk_positions`` positions
         (default: the stream's own chunk size, else
-        :data:`DEFAULT_CHUNK_POSITIONS`) with a carried ``last_seen[id]``
-        table.  Within a slab one stable argsort groups the accesses by id
-        (positions ascending within a group, since ids are read at most once
-        per position), so each access's successor in its group is its next
-        use; each id's last slab occurrence chains to ``last_seen``, and
-        after the sweep ``last_seen`` *is* the first-use table.  Peak extra
-        memory is O(chunk + id space); both arrays are int32 below 2^31
-        positions.  Computed once and shared by every replay of this stream
-        -- Belady then LRU, or a whole sweep of ``S`` values.
+        :data:`DEFAULT_CHUNK_POSITIONS`), last slab first, with a carried
+        ``last_seen[id]`` table: each access, latest first, takes its
+        id's ``last_seen`` as its next use and becomes it, so after the
+        sweep ``last_seen`` *is* the first-use table.  The compiled core
+        of :mod:`repro.schedule._native` runs each slab in place on the
+        stream's own columns; on hosts without it (or under
+        ``REPRO_NO_NATIVE_REPLAY=1``) a numpy slab body gives the same
+        arrays with one stable argsort per slab.  Peak extra memory is
+        O(id space) natively and O(chunk + id space) in numpy; both
+        arrays are int32 below 2^31 positions.  Computed once and shared
+        by every replay of this stream -- Belady then LRU, or a whole
+        sweep of ``S`` values.
         """
         if chunk_positions is not None and int(chunk_positions) < 1:
             raise ScheduleError("chunk_positions must be >= 1")
@@ -123,49 +126,85 @@ class AccessStream:
             )
             with obs_span("next-use", chunk_positions=chunk) as sp:
                 sp.add("accesses", self.n_accesses)
-                self._next_use_pair = self._next_use_scan(chunk)
+                next_after, first_use, native = self._next_use_scan(chunk)
+                sp.note(native=native)
+                self._next_use_pair = (next_after, first_use)
         return self._next_use_pair
 
     def _next_use_scan(
         self, chunk_positions: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(next_after, last_seen, native)``: the slab loop of
+        :meth:`next_use_arrays`, and whether the compiled core ran it."""
+        from repro.schedule._native import native_replay_lib
+
         n = self.n_positions
-        inf = n
         pos_dtype = (
             np.int32 if n < np.iinfo(np.int32).max else np.int64
         )
         # carried across slabs: earliest position seen so far per id
-        last_seen = np.full(self.n_ids, inf, dtype=pos_dtype)
+        last_seen = np.full(self.n_ids, n, dtype=pos_dtype)
         next_after = np.empty(self.n_accesses, dtype=pos_dtype)
-        offsets = self.parent_offsets
+        lib = native_replay_lib()
+        if lib is not None:
+            columns = [
+                _native_column(self.parent_offsets),
+                _native_column(self.parent_ids),
+                next_after,
+            ]
+            scan = getattr(lib, "next_use_slab_%d_%d_%d" % tuple(
+                8 * col.itemsize for col in columns
+            ))
+            pointers = [col.ctypes.data for col in columns]
+            pointers.append(last_seen.ctypes.data)
         for hi_pos in range(n, 0, -chunk_positions):
             lo_pos = max(0, hi_pos - chunk_positions)
-            a_lo = int(offsets[lo_pos])
-            a_hi = int(offsets[hi_pos])
-            if a_lo == a_hi:
-                continue
-            pids = np.asarray(self.parent_ids[a_lo:a_hi])
-            counts = np.diff(offsets[lo_pos:hi_pos + 1])
-            positions = np.repeat(
-                np.arange(lo_pos, hi_pos, dtype=pos_dtype), counts
-            )
-            order = np.argsort(pids, kind="stable")
-            sorted_ids = pids[order]
-            sorted_pos = positions[order]
-            k = len(pids)
-            same = sorted_ids[1:] == sorted_ids[:-1]
-            nxt = np.full(k, inf, dtype=pos_dtype)
-            nxt[:-1][same] = sorted_pos[1:][same]
-            tail = np.ones(k, dtype=bool)
-            tail[:-1] = ~same  # last slab occurrence chains to later slabs
-            nxt[tail] = last_seen[sorted_ids[tail]]
-            head = np.ones(k, dtype=bool)
-            head[1:] = ~same
-            last_seen[sorted_ids[head]] = sorted_pos[head]
-            out = np.empty(k, dtype=pos_dtype)
-            out[order] = nxt
-            next_after[a_lo:a_hi] = out
-        return next_after, last_seen
+            if lib is not None:
+                scan(lo_pos, hi_pos, *pointers)
+            else:
+                self._next_use_slab(lo_pos, hi_pos, next_after, last_seen)
+        return next_after, last_seen, lib is not None
+
+    def _next_use_slab(
+        self,
+        lo_pos: int,
+        hi_pos: int,
+        next_after: np.ndarray,
+        last_seen: np.ndarray,
+    ) -> None:
+        """The numpy slab body: one stable argsort groups the slab's
+        accesses by id (positions ascending within a group, since ids are
+        read at most once per position), so each access's successor in its
+        group is its next use, and each id's last slab occurrence chains to
+        ``last_seen``."""
+        offsets = self.parent_offsets
+        a_lo = int(offsets[lo_pos])
+        a_hi = int(offsets[hi_pos])
+        if a_lo == a_hi:
+            return
+        inf = self.n_positions
+        pos_dtype = next_after.dtype
+        pids = np.asarray(self.parent_ids[a_lo:a_hi])
+        counts = np.diff(offsets[lo_pos:hi_pos + 1])
+        positions = np.repeat(
+            np.arange(lo_pos, hi_pos, dtype=pos_dtype), counts
+        )
+        order = np.argsort(pids, kind="stable")
+        sorted_ids = pids[order]
+        sorted_pos = positions[order]
+        k = len(pids)
+        same = sorted_ids[1:] == sorted_ids[:-1]
+        nxt = np.full(k, inf, dtype=pos_dtype)
+        nxt[:-1][same] = sorted_pos[1:][same]
+        tail = np.ones(k, dtype=bool)
+        tail[:-1] = ~same  # last slab occurrence chains to later slabs
+        nxt[tail] = last_seen[sorted_ids[tail]]
+        head = np.ones(k, dtype=bool)
+        head[1:] = ~same
+        last_seen[sorted_ids[head]] = sorted_pos[head]
+        out = np.empty(k, dtype=pos_dtype)
+        out[order] = nxt
+        next_after[a_lo:a_hi] = out
 
     def next_use_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(next_after, first_use, access_positions)`` -- memoized.
@@ -183,6 +222,14 @@ class AccessStream:
             )
             self._next_use_cache = (next_after, first_use, positions)
         return self._next_use_cache
+
+
+def _native_column(column: np.ndarray) -> np.ndarray:
+    """``column`` as the native core reads it: C-contiguous int32 or int64,
+    without a copy when it already is one."""
+    if column.dtype not in (np.int32, np.int64):
+        return np.ascontiguousarray(column, dtype=np.int64)
+    return np.ascontiguousarray(column)
 
 
 @obs_span("stream.build", builder="graph")

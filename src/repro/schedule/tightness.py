@@ -32,6 +32,7 @@ O(chunk) extra memory.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import threading
 from dataclasses import dataclass, field
@@ -521,16 +522,35 @@ def _audit_in_process(
         return rows
 
 
+def _iteration_points(spec: tuple) -> int:
+    """A kernel's iteration-point count at its audit params: the sum over
+    statements of the product of the loop extents (0 when an extent does
+    not resolve -- that kernel's audit fails fast)."""
+    from repro.cdag.build import extent_values
+
+    name, params = spec[0], spec[1]
+    try:
+        return sum(
+            math.prod(extent_values(st, params).values())
+            for st in _built_program(name).statements
+        )
+    except SoapError:
+        return 0
+
+
 def _audit_pool(kernel_specs: list[tuple], jobs: int, sweep: dict) -> list:
     """:func:`_audit_in_process` over one process pool, one task per kernel.
 
-    Returns each kernel's rows, in ``kernel_specs`` order.  From the main
-    thread, forked workers inherit the warm interpreter state (kernel
-    registry, sympy caches); off the main thread -- the service daemon
-    runs audits on a thread pool -- forking a multithreaded process can
-    inherit held locks into the child and deadlock, so workers are
-    spawned fresh instead (tasks and rows are plain picklable data either
-    way).  Workers trace under the caller's sweep span.
+    Returns each kernel's rows, in ``kernel_specs`` order.  Tasks are
+    submitted largest first (by :func:`_iteration_points`, ties in corpus
+    order), so the longest audit does not start last and leave the other
+    workers idle while it runs.  From the main thread, forked workers
+    inherit the warm interpreter state (kernel registry, sympy caches);
+    off the main thread -- the service daemon runs audits on a thread
+    pool -- forking a multithreaded process can inherit held locks into
+    the child and deadlock, so workers are spawned fresh instead (tasks
+    and rows are plain picklable data either way).  Workers trace under
+    the caller's sweep span.
     """
     import multiprocessing
     import os
@@ -546,8 +566,13 @@ def _audit_pool(kernel_specs: list[tuple], jobs: int, sweep: dict) -> list:
     # be able to spawn a worker per kernel on a large corpus
     workers = max(1, min(jobs, len(kernel_specs), os.cpu_count() or 1))
     task = functools.partial(_audit_task, trace_context(), sweep)
+    largest_first = sorted(
+        range(len(kernel_specs)),
+        key=lambda i: -_iteration_points(kernel_specs[i]),
+    )
     with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context) as pool:
-        return list(pool.map(task, kernel_specs))
+        futures = {i: pool.submit(task, kernel_specs[i]) for i in largest_first}
+        return [futures[i].result() for i in range(len(kernel_specs))]
 
 
 def _audit_task(tctx, sweep: dict, spec: tuple) -> list[TightnessRow]:

@@ -128,6 +128,15 @@ class TestCombine:
         )
         assert higher.winning_engine == "visit"
 
+    @pytest.mark.parametrize("s", [0, -1, True, 8.7, "8"])
+    def test_s_must_be_an_integer_of_at_least_one(self, s):
+        """An S below 1 has no pebbling, so no bound is certified for it
+        (visit used to return the gemm floor, 192, at S = 0)."""
+        graph = cached_cdag("gemm", {"N": 8}).graph
+        with pytest.raises(ValueError, match="integers >= 1"):
+            evaluate_bounds(s=s, graph=graph)
+        assert evaluate_bounds(s=np.int64(8), graph=graph).s == 8
+
     def test_engine_selection(self):
         combined = evaluate_bounds(s=4, graph=diamond(), engines=["visit"])
         assert list(combined.engine_values()) == ["visit"]

@@ -248,6 +248,34 @@ class TestParallelSweepSharing:
         assert all("instance too large" in r["error"] for r in rows[:2])
         assert all(r["error"] is None for r in rows[2:])
 
+    def test_pool_submits_largest_first(self, monkeypatch):
+        """Kernels go to the pool by descending iteration-point count
+        (ties in the given order), and the rows come back in kernel order,
+        equal to the serial rows."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.schedule.tightness import _audit_task, audit_corpus
+
+        submitted = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(pool, fn, *args, **kwargs):
+            if getattr(fn, "func", None) is _audit_task:  # not the analysis
+                submitted.append(args[0][0])
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        # points at the audit params: doitgen 1512, gemm 512, atax and
+        # mvt 128 each, jacobi1d 64
+        names = ["jacobi1d", "atax", "gemm", "mvt", "doitgen"]
+        pooled = audit_corpus(names, s_values=(8,), jobs=2)
+        assert submitted == ["doitgen", "gemm", "atax", "mvt", "jacobi1d"]
+        serial = audit_corpus(names, s_values=(8,), jobs=1)
+        assert [r.kernel for r in pooled.rows] == names
+        assert json.dumps([r.as_dict() for r in pooled.rows]) == json.dumps(
+            [r.as_dict() for r in serial.rows]
+        )
+
     def test_workers_never_rebuild_streams(self, monkeypatch):
         """Every distinct stream is built once, total, across the pool.
 

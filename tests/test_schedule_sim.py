@@ -8,6 +8,9 @@ move-for-move (loads, stores, evictions), across both replay backends (the
 pure-Python loop and the optional compiled core).
 """
 
+import os
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -21,7 +24,11 @@ from repro.pebbling.greedy import (
     stream_vertex_ids,
 )
 from repro.schedule.simulator import _replay, simulate_io
-from repro.schedule.stream import single_statement_stream, stream_from_graph
+from repro.schedule.stream import (
+    AccessStream,
+    single_statement_stream,
+    stream_from_graph,
+)
 from repro.util.errors import PebblingError
 
 
@@ -41,6 +48,25 @@ def game_counts(graph, s, order=None, *, policy="belady"):
 
 def chain(n: int) -> nx.DiGraph:
     return nx.DiGraph([(i, i + 1) for i in range(n)])
+
+
+def fan_in(n_vertices=3000, n_inputs=10, *, rare_every=None):
+    """``n_inputs`` shared inputs feed each of ``n_vertices`` vertices.
+
+    With ``rare_every``, each vertex first reads a fresh input of its own,
+    and every ``rare_every``-th vertex last reads one more input, rarely
+    used: at ``S = 2 * rare_every + n_inputs`` that input is the least
+    recently used resident whenever it is read again.
+    """
+    g = nx.DiGraph()
+    for v in range(n_vertices):
+        if rare_every:
+            g.add_edge(("fresh", v), ("v", v))
+        for x in range(n_inputs):
+            g.add_edge(("x", x), ("v", v))
+        if rare_every and v % rare_every == 0:
+            g.add_edge(("rare", 0), ("v", v))
+    return g
 
 
 def sym_n():
@@ -103,6 +129,22 @@ class TestEquivalenceWithPebbleGame:
             greedy_pebbling_cost(g, 3)
         with pytest.raises(PebblingError):
             simulate_io(stream, 3)
+
+    @pytest.mark.parametrize("s", [0, -3, True, 8.7, "8"])
+    @pytest.mark.parametrize("native", [True, False])
+    def test_s_must_be_an_integer_of_at_least_one(self, s, native, monkeypatch):
+        """Both executors refuse the same sizes, typed, before replaying:
+        no coercion of ``True`` to 1 or of ``8.7`` to 8."""
+        if not native:
+            monkeypatch.setenv("REPRO_NO_NATIVE_REPLAY", "1")
+        stream = stream_from_graph(build_cdag(
+            get_kernel("gemm").build(), {"N": 4}
+        ).graph)
+        with pytest.raises(PebblingError, match="integer >= 1"):
+            simulate_io(stream, s)
+        assert simulate_io(stream, np.int64(8)).cost == simulate_io(
+            stream, 8
+        ).cost
 
     def test_unknown_policy_rejected(self):
         stream = stream_from_graph(chain(3))
@@ -412,6 +454,127 @@ class TestNextUseTable:
 
 
 # ---------------------------------------------------------------------------
+# next-use scan: the native reverse pass against the numpy executor
+# ---------------------------------------------------------------------------
+
+
+def both_scans(stream, chunk):
+    """``((next_after, first_use) native, (next_after, first_use) numpy)``
+    of one stream, each from a fresh scan of ``chunk``-position slabs."""
+    next_after, first_use, native = stream._next_use_scan(chunk)
+    if not native:
+        pytest.skip("no C compiler available for the native core")
+    with mock.patch.dict(os.environ, {"REPRO_NO_NATIVE_REPLAY": "1"}):
+        ref_next, ref_first, used = stream._next_use_scan(chunk)
+    assert not used
+    return (next_after, first_use), (ref_next, ref_first)
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def _random_streams(draw):
+    """Streams of random reads (distinct ids per position) in random
+    column widths: only the columns the next-use scan reads are real."""
+    n_ids = draw(st.integers(1, 12))
+    reads = draw(st.lists(
+        st.lists(st.integers(0, n_ids - 1), max_size=4, unique=True),
+        max_size=30,
+    ))
+    id_dtype, off_dtype = (
+        draw(st.sampled_from([np.int32, np.int64])) for _ in range(2)
+    )
+    offsets = np.zeros(len(reads) + 1, dtype=off_dtype)
+    offsets[1:] = np.cumsum([len(r) for r in reads])
+    return AccessStream(
+        n_positions=len(reads),
+        n_ids=n_ids,
+        parent_offsets=offsets,
+        parent_ids=np.array([i for r in reads for i in r], dtype=id_dtype),
+        computed_ids=np.zeros(len(reads), dtype=id_dtype),
+        starts_blue=np.zeros(n_ids, dtype=np.uint8),
+        store_at_compute=np.zeros(len(reads), dtype=np.uint8),
+    )
+
+
+class TestNativeNextUse:
+    def test_every_corpus_program_order_stream(self):
+        from repro.cdag.cache import cached_cdag
+        from repro.kernels import kernel_names
+        from repro.schedule.tightness import _built_program, _merged_params
+
+        for name in kernel_names():
+            params = _merged_params(name, _built_program(name), None)
+            stream = stream_from_graph(cached_cdag(name, params).graph)
+            assert_same_arrays(*both_scans(stream, 1 << 20))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_ir_direct_int32_columns(self, chunk):
+        stream = single_statement_stream(
+            get_kernel("gemm").build(), {"N": 12},
+            tile_sizes={"i": 4, "j": 4, "k": 4}, chunk_positions=chunk,
+        )
+        assert stream.parent_ids.dtype == np.int32
+        assert stream.parent_offsets.dtype == np.int32
+        got, want = both_scans(stream, chunk)
+        assert got[0].dtype == np.int32
+        assert_same_arrays(got, want)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stream=_random_streams(), chunk=st.integers(1, 40))
+    def test_random_streams(self, stream, chunk):
+        got, want = both_scans(stream, chunk)
+        assert_same_arrays(got, want)
+        ref_next, ref_first, _ = TestNextUseTable().pinned_table(stream)
+        assert got[0].tolist() == ref_next
+        assert got[1].tolist() == ref_first
+
+    def test_chunk_positions_do_not_change_the_arrays(self):
+        def fresh():
+            cdag = build_cdag(get_kernel("cholesky").build(), {"N": 6})
+            return stream_from_graph(cdag.graph)
+
+        reference = fresh().next_use_arrays()
+        for chunk in (1, 3, 17, 10**9):
+            assert_same_arrays(fresh().next_use_arrays(chunk), reference)
+            assert_same_arrays(*both_scans(fresh(), chunk))
+
+    def test_every_column_width_gives_the_same_arrays(self):
+        """Positions int64 only arise past 2^31 positions, so each width
+        triple of the compiled scan is called directly here."""
+        import itertools
+
+        from repro.schedule._native import native_replay_lib
+
+        lib = native_replay_lib()
+        if lib is None:
+            pytest.skip("no C compiler available for the native core")
+        stream = single_statement_stream(
+            get_kernel("gemm").build(), {"N": 6},
+            tile_sizes={"i": 2, "j": 3, "k": 2},
+        )
+        want = stream.next_use_arrays()
+        n = stream.n_positions
+        for widths in itertools.product((32, 64), repeat=3):
+            off, ids, pos = (f"int{w}" for w in widths)
+            columns = [
+                stream.parent_offsets.astype(off),
+                stream.parent_ids.astype(ids),
+                np.empty(stream.n_accesses, dtype=pos),
+                np.full(stream.n_ids, n, dtype=pos),
+            ]
+            scan = getattr(lib, "next_use_slab_%d_%d_%d" % widths)
+            for hi in range(n, 0, -5):
+                scan(max(0, hi - 5), hi, *(c.ctypes.data for c in columns))
+            for got, ref in zip(columns[2:], want):
+                assert got.tolist() == ref.tolist(), widths
+
+
+# ---------------------------------------------------------------------------
 # native backend: differential against the pure-Python loop
 # ---------------------------------------------------------------------------
 
@@ -431,8 +594,62 @@ class TestNativeBackend:
                 pytest.skip("no C compiler available for the native core")
             pure = _replay(stream, s, belady=belady)
             assert (
-                native.loads, native.stores, native.evictions
-            ) == (pure.loads, pure.stores, pure.evictions), (name, s, policy)
+                native.loads, native.stores, native.evictions,
+                native.compactions,
+            ) == (
+                pure.loads, pure.stores, pure.evictions, pure.compactions
+            ), (name, s, policy)
+
+    @pytest.mark.parametrize("rare_every,s", [
+        (None, 3010), (None, 2048), (None, 12), (1000, 2010),
+    ], ids=["all-fit", "s2048", "s12", "rare-parent"])
+    def test_lru_queue_compacts_like_the_heap(self, rare_every, s):
+        """No corpus stream makes LRU compact its snapshots, so the
+        queue's compaction (a filter, no heapify) is pinned here: native =
+        Python = pebble game, compaction counts included.  With the rare
+        parent, the least recently used resident at each of its reads is
+        that parent itself, protected, so the queue keeps it in front."""
+        from repro.schedule.simulator import _native_replay
+
+        graph = fan_in(rare_every=rare_every)
+        stream = stream_from_graph(graph)
+        native = _native_replay(stream, s, belady=False)
+        if native is None:
+            pytest.skip("no C compiler available for the native core")
+        pure = _replay(stream, s, belady=False)
+        assert (
+            native.loads, native.stores, native.evictions, native.compactions
+        ) == (pure.loads, pure.stores, pure.evictions, pure.compactions)
+        assert native.cost == greedy_pebbling_cost(graph, s, policy="lru")
+        if s > 12:
+            assert native.compactions > 0
+        if rare_every:
+            # the rare parent stays resident: one load per input, no more
+            assert native.loads == stream.starts_blue.sum()
+
+    @pytest.mark.parametrize("policy,counts", [
+        ("belady", (23412, 2304, 133748, 38)),
+        ("lru", (39168, 13824, 149504, 0)),
+    ])
+    def test_mid_size_ir_gemm_is_pinned(self, policy, counts, monkeypatch):
+        """An IR-direct gemm (N = 48, 8^3 tiles, int32 columns from
+        4096-position chunks) at S = 256: loads, stores, evictions and
+        compactions of both executors, as the heap-only core counted
+        them."""
+        stream = single_statement_stream(
+            get_kernel("gemm").build(), {"N": 48},
+            tile_sizes={"i": 8, "j": 8, "k": 8}, chunk_positions=4096,
+        )
+        assert stream.parent_ids.dtype == np.int32
+        native = simulate_io(stream, 256, policy=policy)
+        monkeypatch.setenv("REPRO_NO_NATIVE_REPLAY", "1")
+        stream._next_use_pair = None  # rescan with the numpy executor
+        pure = simulate_io(stream, 256, policy=policy)
+        for result in (native, pure):
+            assert (
+                result.loads, result.stores, result.evictions,
+                result.compactions,
+            ) == counts
 
     def test_kill_switch_forces_python(self, monkeypatch):
         from repro.schedule import _native
