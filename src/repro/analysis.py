@@ -4,15 +4,16 @@
 Section 5 projections -> SDG construction -> subgraph enumeration and fusion
 -> optimization problem (8) per subgraph -> Theorem 1.  ``analyze_kernel``
 does the same for a registered Table 2 kernel; ``analyze_source`` parses
-Python loop-nest source first (the paper's "derive lower bounds directly
-from provided code").
+Python or C loop-nest source first (the paper's "derive lower bounds
+directly from provided code").
 
-All three delegate to the staged :class:`repro.engine.Engine`; pass an
-explicit ``engine`` (or ``cache_dir``/``jobs``) to share the fused-problem
-memoization cache across calls or to solve subgraphs in parallel.  The batch
-API for whole kernel suites is :func:`repro.engine.analyze_many`; the
-long-lived serving layer on top of these entry points (HTTP daemon, request
-coalescing, priority queue) is :mod:`repro.service`.
+All three delegate to the staged :class:`repro.engine.Engine` and solve in
+the calling process; pass an explicit ``engine`` (or ``cache_dir``) to
+share the fused-problem memoization cache across calls.  The batch API for
+whole kernel suites, serial or over one process pool, is
+:func:`repro.engine.analyze_many`; the long-lived serving layer on top of
+these entry points (HTTP daemon, request coalescing, priority queue) is
+:mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ class KernelResult:
         )
 
 
-def _engine(engine: Engine | None, cache_dir: str | None, jobs: int) -> Engine:
+def _engine(engine: Engine | None, cache_dir: str | None) -> Engine:
     if engine is not None:
-        if cache_dir is not None or jobs != 1:
+        if cache_dir is not None:
             raise ValueError(
-                "pass either engine or cache_dir/jobs, not both "
-                "(the engine already carries its cache and job count)"
+                "pass either engine or cache_dir, not both "
+                "(the engine already carries its cache)"
             )
         return engine
-    return Engine(cache=SolveCache(cache_dir), jobs=jobs)
+    return Engine(cache=SolveCache(cache_dir))
 
 
 def analyze_program(
@@ -72,10 +73,9 @@ def analyze_program(
     allow_pinning: bool = False,
     engine: Engine | None = None,
     cache_dir: str | None = None,
-    jobs: int = 1,
 ) -> ProgramBound:
     """Derive the I/O lower bound of an IR program (Theorem 1)."""
-    return _engine(engine, cache_dir, jobs).analyze(
+    return _engine(engine, cache_dir).analyze(
         program,
         policy=policy,
         max_subgraph_size=max_subgraph_size,
@@ -88,7 +88,6 @@ def analyze_kernel(
     *,
     engine: Engine | None = None,
     cache_dir: str | None = None,
-    jobs: int = 1,
 ) -> KernelResult:
     """Analyze a registered Table 2 kernel and compare with the paper."""
     from repro.kernels import get_kernel
@@ -102,7 +101,6 @@ def analyze_kernel(
         allow_pinning=spec.allow_pinning,
         engine=engine,
         cache_dir=cache_dir,
-        jobs=jobs,
     )
     # the engine's bound is already a leading term; the floor's max is not
     bound = result.bound
@@ -136,25 +134,15 @@ def analyze_source(
     allow_pinning: bool = False,
     engine: Engine | None = None,
     cache_dir: str | None = None,
-    jobs: int = 1,
 ) -> ProgramBound:
     """Parse loop-nest source code and derive its I/O lower bound."""
-    if language == "python":
-        from repro.frontend.python_frontend import parse_python
+    from repro.frontend import parse_source
 
-        program = parse_python(source, name=name)
-    elif language == "c":
-        from repro.frontend.c_frontend import parse_c
-
-        program = parse_c(source, name=name)
-    else:
-        raise ValueError(f"unknown language {language!r}")
     return analyze_program(
-        program,
+        parse_source(source, language=language, name=name),
         policy=policy,
         max_subgraph_size=max_subgraph_size,
         allow_pinning=allow_pinning,
         engine=engine,
         cache_dir=cache_dir,
-        jobs=jobs,
     )

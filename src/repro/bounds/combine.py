@@ -208,7 +208,6 @@ def kernel_bounds(
     result=None,
     engine=None,
     cache_dir: str | None = None,
-    jobs: int = 1,
     max_vertices: int | None = None,
 ) -> KernelBounds:
     """Evaluate all bound engines for one kernel across an S sweep.
@@ -238,7 +237,7 @@ def kernel_bounds(
     merged = _merged_params(name, program, params)
     limit = int(max_vertices) if max_vertices is not None else DEFAULT_MAX_VERTICES
     if result is None:
-        result = analyze_kernel(name, engine=engine, cache_dir=cache_dir, jobs=jobs)
+        result = analyze_kernel(name, engine=engine, cache_dir=cache_dir)
     cdag = cached_cdag(name, merged, program=program)
     if cdag.n_vertices > limit:
         raise ValueError(

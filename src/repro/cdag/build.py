@@ -47,8 +47,7 @@ class ConcreteCDAG:
     outputs: tuple[Vertex, ...]
     #: vertices grouped by array name (computed vertices only)
     by_array: dict[str, tuple[Vertex, ...]]
-    #: computed vertex -> (statement name, iteration point); empty when the
-    #: CDAG was built with ``record_points=False``
+    #: computed vertex -> (statement name, iteration point)
     points: dict[Vertex, tuple[str, dict[str, int]]] = field(default_factory=dict)
 
     @property
@@ -130,17 +129,11 @@ def _element_of(comp: AccessComponent) -> Callable[[Mapping[str, int]], tuple]:
     return lambda point: tuple(idx.evaluate(point) for idx in comp)
 
 
-def build_cdag(
-    program: Program,
-    params: Mapping[str, int],
-    *,
-    record_points: bool = True,
-) -> ConcreteCDAG:
+def build_cdag(program: Program, params: Mapping[str, int]) -> ConcreteCDAG:
     """Materialize ``program`` for concrete ``params`` (e.g. ``{"N": 4}``).
 
-    ``record_points`` keeps the (statement, iteration point) of every computed
-    vertex on the result, enabling generic blocked-schedule derivation; pass
-    ``False`` to save memory when only the graph structure is needed.
+    The result keeps the (statement, iteration point) of every computed
+    vertex, enabling generic blocked-schedule derivation.
     """
     # Vertices in creation order and edges (as positions in ``nodes``) in
     # insertion order; the graph is built from both at the end, so its node,
@@ -220,8 +213,7 @@ def build_cdag(
             edge_children.extend([len(nodes)] * len(parents))
             nodes.append(vertex)
             by_array.setdefault(out_array, []).append(vertex)
-            if record_points:
-                points[vertex] = (st.name, point)
+            points[vertex] = (st.name, point)
 
     def run_shared(index: int, fixed: dict[str, int]) -> None:
         if index == len(shared):

@@ -25,12 +25,12 @@ Usage examples::
     soap-analyze status --metrics                  # queue/coalescing/cache stats
     soap-analyze status JOB_ID                     # poll one job
 
-``--jobs N`` parallelizes the analysis (kernels for ``table2``, subgraph
-solves for ``analyze``/``kernel``, and the per-kernel audits for
-``tightness``); ``--cache-dir DIR`` persists the fused-problem memoization
-cache across invocations in ``DIR/solves.sqlite``, the store ``serve
---cache-dir DIR`` shares too; ``--json`` emits a machine-readable report
-including per-stage engine diagnostics.
+``--jobs N`` (``table2`` and ``tightness`` only) runs one task per kernel
+over a pool of at most N worker processes, capped at the CPU count;
+``--cache-dir DIR`` persists the fused-problem memoization cache across
+invocations in ``DIR/solves.sqlite``, the store ``serve --cache-dir DIR``
+shares too; ``--json`` emits a machine-readable report including
+per-stage engine diagnostics.
 
 Expected failures (unknown kernel names, unparsable sources, unreachable
 daemon) exit with status 2 and a one-line ``error:`` message on stderr.
@@ -60,11 +60,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_flags(p) -> None:
+    def add_jobs_flag(p) -> None:
         p.add_argument(
             "--jobs", type=_positive_int, default=1, metavar="N",
-            help="parallel worker processes (default: 1, serial)",
+            help="kernels in parallel on up to N worker processes, capped at "
+            "the CPU count (default: 1, serial)",
         )
+
+    def add_engine_flags(p) -> None:
         p.add_argument(
             "--cache-dir", type=Path, default=None, metavar="DIR",
             help="persist the fused-problem solve cache in DIR",
@@ -110,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         help="also run the concrete-CDAG bound engines per kernel and report "
         "winning_engine / bound_disagreement diagnostics",
     )
+    add_jobs_flag(p_table)
     add_engine_flags(p_table)
 
     p_val = sub.add_parser("validate", help="pebbling sandwich check on a concrete instance")
@@ -174,6 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         help="lower-bound engines behind the certified gap denominator "
         "(default: all registered; `kkt` reproduces the KKT-only audit)",
     )
+    add_jobs_flag(p_tight)
     add_engine_flags(p_tight)
 
     p_list = sub.add_parser("list", help="list registered kernels")
@@ -363,7 +368,6 @@ def _cmd_analyze(args) -> int:
             max_subgraph_size=args.max_subgraph_size,
             allow_pinning=args.allow_pinning,
             cache_dir=_cache_dir(args),
-            jobs=args.jobs,
         )
     if args.json:
         print(json.dumps(
@@ -390,7 +394,7 @@ def _cmd_kernel(args) -> int:
     from repro.symbolic.printing import bound_str
 
     with _traced(args, "cli.kernel", kernel=args.name):
-        result = analyze_kernel(args.name, cache_dir=_cache_dir(args), jobs=args.jobs)
+        result = analyze_kernel(args.name, cache_dir=_cache_dir(args))
     if args.json:
         print(json.dumps(kernel_report(result), indent=2))
         return 0
@@ -477,7 +481,6 @@ def _cmd_bounds(args) -> int:
             s_values=_parse_s_values(args.s_values),
             engines=_parse_engines(args.engines),
             cache_dir=_cache_dir(args),
-            jobs=args.jobs,
             max_vertices=args.max_vertices,
         )
     if args.json:

@@ -24,11 +24,11 @@ canonicalize/dedup/memoize funnel:
 * signatures missing from the cache go through the solver's
   :meth:`~repro.opt.backends.SolverBackend.solve_batch` (deadline checks,
   the ``solver.solve`` fault site and the batch span for every problem),
-  optionally in parallel via
-  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``); results
-  are merged back **in enumeration order**, so the produced
-  :class:`~repro.sdg.bounds.ProgramBound` is bit-identical regardless of
-  worker scheduling, cache temperature, or job count.
+  in the analyzing process; results are merged back **in enumeration
+  order**, so the produced :class:`~repro.sdg.bounds.ProgramBound` is
+  bit-identical regardless of cache temperature or of which process
+  solved a shared signature.  Independent kernels run in parallel one
+  level up, in :mod:`repro.engine.batch`.
 
 The solver always runs on the *canonical* problem (even cache-off), which is
 what makes cold and warm runs reproducible down to expression identity.
@@ -41,7 +41,6 @@ import json
 import sqlite3
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -79,7 +78,6 @@ class EngineOptions:
 
     policy: OverlapPolicy = "sum"
     max_subgraph_size: int = DEFAULT_MAX_SIZE
-    unify_same_names: bool = True
     allow_pinning: bool = False
 
 
@@ -98,15 +96,6 @@ def _solve_problems(
     ]
 
 
-def _solve_signature(
-    task: tuple[str, CanonicalProblem, bool]
-) -> tuple[str, SolveOutcome]:
-    """Solve one canonical problem (8); top-level so process pools can pickle it."""
-    key, canonical, allow_pinning = task
-    (outcome,) = _solve_problems([canonical.problem], allow_pinning)
-    return key, outcome
-
-
 def classify_outcome(outcome: SolveOutcome) -> str:
     """Solver-health bucket of one outcome: how was the problem resolved?
 
@@ -120,7 +109,7 @@ def classify_outcome(outcome: SolveOutcome) -> str:
 
 
 class Engine:
-    """Composable analysis pipeline with memoized, parallel problem solving.
+    """Composable analysis pipeline with memoized problem solving.
 
     One engine holds one :class:`SolveCache`; analyzing many programs
     through the same engine shares solved problems between them
@@ -133,12 +122,10 @@ class Engine:
     def __init__(
         self,
         cache: SolveCache | None = None,
-        jobs: int = 1,
         solver: str = "exact",
     ):
         get_backend(solver)  # a bad name is a configuration error
         self.cache = cache if cache is not None else SolveCache()
-        self.jobs = max(1, int(jobs))
         # Solve-health counters (fresh solves only, not cache hits), keyed
         # solver name -> {exact, fitted, negative}.
         self._solver_stats: dict[str, dict[str, int]] = {}
@@ -169,9 +156,7 @@ class Engine:
         *,
         policy: OverlapPolicy = "sum",
         max_subgraph_size: int = DEFAULT_MAX_SIZE,
-        unify_same_names: bool = True,
         allow_pinning: bool = False,
-        jobs: int | None = None,
     ):
         """Run the staged pipeline; returns a :class:`ProgramBound`."""
         with obs_span("engine.analyze", kernel=program.name):
@@ -179,9 +164,7 @@ class Engine:
                 program,
                 policy=policy,
                 max_subgraph_size=max_subgraph_size,
-                unify_same_names=unify_same_names,
                 allow_pinning=allow_pinning,
-                jobs=jobs,
             )
 
     def _analyze(
@@ -190,19 +173,15 @@ class Engine:
         *,
         policy: OverlapPolicy,
         max_subgraph_size: int,
-        unify_same_names: bool,
         allow_pinning: bool,
-        jobs: int | None,
     ):
         from repro.sdg.bounds import ProgramBound, SubgraphAnalysis
 
         options = EngineOptions(
             policy=policy,
             max_subgraph_size=max_subgraph_size,
-            unify_same_names=unify_same_names,
             allow_pinning=allow_pinning,
         )
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
         stages: list[StageRecord] = []
         notes: list[str] = []
         stats_before = replace(self.cache.stats)
@@ -233,12 +212,7 @@ class Engine:
             ] = []
             for subset in subsets:
                 try:
-                    fused = fuse_statements(
-                        program,
-                        subset,
-                        policy=options.policy,
-                        unify_same_names=options.unify_same_names,
-                    )
+                    fused = fuse_statements(program, subset, policy=options.policy)
                     fused_items.append((subset, fused, None))
                 except SolverError as err:
                     fused_items.append((subset, None, str(err)))
@@ -264,7 +238,6 @@ class Engine:
             outcomes = self._resolve_signatures(
                 [c for c in canonicals if c is not None],
                 allow_pinning=options.allow_pinning,
-                jobs=jobs,
             )
 
             analyses: list[SubgraphAnalysis] = []
@@ -304,7 +277,6 @@ class Engine:
                 ("skipped", solve_failures),
                 ("cache_hits", cache_delta.hits),
                 ("cache_misses", cache_delta.misses),
-                ("jobs", jobs),
                 *sorted(
                     (f"solver_{bucket}", count)
                     for bucket, count in solver_delta.items()
@@ -345,11 +317,7 @@ class Engine:
                 ("leading_term_fallbacks", fallbacks),
             ))
 
-        diagnostics = EngineDiagnostics(
-            stages=tuple(stages),
-            cache=cache_delta,
-            jobs=jobs,
-        )
+        diagnostics = EngineDiagnostics(stages=tuple(stages), cache=cache_delta)
         return ProgramBound(
             program=program,
             bound=bound,
@@ -370,9 +338,8 @@ class Engine:
         canonicals: list[CanonicalProblem],
         *,
         allow_pinning: bool,
-        jobs: int,
     ) -> dict[str, SolveOutcome]:
-        """Outcome per signature: cache first, then (parallel) fresh solves.
+        """Outcome per signature: cache first, then fresh solves.
 
         Cache entries are keyed ``<signature>-exact-r<revision>``
         (:meth:`~repro.opt.backends.SolverBackend.cache_tag`): a signature
@@ -421,14 +388,7 @@ class Engine:
 
         fresh: list[tuple[str, SolveOutcome]] = []
         try:
-            if jobs > 1 and len(pending) > 1:
-                tasks = [
-                    (signature, canonical, allow_pinning)
-                    for signature, canonical in pending.items()
-                ]
-                with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                    fresh = list(pool.map(_solve_signature, tasks))
-            elif pending:
+            if pending:
                 fresh = list(zip(
                     pending,
                     _solve_problems(
@@ -452,8 +412,9 @@ class Engine:
             # we solve solo -- those count as fresh solves here.
             reclaimed: list[SolveOutcome] = []
             for signature, canonical in waiting.items():
-                def _solo(signature=signature, canonical=canonical):
-                    return _solve_signature((signature, canonical, allow_pinning))[1]
+                def _solo(canonical=canonical):
+                    (outcome,) = _solve_problems([canonical.problem], allow_pinning)
+                    return outcome
 
                 outcome, how = store.wait_for(f"{signature}-{tag}", solve=_solo)
                 if how == "solved":
@@ -507,7 +468,6 @@ def program_fingerprint(
     *,
     policy: OverlapPolicy = "sum",
     max_subgraph_size: int = DEFAULT_MAX_SIZE,
-    unify_same_names: bool = True,
     allow_pinning: bool = False,
 ) -> str:
     """Canonical identity of an analysis request, before any solving.
@@ -530,9 +490,7 @@ def program_fingerprint(
     tokens: list[str] = []
     for subset in enumerate_subgraphs(sharing, max_size=max_subgraph_size):
         try:
-            fused = fuse_statements(
-                program, subset, policy=policy, unify_same_names=unify_same_names
-            )
+            fused = fuse_statements(program, subset, policy=policy)
         except SolverError:
             tokens.append("fuse-failed:" + ",".join(sorted(subset)))
             continue
@@ -547,7 +505,10 @@ def program_fingerprint(
             "schema": 2,
             "policy": policy,
             "max_subgraph_size": int(max_subgraph_size),
-            "unify_same_names": bool(unify_same_names),
+            # fusion always unifies same-named loop variables; the entry
+            # stays so fingerprints (and the reports stored under them)
+            # keep their values
+            "unify_same_names": True,
             "allow_pinning": bool(allow_pinning),
             "solver": get_backend().name,
             "signatures": sorted(tokens),

@@ -42,11 +42,10 @@ class StageRecord:
 
 @dataclass
 class EngineDiagnostics:
-    """Every stage record plus cache/parallelism counters for one analysis."""
+    """Every stage record plus the cache counters of one analysis."""
 
     stages: tuple[StageRecord, ...] = ()
     cache: CacheStats = field(default_factory=CacheStats)
-    jobs: int = 1
 
     @property
     def total_seconds(self) -> float:
@@ -62,7 +61,6 @@ class EngineDiagnostics:
         return {
             "stages": [stage.as_dict() for stage in self.stages],
             "cache": self.cache.as_dict(),
-            "jobs": self.jobs,
             "solver": get_backend().name,
             "total_seconds": self.total_seconds,
         }

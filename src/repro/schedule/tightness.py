@@ -20,11 +20,13 @@ Every audit runs one pipeline per kernel (:func:`_audit_in_process`): it
 builds the kernel's CDAG, its program-order stream and each distinct
 derived-schedule stream once, fixes every (kernel, S) point's clamped size,
 certified bound and schedule, replays both streams and assembles the row.
-``audit_kernel`` and ``audit_corpus(jobs=1)`` run it kernel by kernel in
-this process; ``audit_corpus(jobs=N)`` (``repro tightness --jobs``, the
-``/tightness`` service endpoint, ``benchmarks/bench_tightness.py``) runs
-the same function over one process pool, one task per kernel, and
-concatenates the rows in kernel order, so both modes give the same rows.
+``audit_kernel`` runs it on one kernel.  ``audit_corpus`` analyzes and
+then audits each kernel as one task of
+:func:`repro.engine.batch.run_kernels`: in this process for ``jobs=1``,
+over its one capped process pool for ``jobs=N`` (``repro tightness
+--jobs``, the ``/tightness`` service endpoint,
+``benchmarks/bench_tightness.py``), largest kernel first.  The rows come
+back in kernel order, so both modes give the same rows.
 ``chunk_size`` bounds the replay slab so even huge streams replay in
 O(chunk) extra memory.
 """
@@ -34,13 +36,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.cdag.cache import cached_cdag
 from repro.cdag.index import graph_index
-from repro.obs import attach, trace_context
 from repro.obs import span as obs_span
 from repro.schedule.derive import blocked_ids, derive_schedule
 from repro.schedule.simulator import simulate_io
@@ -300,7 +300,9 @@ def audit_kernel(
     if result is None:
         result = analyze_kernel(name)
     return _audit_in_process(
-        (name, merged, result.bound, result.program_bound),
+        name,
+        merged,
+        result,
         s_values=s_values,
         max_vertices=int(max_vertices),
         chunk_size=chunk_size,
@@ -350,52 +352,50 @@ def audit_corpus(
     ``params`` overrides apply to every kernel (unused names are ignored);
     ``params_overrides`` adds per-kernel overrides on top.  ``engine``
     shares a live engine (and its solve cache) with the caller -- the
-    service daemon's audit endpoint uses this.  ``jobs > 1`` parallelizes
-    the analysis batch *and* the per-kernel audits, the latter over one
-    process pool (see the module docstring).  ``chunk_size`` bounds the
-    replay slab, trading time for peak memory -- results are bit-identical
-    whatever its value.  ``bounds_engines`` restricts the lower-bound
-    engines behind the certified gap denominator (default: all registered
-    engines; ``("kkt",)`` reproduces the KKT-only audit).
+    service daemon's audit endpoint uses this.  ``jobs > 1`` runs one pool
+    task per kernel that analyzes and audits it, on at most
+    ``min(jobs, kernels, os.cpu_count())`` workers (see the module
+    docstring); ``jobs`` below 1 or a bool is a ``ValueError``.
+    ``chunk_size`` bounds the replay slab, trading time for peak memory --
+    results are bit-identical whatever its value.  ``bounds_engines``
+    restricts the lower-bound engines behind the certified gap denominator
+    (default: all registered engines; ``("kkt",)`` reproduces the KKT-only
+    audit).
     """
     import time
 
-    from repro.engine import analyze_many
+    from repro.engine.batch import checked_jobs, run_kernels
     from repro.kernels import kernel_names
 
     started = time.perf_counter()
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be a positive integer (got {jobs})")
+    jobs = checked_jobs(jobs)
     s_values = checked_s_values(s_values)
     chunk_size = _checked_chunk_size(chunk_size)
     bounds_engines = _checked_bounds_engines(bounds_engines)
     selected = list(names) if names is not None else kernel_names()
-    merged = []
+    kernels = []
     for name in selected:
         overrides: dict[str, int] = dict(params or {})
         if params_overrides and name in params_overrides:
             overrides.update(params_overrides[name])
-        merged.append(_merged_params(name, _built_program(name), overrides))
+        kernels.append((name, _merged_params(name, _built_program(name), overrides)))
+    task = functools.partial(
+        _analyze_and_audit,
+        s_values=s_values,
+        max_vertices=int(max_vertices),
+        chunk_size=chunk_size,
+        bounds_engines=bounds_engines,
+    )
     with obs_span("tightness.audit", jobs=jobs) as sweep_span:
         sweep_span.add("kernels", len(selected))
-        results = analyze_many(
-            selected, jobs=jobs, cache_dir=cache_dir, engine=engine
+        per_kernel = run_kernels(
+            task,
+            kernels,
+            jobs=jobs,
+            cache_dir=cache_dir,
+            engine=engine,
+            size=_iteration_points,
         )
-        kernel_specs = [
-            (name, kernel_params, result.bound, result.program_bound)
-            for name, kernel_params, result in zip(selected, merged, results)
-        ]
-        sweep = dict(
-            s_values=s_values,
-            max_vertices=int(max_vertices),
-            chunk_size=chunk_size,
-            bounds_engines=bounds_engines,
-        )
-        if jobs > 1 and len(kernel_specs) > 1:
-            per_kernel = _audit_pool(kernel_specs, jobs, sweep)
-        else:
-            per_kernel = [_audit_in_process(spec, **sweep) for spec in kernel_specs]
         rows = [row for kernel_rows in per_kernel for row in kernel_rows]
         sweep_span.add("rows", len(rows))
         return TightnessReport(
@@ -405,8 +405,20 @@ def audit_corpus(
         )
 
 
+def _analyze_and_audit(kernel: tuple, *, engine, **sweep) -> list[TightnessRow]:
+    """One kernel of :func:`audit_corpus`: analyze it, then audit it."""
+    from repro.analysis import analyze_kernel
+
+    name, params = kernel
+    return _audit_in_process(
+        name, params, analyze_kernel(name, engine=engine), **sweep
+    )
+
+
 def _audit_in_process(
-    spec: tuple,
+    name: str,
+    params: dict[str, int],
+    result,
     *,
     s_values: tuple[int, ...],
     max_vertices: int,
@@ -422,11 +434,11 @@ def _audit_in_process(
     schedule and replays both streams.  A :class:`SoapError` on the way
     makes the point an error row; one in building the CDAG, or an
     instance above ``max_vertices``, makes every requested S one.
+    ``result`` is the kernel's :class:`~repro.analysis.KernelResult`.
     """
     from repro.bounds import evaluate_bounds
     from repro.kernels import get_kernel
 
-    name, params, bound, program_bound = spec
     category = get_kernel(name).category
 
     def error_row(s: int, message: str) -> TightnessRow:
@@ -458,10 +470,10 @@ def _audit_in_process(
                 # the certified value is the gap denominator; the raw
                 # KKT value stays visible in the per-engine dict
                 combined = evaluate_bounds(
-                    s=s, graph=cdag.graph, symbolic_bound=bound,
+                    s=s, graph=cdag.graph, symbolic_bound=result.bound,
                     params=params, kernel=name, engines=bounds_engines,
                 )
-                schedule = derive_schedule(program, program_bound, params, s)
+                schedule = derive_schedule(program, result.program_bound, params, s)
                 stream_key = (
                     schedule.tiled,
                     tuple(schedule.variable_order),
@@ -522,13 +534,15 @@ def _audit_in_process(
         return rows
 
 
-def _iteration_points(spec: tuple) -> int:
+def _iteration_points(kernel: tuple) -> int:
     """A kernel's iteration-point count at its audit params: the sum over
     statements of the product of the loop extents (0 when an extent does
-    not resolve -- that kernel's audit fails fast)."""
+    not resolve -- that kernel's audit fails fast).  The pool submits the
+    largest kernels first, so the longest audit does not start last and
+    leave the other workers idle while it runs."""
     from repro.cdag.build import extent_values
 
-    name, params = spec[0], spec[1]
+    name, params = kernel
     try:
         return sum(
             math.prod(extent_values(st, params).values())
@@ -536,46 +550,3 @@ def _iteration_points(spec: tuple) -> int:
         )
     except SoapError:
         return 0
-
-
-def _audit_pool(kernel_specs: list[tuple], jobs: int, sweep: dict) -> list:
-    """:func:`_audit_in_process` over one process pool, one task per kernel.
-
-    Returns each kernel's rows, in ``kernel_specs`` order.  Tasks are
-    submitted largest first (by :func:`_iteration_points`, ties in corpus
-    order), so the longest audit does not start last and leave the other
-    workers idle while it runs.  From the main thread, forked workers
-    inherit the warm interpreter state (kernel registry, sympy caches);
-    off the main thread -- the service daemon runs audits on a thread
-    pool -- forking a multithreaded process can inherit held locks into
-    the child and deadlock, so workers are spawned fresh instead (tasks
-    and rows are plain picklable data either way).  Workers trace under
-    the caller's sweep span.
-    """
-    import multiprocessing
-    import os
-    from concurrent.futures import ProcessPoolExecutor
-
-    on_main = threading.current_thread() is threading.main_thread()
-    try:
-        mp_context = multiprocessing.get_context("fork" if on_main else "spawn")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        mp_context = multiprocessing.get_context()
-    # cap at the core count: the audits are CPU-bound, and the service
-    # endpoint forwards caller-supplied jobs values -- one request must not
-    # be able to spawn a worker per kernel on a large corpus
-    workers = max(1, min(jobs, len(kernel_specs), os.cpu_count() or 1))
-    task = functools.partial(_audit_task, trace_context(), sweep)
-    largest_first = sorted(
-        range(len(kernel_specs)),
-        key=lambda i: -_iteration_points(kernel_specs[i]),
-    )
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context) as pool:
-        futures = {i: pool.submit(task, kernel_specs[i]) for i in largest_first}
-        return [futures[i].result() for i in range(len(kernel_specs))]
-
-
-def _audit_task(tctx, sweep: dict, spec: tuple) -> list[TightnessRow]:
-    """One pool task: a kernel's audit under the caller's trace."""
-    with attach(tctx):
-        return _audit_in_process(spec, **sweep)

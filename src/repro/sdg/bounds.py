@@ -125,9 +125,7 @@ def sdg_bound(
     *,
     policy: OverlapPolicy = "sum",
     max_subgraph_size: int = DEFAULT_MAX_SIZE,
-    unify_same_names: bool = True,
     allow_pinning: bool = False,
-    jobs: int = 1,
     cache=None,
 ) -> ProgramBound:
     """Run the full Section 6 analysis on ``program``.
@@ -137,16 +135,15 @@ def sdg_bound(
     (streaming-update) optima make that subgraph's intensity unusable and the
     subgraph is skipped (sound: per-array maxima come from the rest).
 
-    ``jobs`` parallelizes subgraph solving; ``cache`` takes a
-    :class:`repro.engine.SolveCache` to reuse solved problems across calls.
+    Every subgraph's problem (8) is solved in this process; ``cache``
+    takes a :class:`repro.engine.SolveCache` to reuse solved problems
+    across calls.
     """
     from repro.engine import Engine
 
-    engine = Engine(cache=cache, jobs=jobs)
-    return engine.analyze(
+    return Engine(cache=cache).analyze(
         program,
         policy=policy,
         max_subgraph_size=max_subgraph_size,
-        unify_same_names=unify_same_names,
         allow_pinning=allow_pinning,
     )

@@ -73,7 +73,6 @@ def fuse_statements(
     h_arrays: tuple[str, ...],
     *,
     policy: OverlapPolicy = "sum",
-    unify_same_names: bool = True,
 ) -> FusedStatement:
     """Build ``St_H`` for subgraph ``h_arrays`` of ``program``."""
     h_set = set(h_arrays)
@@ -86,7 +85,7 @@ def fuse_statements(
 
     versioned = [version_output(st, force=True) for st in originals]
 
-    renamed = _unify(versioned, unify_same_names=unify_same_names)
+    renamed = _unify(versioned)
     renamed = _align_cross_reads(renamed, h_set, notes)
 
     # ---- unified variable set and extents ----------------------------------
@@ -146,25 +145,22 @@ def _primary_component(st: Statement, array: str) -> AccessComponent | None:
     return None
 
 
-def _unify(
-    statements: list[Statement], *, unify_same_names: bool
-) -> list[Statement]:
+def _unify(statements: list[Statement]) -> list[Statement]:
     uf: UnionFind[tuple[int, str]] = UnionFind()
     for idx, st in enumerate(statements):
         for var in st.iteration_vars:
             if not is_version_var(var):
                 uf.add((idx, var))
 
-    if unify_same_names:
-        by_name: dict[str, tuple[int, str]] = {}
-        for idx, st in enumerate(statements):
-            for var in st.iteration_vars:
-                if is_version_var(var):
-                    continue
-                if var in by_name:
-                    uf.union(by_name[var], (idx, var))
-                else:
-                    by_name[var] = (idx, var)
+    by_name: dict[str, tuple[int, str]] = {}
+    for idx, st in enumerate(statements):
+        for var in st.iteration_vars:
+            if is_version_var(var):
+                continue
+            if var in by_name:
+                uf.union(by_name[var], (idx, var))
+            else:
+                by_name[var] = (idx, var)
 
     for i in range(len(statements)):
         for j in range(i + 1, len(statements)):

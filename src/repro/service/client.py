@@ -269,10 +269,11 @@ class ServiceClient:
     ) -> JobRecord:
         """``POST /tightness``: queue (or block on) a tightness audit.
 
-        ``jobs`` parallelizes the daemon-side per-kernel audits over a
-        process pool; ``chunk_size`` bounds daemon-side replay memory.  The payload
-        is identical whatever either value.  ``trace=True`` embeds the
-        job's stitched span tree in the result.
+        ``jobs`` runs the daemon-side kernels (analysis and audit each) over
+        a process pool capped at the CPU count; ``chunk_size`` bounds
+        daemon-side replay memory.  The payload is identical whatever
+        either value.  ``trace=True`` embeds the job's stitched span tree
+        in the result.
         """
         body: dict = {"priority": priority, "wait": wait, "jobs": jobs}
         if chunk_size is not None:

@@ -344,20 +344,12 @@ class AnalysisService:
             raise ValueError("'max_subgraph_size' must be a positive integer")
         if not isinstance(allow_pinning, bool):
             raise ValueError("'allow_pinning' must be true or false")
-        if language not in ("python", "c"):
-            raise ValueError(f"unknown language {language!r}")
 
         def fingerprint_source() -> str:
-            if language == "python":
-                from repro.frontend.python_frontend import parse_python
+            from repro.frontend import parse_source
 
-                program = parse_python(source, name=name)
-            else:
-                from repro.frontend.c_frontend import parse_c
-
-                program = parse_c(source, name=name)
             return program_fingerprint(
-                program,
+                parse_source(source, language=language, name=name),
                 policy=policy,
                 max_subgraph_size=max_subgraph_size,
                 allow_pinning=allow_pinning,
@@ -409,15 +401,17 @@ class AnalysisService:
 
         The audit runs on one worker process, whose engine shares the fleet
         store -- the analysis half reuses every solved problem (8) instance.
-        ``jobs > 1`` fans the per-kernel audits out over the worker's own
-        process pool; ``chunk_size`` bounds replay memory.  Both leave the
+        ``jobs > 1`` fans the kernels out over the worker's own process
+        pool, capped at the CPU count, one task analyzing and auditing each
+        kernel; ``chunk_size`` bounds replay memory.  Both leave the
         result bit-identical, so neither is part of the coalescing key.
-        Fast-memory sizes must be integers >= 1 and parameter values
-        integers; anything else is a ``ValueError`` (a 400) before a job
-        exists.
+        Fast-memory sizes must be integers >= 1, ``jobs`` an integer >= 1
+        and parameter values integers; anything else is a ``ValueError``
+        (a 400) before a job exists.
         """
         import json as _json
 
+        from repro.engine.batch import checked_jobs
         from repro.kernels import get_kernel, kernel_names
         from repro.schedule.tightness import (
             DEFAULT_S_VALUES,
@@ -438,13 +432,11 @@ class AnalysisService:
         # each ValueError surfaces as a 400, like every malformed request body
         sweep = checked_s_values(s_values or DEFAULT_S_VALUES)
         overrides = checked_params(params)
+        pool_jobs = checked_jobs(jobs)
         try:
-            pool_jobs = int(jobs)
             slab = None if chunk_size is None else int(chunk_size)
         except (TypeError, ValueError):
-            raise ValueError("jobs and chunk_size must be integers") from None
-        if pool_jobs < 1:
-            raise ValueError(f"jobs must be a positive integer (got {pool_jobs})")
+            raise ValueError("chunk_size must be an integer") from None
         if slab is not None and slab < 1:
             raise ValueError(
                 f"chunk size must be a positive integer (got {slab})"

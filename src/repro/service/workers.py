@@ -21,7 +21,7 @@ counters) so the front-end can fold fleet-wide numbers into its
 Workers are forked, not spawned: the service forks them at boot and on
 reload -- both quiescent moments -- and fork inherits the parent's warm
 sympy caches, making worker start cheap (the same trade recorded in
-``schedule/tightness.py`` for the sweep pool).
+``engine/batch.py`` for the kernel pool).
 
 Finished *reports* are cached in the store as well (the DaCe/PyOP2
 compiled-artifact pattern): a warm ``/kernel`` request is served from the
@@ -118,7 +118,7 @@ def _execute(engine, store, descriptor: dict, report_cache: bool):
         return result, False
 
     if kind == "analyze":
-        from repro.frontend.python_frontend import parse_python
+        from repro.analysis import analyze_source
         from repro.reporting.serialize import program_bound_report
 
         key = _report_key("analyze", descriptor["fingerprint"])
@@ -126,19 +126,14 @@ def _execute(engine, store, descriptor: dict, report_cache: bool):
             cached = store.get_report(key)
             if cached is not None:
                 return cached, True
-        if descriptor["language"] == "python":
-            program = parse_python(descriptor["source"], name=descriptor["name"])
-        elif descriptor["language"] == "c":
-            from repro.frontend.c_frontend import parse_c
-
-            program = parse_c(descriptor["source"], name=descriptor["name"])
-        else:
-            raise ValueError(f"unknown language {descriptor['language']!r}")
-        bound = engine.analyze(
-            program,
+        bound = analyze_source(
+            descriptor["source"],
+            name=descriptor["name"],
+            language=descriptor["language"],
             policy=descriptor["policy"],
             max_subgraph_size=descriptor["max_subgraph_size"],
             allow_pinning=descriptor["allow_pinning"],
+            engine=engine,
         )
         result = program_bound_report(
             bound, name=descriptor["name"], language=descriptor["language"]
@@ -377,10 +372,10 @@ class WorkerHandle:
     def spawn(self) -> None:
         parent, child = self._ctx.Pipe()
         # NOT daemonic: a worker must be able to fork its own children (the
-        # tightness audit's kernel pool, the engine's jobs>1 solve pool),
-        # which Python forbids for daemon processes.  Orphan protection
-        # comes from the pipe instead -- a worker exits on EOF when the
-        # front-end goes away -- plus the pool's atexit stop.
+        # kernel pool of a /tightness audit with jobs > 1), which Python
+        # forbids for daemon processes.  Orphan protection comes from the
+        # pipe instead -- a worker exits on EOF when the front-end goes
+        # away -- plus the pool's atexit stop.
         self.process = self._ctx.Process(
             target=_worker_main,
             args=(child, self.settings),

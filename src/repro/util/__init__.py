@@ -7,7 +7,7 @@ from repro.util.errors import (
     SolverError,
     PebblingError,
 )
-from repro.util.orderedsets import OrderedSet, unique_in_order
+from repro.util.orderedsets import unique_in_order
 
 __all__ = [
     "SoapError",
@@ -15,6 +15,5 @@ __all__ = [
     "FrontendError",
     "SolverError",
     "PebblingError",
-    "OrderedSet",
     "unique_in_order",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic ordered-set helpers.
+"""Deterministic ordering helper.
 
 Symbolic analysis must be reproducible run to run: subgraph enumeration
 order, iteration-variable order and term order all influence the *printed*
@@ -8,7 +8,7 @@ nondeterministic across processes, so ordered containers are used throughout.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, MutableSet
+from collections.abc import Hashable, Iterable
 from typing import TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -20,49 +20,3 @@ def unique_in_order(items: Iterable[T]) -> list[T]:
     for item in items:
         seen.setdefault(item)
     return list(seen)
-
-
-class OrderedSet(MutableSet[T]):
-    """A set remembering insertion order (backed by a dict).
-
-    Supports the full :class:`collections.abc.MutableSet` interface plus
-    list-like ``__getitem__`` for deterministic indexing.
-    """
-
-    def __init__(self, items: Iterable[T] = ()) -> None:
-        self._data: dict[T, None] = dict.fromkeys(items)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._data
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._data)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __getitem__(self, index: int) -> T:
-        return list(self._data)[index]
-
-    def add(self, item: T) -> None:
-        self._data.setdefault(item)
-
-    def discard(self, item: T) -> None:
-        self._data.pop(item, None)
-
-    def update(self, items: Iterable[T]) -> None:
-        for item in items:
-            self.add(item)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OrderedSet({list(self._data)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, OrderedSet):
-            return set(self._data) == set(other._data)
-        if isinstance(other, (set, frozenset)):
-            return set(self._data) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:  # frozen-style hashing over contents
-        return hash(frozenset(self._data))

@@ -7,9 +7,9 @@ import sympy as sp
 
 from repro import __version__, faults
 from repro.analysis import analyze_kernel
-from repro.engine import Engine, classify_outcome, program_fingerprint
-from repro.engine.core import _solve_signature
+from repro.engine import Engine, SolveCache, classify_outcome, program_fingerprint
 from repro.engine.signature import canonicalize_ir
+from repro.engine.store import SharedSolveStore
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernels import get_kernel
 from repro.obs import MetricsRegistry, Tracer
@@ -152,22 +152,32 @@ class TestBatchLoop:
         assert sum(isinstance(r, SolverError) for r in results) == 1
         assert sum(isinstance(r, ChiSolution) for r in results) == 1
 
-    def test_solve_signature_goes_through_the_batch_loop(self):
-        # the pooled solves of analyze(jobs>1) and the solo solve after a
-        # reclaimed claim: the fault site fires and its error is a negative
-        # outcome, as in the in-process batch
+    def test_solve_signature_goes_through_the_batch_loop(self, tmp_path):
+        # the solo solve after a reclaimed claim: the fault site fires and
+        # its error is a negative outcome, as in the in-process batch
         canonical = canonicalize_ir(
             _ir(2 * bi * bj, bi * bj, [bi, bj]), allow_pinning=False, allow_caps=False
         )
+        path = tmp_path / "solves.sqlite"
+        # a holder that never solves: its claim is live for 0.5 s, then
+        # the engine's store takes the claim over and solves solo
+        holder = SharedSolveStore(path, lease_seconds=0.5)
+        store = SharedSolveStore(path, poll_seconds=0.01)
+        key = f"{canonical.signature}-{get_backend().cache_tag()}"
+        assert holder.try_claim(key) == ("acquired", None)
+        engine = Engine(cache=SolveCache(store=store))
         plan = FaultPlan(
             seed=1,
             specs=[FaultSpec(site="solver.solve", error="solver", at=(1,))],
         )
         with faults.plan_scope(plan):
-            key, outcome = _solve_signature(("sig", canonical, False))
-        assert key == "sig"
+            outcomes = engine._resolve_signatures([canonical], allow_pinning=False)
+        assert store.stats.reclaims == 1
+        (outcome,) = outcomes.values()
+        assert list(outcomes) == [canonical.signature]
         assert classify_outcome(outcome) == "negative"
         assert outcome.error == "injected fault at solver.solve"
+        assert engine.solver_stats_snapshot()["exact"]["negative"] == 1
 
     def test_span_and_registry_count_closed_forms(self):
         registry = MetricsRegistry()

@@ -1,4 +1,4 @@
-"""Staged engine: canonical signatures, memoization cache, parallel solving."""
+"""Staged engine: canonical signatures, memoization cache, the kernel pool."""
 
 import hashlib
 import json
@@ -278,9 +278,9 @@ class TestCacheCorrectness:
     def test_disk_roundtrip_preserves_solution(self, tmp_path):
         fused = fuse_statements(_gemm_program(("i", "j", "k")), ("C",))
         canonical = canonicalize_ir(fused.problem)
-        from repro.engine.core import _solve_signature
+        from repro.engine.core import _solve_problems
 
-        _, outcome = _solve_signature((canonical.signature, canonical, False))
+        (outcome,) = _solve_problems([canonical.problem], False)
         store = SolveCache(tmp_path / "cache")
         store.put(canonical.signature, outcome)
         fresh = SolveCache(tmp_path / "cache")  # new in-process tier
@@ -290,17 +290,62 @@ class TestCacheCorrectness:
         assert loaded.solution.tiles == outcome.solution.tiles
 
 
+class _RecordingPool:
+    """Stand-in for ``ProcessPoolExecutor``: records each pool's width and
+    runs its tasks in this process."""
+
+    widths: list = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestParallelExecution:
-    def test_subgraph_jobs_match_serial(self):
-        program = _atax_program()
-        serial = sdg_bound(program)
-        parallel = sdg_bound(program, jobs=2)
-        assert serial.bound == parallel.bound
-        assert serial.bound_full == parallel.bound_full
-        assert serial.skipped == parallel.skipped
-        assert {a: s.rho for a, s in serial.per_array.items()} == {
-            a: s.rho for a, s in parallel.per_array.items()
-        }
+    def test_kernel_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        """Every pool the batch and the audit open has at most
+        min(jobs, kernels, CPU count) workers, and the audit opens one."""
+        import concurrent.futures
+        import os
+
+        import repro.engine.batch as batch
+        from repro.schedule.tightness import audit_corpus
+
+        monkeypatch.setattr(_RecordingPool, "widths", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        names = ["gemm", "atax", "mvt"]
+        report = audit_corpus(names, s_values=(8,), jobs=8)
+        assert [r.kernel for r in report.rows] == names
+        assert _RecordingPool.widths == [2]
+        results = analyze_many(names, jobs=8)
+        assert [r.name for r in results] == names
+        assert _RecordingPool.widths == [2, 2]
+
+    @pytest.mark.parametrize("jobs", [0, -1, True])
+    def test_bad_jobs_are_refused(self, jobs):
+        from repro.schedule.tightness import audit_corpus
+
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            analyze_many(["gemm"], jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            audit_corpus(["gemm"], s_values=(8,), jobs=jobs)
 
     def test_analyze_many_rejects_engine_plus_cache_dir(self, tmp_path):
         with pytest.raises(ValueError):
@@ -397,6 +442,15 @@ class TestCLIPlumbing:
         assert payload["ratio"] == "1" and payload["shape_matches"] is True
         stage_names = [s["name"] for s in payload["diagnostics"]["stages"]]
         assert stage_names == ["build-sdg", "enumerate", "fuse", "solve", "combine"]
+
+    @pytest.mark.parametrize("command", ["analyze", "kernel", "bounds"])
+    def test_jobs_is_a_usage_error_outside_table2_and_tightness(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "gemm", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_cache_dir_that_is_a_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "not-a-dir"

@@ -230,8 +230,9 @@ class TestSlabReplay:
 
 
 class TestParallelSweepSharing:
-    """``audit_corpus(jobs > 1)`` maps the serial per-kernel audit over a
-    process pool: it must give the serial rows, error rows included."""
+    """``audit_corpus(jobs > 1)`` maps the serial per-kernel analysis and
+    audit over a process pool: it must give the serial rows, error rows
+    included."""
 
     def test_pooled_rows_match_serial(self):
         from repro.schedule.tightness import audit_corpus
@@ -249,19 +250,18 @@ class TestParallelSweepSharing:
         assert all(r["error"] is None for r in rows[2:])
 
     def test_pool_submits_largest_first(self, monkeypatch):
-        """Kernels go to the pool by descending iteration-point count
-        (ties in the given order), and the rows come back in kernel order,
-        equal to the serial rows."""
+        """Kernels go to the pool, one task each that analyzes and audits,
+        by descending iteration-point count (ties in the given order), and
+        the rows come back in kernel order, equal to the serial rows."""
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.schedule.tightness import _audit_task, audit_corpus
+        from repro.schedule.tightness import audit_corpus
 
         submitted = []
         real_submit = ProcessPoolExecutor.submit
 
         def submit(pool, fn, *args, **kwargs):
-            if getattr(fn, "func", None) is _audit_task:  # not the analysis
-                submitted.append(args[0][0])
+            submitted.append(args[0][0])
             return real_submit(pool, fn, *args, **kwargs)
 
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)

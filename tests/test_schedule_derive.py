@@ -36,10 +36,6 @@ class TestRecordedPoints:
         assert cdag.point_of(cdag.inputs[0]) is None
         assert cdag.statement_of(cdag.inputs[0]) is None
 
-    def test_record_points_false_saves_the_mapping(self):
-        cdag = build_cdag(get_kernel("gemm").build(), {"N": 3}, record_points=False)
-        assert cdag.points == {}
-
     def test_generic_point_of_matches_vertex_structure(self):
         """The recorded point is the hand-coding it replaces: for gemm,
         vertex ('v', 'C', (i, j), k) -> {i, j, k}."""

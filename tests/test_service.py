@@ -186,6 +186,16 @@ class TestEndpoints:
             client.analyze("for i in range(N:\n    pass\n")
         assert exc.value.status == 400
 
+    def test_unknown_language_is_400(self, client):
+        submitted = client.metrics()["jobs"]["submitted"]
+        with pytest.raises(ServiceError) as exc:
+            client._request(
+                "POST", "/analyze", {"source": GEMM_SRC, "language": "fortran"}
+            )
+        assert exc.value.status == 400
+        assert "unknown language 'fortran'" in str(exc.value)
+        assert client.metrics()["jobs"]["submitted"] == submitted
+
     @pytest.mark.parametrize(
         "option, value",
         [

@@ -1,8 +1,8 @@
-"""Utility containers: OrderedSet, UnionFind, error hierarchy."""
+"""Utility helpers: unique_in_order, UnionFind, error hierarchy."""
 
 import pytest
 
-from repro.util import OrderedSet, unique_in_order
+from repro.util import unique_in_order
 from repro.util.errors import (
     FrontendError,
     NotSoapError,
@@ -14,33 +14,7 @@ from repro.util.unionfind import UnionFind
 
 
 class TestOrderedSet:
-    def test_preserves_insertion_order(self):
-        s = OrderedSet([3, 1, 2, 1])
-        assert list(s) == [3, 1, 2]
-
-    def test_indexing(self):
-        s = OrderedSet("bca")
-        assert s[0] == "b" and s[2] == "a"
-
-    def test_add_discard(self):
-        s = OrderedSet([1])
-        s.add(2)
-        s.add(1)
-        s.discard(3)  # no error
-        s.discard(1)
-        assert list(s) == [2]
-
-    def test_update_and_len(self):
-        s = OrderedSet()
-        s.update([1, 2, 2, 3])
-        assert len(s) == 3
-
-    def test_equality_with_sets(self):
-        assert OrderedSet([1, 2]) == {2, 1}
-        assert OrderedSet([1, 2]) == OrderedSet([2, 1])
-
-    def test_hashable(self):
-        assert hash(OrderedSet([1, 2])) == hash(OrderedSet([2, 1]))
+    """``repro.util.orderedsets``: deterministic first-occurrence order."""
 
     def test_unique_in_order(self):
         assert unique_in_order("abcabd") == ["a", "b", "c", "d"]
